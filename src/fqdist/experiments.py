@@ -819,6 +819,12 @@ def run_suite(suite: str, cfg: ExperimentConfig,
     """Run one suite and collect its checks; never raises on failed checks."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    for name, s in (("E", e_set), ("F", f_set)):
+        if s is not None and (s.field.q, s.k, s.l) != (cfg.q, cfg.k, cfg.l):
+            raise ValueError(
+                f"loaded set {name} has q = {s.field.q}, split ({s.k}, {s.l}), but the "
+                f"run asks for q = {cfg.q}, split ({cfg.k}, {cfg.l})"
+            )
     field = make_field(cfg.q)
     loaded = None
     if e_set is not None:

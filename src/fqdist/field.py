@@ -124,6 +124,17 @@ def rotation_inverse(field: PrimeField, rot: Rotation) -> Rotation:
     return Rotation(rot.a, (-rot.b) % field.q)
 
 
+def rotation_code_permutation(field: PrimeField, rot: Rotation) -> np.ndarray:
+    """perm[c] = code of the rotation applied to the plane vector with code c."""
+    q = field.q
+    codes = np.arange(q * q, dtype=np.int64)
+    v1 = codes // q
+    v2 = codes % q
+    w1 = (rot.a * v1 - rot.b * v2) % q
+    w2 = (rot.b * v1 + rot.a * v2) % q
+    return w1 * q + w2
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     """Outcome of the exhaustive orbit check on every nonzero plane vector."""
@@ -158,11 +169,7 @@ def so2_orbit_check(field: PrimeField) -> OrbitReport:
     norms = (v1 * v1 + v2 * v2) % q
 
     # images[i, c] = code of rotations[i] applied to the vector with code c
-    images = np.empty((m, q * q), dtype=np.int64)
-    for i, rot in enumerate(rotations):
-        w1 = (rot.a * v1 - rot.b * v2) % q
-        w2 = (rot.b * v1 + rot.a * v2) % q
-        images[i] = w1 * q + w2
+    images = np.stack([rotation_code_permutation(field, rot) for rot in rotations])
 
     sphere_codes = {t: set(codes[norms == t].tolist()) for t in range(q)}
 

@@ -6,10 +6,20 @@ central object is the chain
                             sum_u r_E(u) r_F(u),
 where r_{theta,phi}^E(u', u'') counts pairs (x, z) in E^2 with x' - theta z'
 = u' and x'' - phi z'' = u''.  The left side is exact integer counting from
-the pair spectrum; the right side is counted directly, pair by pair, per
-rotation pair, so the two sides share no code path.  A third route evaluates
-the right side through the character transform split into zero, mixed, and
-nonzero frequency classes and must agree to a relative tolerance.
+the pair spectrum.  The right side is exact too: for each rotation pair
+R = (theta, phi) it counts quadruples with x - y = R(z - w), which is
+sum_v D(v) D(R v) over the difference histogram D of E - F.  D comes from
+one FFT correlation, snapped to integers with a hard failure above the
+convolution residue guard.  Three checks stay independent of that route:
+  - the exact orbit-weight identity rhs - lhs = sum (w_a w_b - 1) s(a,b)^2,
+    in integers against the pair spectrum;
+  - the literal pair count rotation_correlation, which the energy suite
+    compares with the transform identity on sampled rotation pairs
+    (correlation_transform_check) and the tests compare with every
+    rotation pair's term of rhs;
+  - the split of the right side into zero, mixed, and nonzero frequency
+    classes through the character transform, which must agree to a relative
+    tolerance.
 """
 
 from __future__ import annotations
@@ -19,16 +29,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import PrecisionError, SizeGuardError
 from .field import (
     PrimeField,
     Rotation,
     enumerate_so2,
+    rotation_code_permutation,
     rotation_inverse,
 )
 from .fourier import DensityTable, forward_transform, indicator_table
-from .geometry import PointSet, all_norms, decode_codes, norm_fiber_sizes
+from .geometry import MAX_ENUMERATION, PointSet, all_norms, decode_codes, norm_fiber_sizes
 from .pair_spectrum import (
+    CONVOLUTION_RESIDUE,
     MAX_PAIRS,
     PairSpectrum,
     SplitPointSet,
@@ -46,17 +58,6 @@ def _require_plane_pair(e: SplitPointSet) -> None:
         raise ValueError(f"requires q = 3 mod 4, got q = {e.field.q}")
     if e.k != 2 or e.l != 2:
         raise ValueError(f"requires the plane-pair split k = l = 2, got ({e.k}, {e.l})")
-
-
-def rotation_code_permutation(field: PrimeField, rot: Rotation) -> np.ndarray:
-    """perm[c] = code of the rotation applied to the plane vector with code c."""
-    q = field.q
-    codes = np.arange(q * q, dtype=np.int64)
-    v1 = codes // q
-    v2 = codes % q
-    w1 = (rot.a * v1 - rot.b * v2) % q
-    w2 = (rot.b * v1 + rot.a * v2) % q
-    return w1 * q + w2
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +78,8 @@ def _rotated_halves(s: SplitPointSet, rot: Rotation, which: str) -> tuple[np.nda
     """Coordinates of the chosen half of every point, rotated by rot."""
     q = s.field.q
     codes = s.first_codes() if which == "first" else s.second_codes()
-    coords = decode_codes(q, 2, codes)
-    w1 = (rot.a * coords[:, 0] - rot.b * coords[:, 1]) % q
-    w2 = (rot.b * coords[:, 0] + rot.a * coords[:, 1]) % q
-    return w1, w2
+    rotated = rotation_code_permutation(s.field, rot)[codes]
+    return rotated // q, rotated % q
 
 
 def _half_diff_codes(x1, x2, z1, z2, q: int) -> np.ndarray:
@@ -179,76 +178,56 @@ def _spectral_split(e: SplitPointSet, f: SplitPointSet, so2_size: int) -> Spectr
     return SpectralSplit(zero, mixed, nonzero, zero_formula, zero + mixed + nonzero)
 
 
-def _diff_code_matrix(x1, x2, z1, z2, q: int) -> np.ndarray:
-    """int16 codes of x - z over all (row, column) pairs of plane vectors."""
-    u1 = (x1[:, None] - z1[None, :]) % q
-    u2 = (x2[:, None] - z2[None, :]) % q
-    return (u1 * q + u2).astype(np.int16)
+def _rotation_pair_energies(e: SplitPointSet, f: SplitPointSet,
+                            rotations: list[Rotation]) -> np.ndarray:
+    """m[i, j] = sum_u r_E(u) r_F(u) at (theta, phi) = (rotations[i], rotations[j]).
 
-
-class _RotationScanner:
-    """Per-set machinery for the direct rotation-energy count.
-
-    For one rotation pair the correlation histogram needs the joint code
-    (first-half difference, second-half difference) of every ordered pair of
-    points.  The second-half matrices depend only on phi, so they are cached
-    across the theta loop when they fit in the byte budget; the first-half
-    matrix is built once per theta, pre-scaled by q^2 so the inner loop is a
-    single add and a bincount.
+    The sum counts quadruples (x, z, y, w) in E^2 x F^2 with
+    x - y = R(z - w), R = (theta, phi).  With the difference histogram
+    D(v) = #{(x, y) in E x F : x - y = v} each entry is therefore
+    sum_v D(v) D(theta v', phi v'').  D is one FFT correlation, snapped to
+    integers with a hard failure above the convolution residue guard; the
+    entries are integer gathers over the support of D.  The cost is at most
+    three transforms of q^4 cells plus |SO2|^2 |supp D| gathers, where
+    |supp D| <= min(|E||F|, q^4): never more than half the
+    |SO2|^2 (|E|^2 + |F|^2) pairs a literal count scans, though the
+    transforms make tiny sets cost more than they would literally.  Gathers
+    run in phi batches of about 4e6 cells.
     """
-
-    def __init__(self, s: SplitPointSet, rotations: list[Rotation], cache_bytes: int):
-        q = s.field.q
-        self.q = q
-        self.q4 = q**4
-        self.rotations = rotations
-        self.first = decode_codes(q, 2, s.first_codes()).astype(np.int16)
-        self.second = decode_codes(q, 2, s.second_codes()).astype(np.int16)
-        self._set = s
-        n = len(s)
-        self._cache: list[np.ndarray] | None = None
-        if len(rotations) * n * n * 2 <= cache_bytes:
-            self._cache = [self._second_matrix(phi) for phi in rotations]
-        self._scaled_first: np.ndarray | None = None
-
-    def _second_matrix(self, phi: Rotation) -> np.ndarray:
-        rp1, rp2 = _rotated_halves(self._set, phi, "second")
-        return _diff_code_matrix(self.second[:, 0], self.second[:, 1],
-                                 rp1.astype(np.int16), rp2.astype(np.int16), self.q)
-
-    def set_theta(self, theta: Rotation) -> None:
-        rt1, rt2 = _rotated_halves(self._set, theta, "first")
-        p = _diff_code_matrix(self.first[:, 0], self.first[:, 1],
-                              rt1.astype(np.int16), rt2.astype(np.int16), self.q)
-        self._scaled_first = p.astype(np.int32) * (self.q * self.q)
-
-    def correlation_flat(self, phi_index: int) -> np.ndarray:
-        second = (self._cache[phi_index] if self._cache is not None
-                  else self._second_matrix(self.rotations[phi_index]))
-        joint = self._scaled_first + second
-        return np.bincount(joint.reshape(-1), minlength=self.q4)
-
-
-def _direct_rotation_energy(e: SplitPointSet, f: SplitPointSet,
-                            rotations: list[Rotation]) -> int:
-    """sum over rotation pairs of sum_u r_E(u) r_F(u), by direct counting."""
+    q = e.field.q
+    if q**4 > MAX_ENUMERATION:
+        raise SizeGuardError(f"q^4 = {q**4} exceeds the enumeration limit")
     ne, nf = len(e), len(f)
-    if ne * ne > MAX_PAIRS or nf * nf > MAX_PAIRS:
-        raise SizeGuardError("set too large for the pairwise rotation scan")
-    same = f is e or (ne == nf and bool(np.array_equal(e.codes, f.codes)))
-    budget = 3 * 10**8 // (1 if same else 2)
-    scan_e = _RotationScanner(e, rotations, budget)
-    scan_f = scan_e if same else _RotationScanner(f, rotations, budget)
-    total = 0
-    for theta in rotations:
-        scan_e.set_theta(theta)
-        if not same:
-            scan_f.set_theta(theta)
-        for j in range(len(rotations)):
-            r_e = scan_e.correlation_flat(j)
-            r_f = r_e if same else scan_f.correlation_flat(j)
-            total += int(np.dot(r_e, r_f))
-    return total
+    # Each entry is at most max D * sum D <= min(|E|, |F|) |E||F|.
+    if ne * nf * min(ne, nf) >= 2**63:
+        raise SizeGuardError("rotation-pair energies would overflow int64")
+    hats = []
+    for s in (e,) if f is e or np.array_equal(e.codes, f.codes) else (e, f):
+        indicator = np.zeros((q, q, q, q))
+        indicator.reshape(-1)[s.codes] = 1.0
+        hats.append(np.fft.fftn(indicator))
+    product = hats[0] * np.conj(hats[-1])
+    h = np.fft.ifftn(product).reshape(-1)
+    snapped = np.rint(h.real)
+    residue = float(np.max(np.abs(h - snapped)))
+    if residue > CONVOLUTION_RESIDUE:
+        raise PrecisionError(
+            f"rotation-energy difference histogram residue {residue:.3e} exceeds "
+            f"{CONVOLUTION_RESIDUE}"
+        )
+    d = snapped.astype(np.int64)
+    support = np.flatnonzero(d)
+    weights = d[support]
+    first, second = np.divmod(support, q * q)
+    perms = np.stack([rotation_code_permutation(e.field, rot) for rot in rotations])
+    batch = _pair_chunk(len(support))
+    energies = np.empty((len(rotations), len(rotations)), dtype=np.int64)
+    for start in range(0, len(rotations), batch):
+        rotated_second = perms[start : start + batch, second]
+        for i, perm_t in enumerate(perms):
+            rotated = rotated_second + perm_t[first] * (q * q)
+            energies[i, start : start + batch] = d.take(rotated) @ weights
+    return energies
 
 
 @dataclass(frozen=True)
@@ -279,7 +258,8 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
     """Certify lhs <= rhs with exact integers and cross-check the split.
 
     lhs is the squared mass of the pair spectrum.  rhs is the rotation-summed
-    correlation energy, counted directly.  The report also carries:
+    correlation energy, computed exactly from the difference histogram of
+    E - F (see _rotation_pair_energies).  The report also carries:
       - the exact orbit-weight identity rhs - lhs = sum (w_a w_b - 1) s(a,b)^2
         with w_0 = |SO2| and w_t = 1 otherwise, a float-free cross-check;
       - the frequency-class split of rhs, whose zero class must equal
@@ -298,7 +278,7 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
     lhs = spectrum_energy(spectrum)
     rotations = enumerate_so2(e.field)
     so2_size = len(rotations)
-    rhs = _direct_rotation_energy(e, f, rotations)
+    rhs = sum(int(v) for v in _rotation_pair_energies(e, f, rotations).flat)
 
     weights = np.ones(q, dtype=object)
     weights[0] = so2_size

@@ -163,6 +163,19 @@ def test_loaded_sets_override_generation():
     assert rep.all_pass
 
 
+def test_loaded_sets_must_match_config():
+    field = make_field(7)
+    rng = np.random.default_rng(1)
+    e = SplitPointSet(field, 2, 2, rng.choice(7**4, 50, replace=False))
+    other_q = SplitPointSet(make_field(11), 2, 2, rng.choice(11**4, 50, replace=False))
+    other_split = SplitPointSet(field, 1, 3, e.codes)
+    cfg = ExperimentConfig(q=7, suite="coverage", seed=1)
+    with pytest.raises(ValueError, match=r"set E has q = 11.*asks for q = 7"):
+        run_suite("coverage", cfg, e_set=other_q)
+    with pytest.raises(ValueError, match=r"set F has q = 7, split \(1, 3\).*split \(2, 2\)"):
+        run_suite("energy", ExperimentConfig(q=7, suite="energy"), e_set=e, f_set=other_split)
+
+
 def test_cli_exit_zero_and_json_schema():
     p = _cli("--q", "3", "--suite", "sharpness", "--seed", "3", "--instances", "3")
     assert p.returncode == 0, p.stderr
@@ -225,6 +238,26 @@ def test_cli_loaded_sets(tmp_path):
     report = json.loads(p.stdout)
     assert report["config"]["e_file"] == str(path)
     assert any(c["name"] == "surjectivity (loaded sets)" for c in report["checks"])
+
+
+def _save_random_set(path, q, size, seed):
+    rng = np.random.default_rng(seed)
+    save_point_set(path, PointSet(make_field(q), 4, rng.choice(q**4, size, replace=False)),
+                   split=(2, 2))
+
+
+@pytest.mark.parametrize("suite", ["coverage", "energy"])
+def test_cli_rejects_q_mismatch_with_loaded_file(tmp_path, suite):
+    q7, q11 = tmp_path / "q7.txt", tmp_path / "q11.txt"
+    _save_random_set(q7, 7, 60, 3)
+    _save_random_set(q11, 11, 60, 4)
+    p = _cli("--q", "7", "--suite", suite, "--e-file", str(q11))
+    assert p.returncode == 2
+    assert "set E has q = 11" in p.stderr and "asks for q = 7" in p.stderr
+    p = _cli("--q", "7", "--suite", suite, "--e-file", str(q7), "--f-file", str(q11))
+    assert p.returncode == 2
+    assert "set F has q = 11" in p.stderr and "asks for q = 7" in p.stderr
+    assert p.stdout == ""
 
 
 def test_cli_f_file_requires_e_file(tmp_path):

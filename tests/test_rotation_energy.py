@@ -1,5 +1,6 @@
 """Rotation correlations, the energy chain, and coverage lower bounds."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from fqdist import (
     PointSet,
+    PrecisionError,
     Rotation,
+    SizeGuardError,
     SplitPointSet,
     circle_energy,
     correlation_transform_check,
@@ -18,6 +21,7 @@ from fqdist import (
     enumerate_so2,
     make_field,
     pair_spectrum,
+    pair_spectrum_fast,
     plane_strip_scan,
     rotation_apply,
     rotation_code_permutation,
@@ -110,6 +114,74 @@ def test_energy_chain_random_sets():
         assert rep.zero_agrees
         assert rep.split_ok and rep.split_residual < 1e-9
         assert rep.so2_size == q + 1
+
+
+def _literal_pair_energies(e, f):
+    # m[i, j] = sum_u r_E(u) r_F(u) at (rots[i], rots[j]) from the literal pair counts.
+    rots = enumerate_so2(e.field)
+    return np.array([
+        [int(np.sum(rotation_correlation(e, t, p).counts * rotation_correlation(f, t, p).counts))
+         for p in rots]
+        for t in rots
+    ])
+
+
+def _literal_rhs(e, f):
+    return int(_literal_pair_energies(e, f).sum())
+
+
+@pytest.mark.parametrize("q, size_e, size_f, seed", [(3, 25, 40, 11), (7, 180, 120, 12)])
+def test_energy_chain_rhs_matches_literal_correlations(q, size_e, size_f, seed):
+    e = _random_plane_pair_set(q, size_e, seed)
+    f = _random_plane_pair_set(q, size_f, seed + 100)
+    same_size = _random_plane_pair_set(q, size_e, seed + 200)
+    point = SplitPointSet(e.field, 2, 2, [q**4 - 1])
+    rots = enumerate_so2(e.field)
+    module = importlib.import_module("fqdist.rotation_energy")
+    # Each rotation pair's term, not only the total: the total is unchanged
+    # by any bijection of the rotation pairs.
+    for a, b in ((e, f), (e, same_size), (e, e), (point, point)):
+        literal = _literal_pair_energies(a, b)
+        assert np.array_equal(module._rotation_pair_energies(a, b, rots), literal)
+        assert energy_chain_check(a, b).rhs == int(literal.sum())
+    assert energy_chain_check(point, point).rhs == (q + 1) ** 2
+    # Equal codes in distinct objects take the one-transform path.
+    twin = SplitPointSet(e.field, 2, 2, e.codes.copy())
+    assert energy_chain_check(e, twin).rhs == energy_chain_check(e, e).rhs
+
+
+def test_energy_chain_rhs_batches_phi(monkeypatch):
+    # q = 7 has 8 rotations; batches of 3 phi leave a short last batch.
+    e = _random_plane_pair_set(7, 150, 16)
+    f = _random_plane_pair_set(7, 90, 17)
+    expected = energy_chain_check(e, f).rhs
+    monkeypatch.setattr(importlib.import_module("fqdist.rotation_energy"), "_pair_chunk",
+                        lambda n_other: 3)
+    assert energy_chain_check(e, f).rhs == expected == _literal_rhs(e, f)
+
+
+def test_residue_guard_raises(monkeypatch):
+    e = _random_plane_pair_set(3, 30, 13)
+    f = _random_plane_pair_set(3, 35, 14)
+    spectrum = pair_spectrum(e, f)
+    self_spectrum = pair_spectrum(e, e)
+    # The package re-exports a function named pair_spectrum, so patch by module object.
+    monkeypatch.setattr(importlib.import_module("fqdist.pair_spectrum"), "CONVOLUTION_RESIDUE", -1.0)
+    monkeypatch.setattr(importlib.import_module("fqdist.rotation_energy"), "CONVOLUTION_RESIDUE", -1.0)
+    with pytest.raises(PrecisionError, match="rotation-energy difference histogram residue"):
+        energy_chain_check(e, f, spectrum)
+    with pytest.raises(PrecisionError, match="rotation-energy difference histogram residue"):
+        energy_chain_check(e, e, self_spectrum)
+    with pytest.raises(PrecisionError, match="^difference histogram residue"):
+        pair_spectrum_fast(e, f)
+
+
+def test_rhs_route_size_guard(monkeypatch):
+    e = _random_plane_pair_set(3, 10, 15)
+    spectrum = pair_spectrum(e, e)
+    monkeypatch.setattr(importlib.import_module("fqdist.rotation_energy"), "MAX_ENUMERATION", 3**4 - 1)
+    with pytest.raises(SizeGuardError, match="enumeration limit"):
+        energy_chain_check(e, e, spectrum)
 
 
 def test_energy_chain_gates():
