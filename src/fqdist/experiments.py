@@ -327,6 +327,18 @@ def _skip(name: str, operation: str, reason: str) -> CheckResult:
     return CheckResult(name, operation, True, {"skipped": True, "reason": reason})
 
 
+def _failure(cfg: ExperimentConfig, instance: int, cell) -> dict:
+    """Where a seeded check first failed; the same flags with --instances instance+1 rerun it."""
+    return {"instance": instance, "seed": cfg.seed, "cell": cell}
+
+
+def _with_failure(payload: dict, failure: dict | None) -> dict:
+    """The payload, plus first_failure only when there was one."""
+    if failure is not None:
+        payload["first_failure"] = failure
+    return payload
+
+
 # ----------------------------------------------------------------- lemmas ---
 
 
@@ -456,7 +468,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
 
     # Marginal mass lemma: random sets plus the saturating single fiber.
     k, l = cfg.k, cfg.l
-    mm_ok = True
+    mm_failure = None
     mm_float_worst = 0.0
     for i in range(cfg.instances):
         gen = substream(cfg.seed, _T_MASS, i)
@@ -464,20 +476,22 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         codes = np.nonzero(gen.random(q ** (k + l)) < density)[0]
         e = SplitPointSet(field, k, l, codes)
         rep = marginal_spectral_mass(e)
-        mm_ok = mm_ok and rep.holds and rep.float_agrees
+        if mm_failure is None and not (rep.holds and rep.float_agrees):
+            mm_failure = _failure(cfg, i, None)
         mm_float_worst = max(mm_float_worst, abs(rep.float_value - float(rep.exact)))
     fiber = SplitPointSet.product(
         PointSet(field, k, [min(1, q**k - 1)]), PointSet.full(field, l))
     sat = marginal_spectral_mass(fiber)
     checks.append(CheckResult(
         "marginal-mass", "marginal_spectral_mass",
-        mm_ok and sat.holds and sat.saturated,
-        {"instances": cfg.instances, "max_float_gap": mm_float_worst,
-         "saturating_fiber_exact": str(sat.exact), "saturated": sat.saturated},
+        mm_failure is None and sat.holds and sat.saturated,
+        _with_failure({"instances": cfg.instances, "max_float_gap": mm_float_worst,
+                       "saturating_fiber_exact": str(sat.exact),
+                       "saturated": sat.saturated}, mm_failure),
     ))
 
     if field.q_mod_4 == 3:
-        sm_ok = True
+        sm_failure = None
         sm_worst = 0.0
         for i in range(cfg.instances):
             gen = substream(cfg.seed, _T_MASS, 1000 + i)
@@ -488,12 +502,14 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
                 continue
             for a in range(1, q):
                 rep = sphere_restricted_mass(e, a)
-                sm_ok = sm_ok and rep.holds
+                if sm_failure is None and not rep.holds:
+                    sm_failure = _failure(cfg, i, a)
                 if rep.bound > 0:
                     sm_worst = max(sm_worst, rep.value / rep.bound)
         checks.append(CheckResult(
-            "sphere-restricted-mass", "sphere_restricted_mass", sm_ok,
-            {"instances": cfg.instances, "max_value_over_bound": sm_worst},
+            "sphere-restricted-mass", "sphere_restricted_mass", sm_failure is None,
+            _with_failure({"instances": cfg.instances, "max_value_over_bound": sm_worst},
+                          sm_failure),
         ))
     else:
         checks.append(_skip("sphere-restricted-mass", "sphere_restricted_mass",
@@ -532,7 +548,7 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
         return checks, artifacts
 
     # Discrepancy certificate on seeded instances.
-    disc_ok = True
+    disc_failure = None
     cons_ok = True
     max_ratio = 0.0
     for i in range(cfg.instances):
@@ -544,14 +560,15 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
         if i == 0:
             artifacts["spectrum"] = spectrum
         rep = discrepancy_report(e, f, spectrum)
-        disc_ok = disc_ok and rep.all_ok
+        if disc_failure is None and not rep.all_ok:
+            disc_failure = _failure(cfg, i, np.argwhere(~rep.cell_ok)[0].tolist())
         max_ratio = max(max_ratio, rep.max_ratio)
         sc = surjectivity_check(e, f, spectrum)
         cons_ok = cons_ok and sc.consistent
     checks.append(CheckResult(
-        "discrepancy", "discrepancy_report", disc_ok,
-        {"instances": cfg.instances, "generator": cfg.generator,
-         "max_error_over_budget": max_ratio},
+        "discrepancy", "discrepancy_report", disc_failure is None,
+        _with_failure({"instances": cfg.instances, "generator": cfg.generator,
+                       "max_error_over_budget": max_ratio}, disc_failure),
     ))
     checks.append(CheckResult(
         "threshold-consistency", "surjectivity_check", cons_ok,

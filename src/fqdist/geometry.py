@@ -3,11 +3,16 @@
 A point (x_0, ..., x_{d-1}) is encoded as the base-q integer with x_0 most
 significant, so ascending code order is lexicographic order on coordinates.
 The norm is the sum of squared coordinates mod q (no square root is taken).
+
+A point set stores its codes once, canonical (sorted, unique, in range) and
+read-only: _canonical_codes checks the order in O(n) and sorts only input that
+fails the check, so building a set from another set's codes copies nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -119,20 +124,39 @@ def enumerate_sphere(field: PrimeField, d: int, t: int) -> Sphere:
     return Sphere(field, d, t, codes)
 
 
+def _canonical_codes(codes, ambient: int) -> np.ndarray:
+    """Sorted unique int64 codes in [0, ambient), as an array nobody can write.
+
+    Strictly increasing input is kept in order without a sort; anything else
+    goes through np.unique.  A writable array the caller passed in is copied,
+    so later writes to it cannot change the set; a read-only int64 array (such
+    as another set's codes) is used as it is.
+    """
+    arr = np.asarray(codes, dtype=np.int64)
+    caller_writable = arr is codes and arr.flags.writeable
+    arr = arr.reshape(-1)
+    if len(arr) > 1 and not np.all(arr[1:] > arr[:-1]):
+        arr = np.unique(arr)
+    elif caller_writable:
+        arr = arr.copy()
+    if len(arr) and (arr[0] < 0 or arr[-1] >= ambient):
+        raise ValueError("codes out of range for this ambient")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """A subset of F_q^d held as sorted unique codes."""
+    """A subset of F_q^d held as sorted unique read-only codes."""
 
     field: PrimeField
     d: int
     codes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", np.unique(np.asarray(self.codes, dtype=np.int64)))
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
-        if len(self.codes) and (self.codes[0] < 0 or self.codes[-1] >= self.field.q**self.d):
-            raise ValueError("codes out of range for this ambient")
+        object.__setattr__(self, "codes", _canonical_codes(self.codes, self.field.q**self.d))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -182,8 +206,20 @@ def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _file_line(raw: list[str], index: int) -> int:
+    """1-based file line of the index-th non-blank, non-comment line."""
+    data = (number for number, ln in enumerate(raw, 1)
+            if ln.strip() and not ln.strip().startswith("#"))
+    return next(islice(data, index, None))
+
+
 def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
-    """Read the format written by save_point_set; returns (set, split or None)."""
+    """Read the format written by save_point_set; returns (set, split or None).
+
+    The file must list canonical points: every token an integer, every
+    coordinate in [0, q), no point twice.  Anything else is a ValueError
+    naming the path and the 1-based line.
+    """
     raw = Path(path).read_text().splitlines()
     lines = [ln.strip() for ln in raw if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
@@ -196,20 +232,47 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
         fields[key] = val
     if "q" not in fields or "dims" not in fields:
         raise ValueError(f"{path}: header must declare q= and dims=")
-    q = int(fields["q"])
-    d = int(fields["dims"])
-    split = None
-    if "split" in fields:
-        k_str, _, l_str = fields["split"].partition(",")
-        split = (int(k_str), int(l_str))
-        if split[0] + split[1] != d:
-            raise ValueError(f"{path}: split {split} does not sum to dims {d}")
+
+    def bad_line(index: int, problem: str) -> ValueError:
+        return ValueError(f"{path}, line {_file_line(raw, index)}: {problem}")
+
+    try:
+        q = int(fields["q"])
+        d = int(fields["dims"])
+        split = tuple(int(v) for v in fields["split"].split(",")) if "split" in fields else None
+    except ValueError:
+        raise bad_line(0, f"header {lines[0]!r} has a non-integer value") from None
+    if split is not None and (len(split) != 2 or split[0] + split[1] != d):
+        raise bad_line(0, f"header {lines[0]!r} needs split=<k>,<l> with k + l = dims")
     field = make_field(q)
     vectors = []
-    for ln in lines[1:]:
-        parts = [int(tok) for tok in ln.split(",")]
+    for index, ln in enumerate(lines[1:], 1):
+        try:
+            parts = [int(tok) for tok in ln.split(",")]
+        except ValueError:
+            raise bad_line(index, f"non-integer token in {ln!r}") from None
         if len(parts) != d:
-            raise ValueError(f"{path}: point {ln!r} does not have {d} coordinates")
+            raise bad_line(index, f"point {ln!r} does not have {d} coordinates")
         vectors.append(parts)
-    ps = PointSet.from_vectors(field, d, vectors) if vectors else PointSet(field, d, [])
-    return ps, split
+    if not vectors:
+        return PointSet(field, d, []), split
+    try:
+        arr = np.array(vectors, dtype=np.int64)
+    except OverflowError:  # a coordinate beyond int64 is outside [0, q) too
+        outside = [i for i, row in enumerate(vectors) if any(not 0 <= x < q for x in row)]
+    else:
+        outside = np.flatnonzero(((arr < 0) | (arr >= q)).any(axis=1))
+    if len(outside):
+        index = 1 + int(outside[0])
+        raise bad_line(index, f"coordinates of {lines[index]!r} are not in [0, {q})")
+    codes = encode_vectors(q, arr)
+    if len(codes) > 1 and not np.all(codes[1:] > codes[:-1]):
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        repeats = np.flatnonzero(codes[1:] == codes[:-1])
+        if len(repeats):
+            # The sort is stable, so the smallest index is the earliest repeat.
+            index = 1 + int(order[repeats + 1].min())
+            raise bad_line(index, f"point {lines[index]!r} is listed twice")
+    codes.setflags(write=False)  # nobody else holds it, so the set need not copy it
+    return PointSet(field, d, codes), split

@@ -8,6 +8,10 @@ where |.| is the sum-of-squares norm.  Everything downstream (coverage sets,
 discrepancy certificates, energy identities) reads off this matrix, so two
 independent routes compute it: a literal pair scan and a convolution route
 through the character transform whose rounding is hard-checked.
+
+A SplitPointSet keeps its codes as geometry._canonical_codes leaves them and
+computes its indicator transform at most once (SplitPointSet.transform); every
+transform-based check reads that cached array instead of transforming again.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +30,7 @@ from .fourier import SpectralTable, forward_transform, indicator_table, inverse_
 from .geometry import (
     MAX_ENUMERATION,
     PointSet,
+    _canonical_codes,
     all_norms,
     decode_codes,
     encode_vectors,
@@ -51,9 +57,14 @@ class SplitPointSet:
     def __post_init__(self):
         if self.k < 1 or self.l < 1:
             raise ValueError(f"split dimensions must be >= 1, got k={self.k}, l={self.l}")
-        object.__setattr__(self, "codes", np.unique(np.asarray(self.codes, dtype=np.int64)))
-        if len(self.codes) and (self.codes[0] < 0 or self.codes[-1] >= self.field.q**self.d):
-            raise ValueError("codes out of range for this ambient")
+        object.__setattr__(self, "codes", _canonical_codes(self.codes, self.field.q**self.d))
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        """Coefficients of the indicator's forward transform, computed once (read-only)."""
+        coeffs = forward_transform(indicator_table(self.as_point_set())).coeffs
+        coeffs.setflags(write=False)
+        return coeffs
 
     @property
     def d(self) -> int:
@@ -208,9 +219,7 @@ def pair_spectrum_fast(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
     q, d = e.field.q, e.d
     if q**d > MAX_ENUMERATION:
         raise SizeGuardError(f"q^d = {q**d} exceeds the enumeration limit")
-    e_hat = forward_transform(indicator_table(e.as_point_set()))
-    f_hat = forward_transform(indicator_table(f.as_point_set()))
-    product = e_hat.coeffs * np.conj(f_hat.coeffs) * float(q) ** d
+    product = e.transform * np.conj(f.transform) * float(q) ** d
     h = inverse_transform(SpectralTable(e.field, d, product)).values
     h_int = np.rint(h.real).astype(np.int64)
     residue = float(np.max(np.abs(h - h_int))) if len(h) else 0.0
@@ -458,8 +467,7 @@ def marginal_spectral_mass(e: SplitPointSet, abs_tolerance: float = 1e-9) -> Mar
     exact = Fraction(int(np.sum(fibers.astype(object) ** 2)), q ** (k + 2 * l))
     bound = Fraction(len(e), q ** (k + l))
     # Float route: the full (k+l)-dim transform restricted to m'' = 0.
-    spec = forward_transform(indicator_table(e.as_point_set()))
-    coeffs = spec.coeffs.reshape(q**k, q**l)[:, 0]
+    coeffs = e.transform.reshape(q**k, q**l)[:, 0]
     float_value = float(np.sum(np.abs(coeffs) ** 2))
     agrees = abs(float_value - float(exact)) <= abs_tolerance
     return MarginalMassReport(q, k, l, len(e), exact, bound, exact <= bound,

@@ -20,6 +20,9 @@ convolution residue guard.  Three checks stay independent of that route:
   - the split of the right side into zero, mixed, and nonzero frequency
     classes through the character transform, which must agree to a relative
     tolerance.
+The transform-based checks here read each set's cached indicator transform
+(SplitPointSet.transform), so a set is transformed at most once however many
+checks and radii look at it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .field import (
     rotation_code_permutation,
     rotation_inverse,
 )
-from .fourier import DensityTable, forward_transform, indicator_table
+from .fourier import DensityTable, forward_transform
 from .geometry import MAX_ENUMERATION, PointSet, all_norms, decode_codes, norm_fiber_sizes
 from .pair_spectrum import (
     CONVOLUTION_RESIDUE,
@@ -134,7 +137,7 @@ def correlation_transform_check(e: SplitPointSet, theta: Rotation, phi: Rotation
     q = e.field.q
     table = rotation_correlation(e, theta, phi)
     r_hat = forward_transform(DensityTable(e.field, 4, table.counts.reshape(-1).astype(np.complex128))).coeffs
-    e_hat = forward_transform(indicator_table(e.as_point_set())).coeffs
+    e_hat = e.transform
     perm_t = rotation_code_permutation(e.field, rotation_inverse(e.field, theta))
     perm_p = rotation_code_permutation(e.field, rotation_inverse(e.field, phi))
     m_first = np.arange(q**4) // (q * q)
@@ -163,9 +166,7 @@ class SpectralSplit:
 
 def _spectral_split(e: SplitPointSet, f: SplitPointSet, so2_size: int) -> SpectralSplit:
     q = e.field.q
-    e_hat = forward_transform(indicator_table(e.as_point_set())).coeffs
-    f_hat = forward_transform(indicator_table(f.as_point_set())).coeffs
-    g = e_hat * np.conj(f_hat)
+    g = e.transform * np.conj(f.transform)
     classes = _split_norm_classes(e.field, 2, 2)
     z_real = np.bincount(classes, weights=g.real, minlength=q * q)
     z_imag = np.bincount(classes, weights=g.imag, minlength=q * q)
@@ -350,14 +351,16 @@ class SphereMassReport:
 
 def sphere_restricted_mass(e: SplitPointSet, a: int,
                            rel_tolerance: float = 1e-9) -> SphereMassReport:
-    """sum over |m'| = a of |E_hat(m', 0)|^2 against sqrt(3) q^-6 |E|^(3/2)."""
+    """sum over |m'| = a of |E_hat(m', 0)|^2 against sqrt(3) q^-6 |E|^(3/2).
+
+    E's transform is computed on the first call and reused for every radius.
+    """
     _require_plane_pair(e)
     q = e.field.q
     a = a % q
-    e_hat = forward_transform(indicator_table(e.as_point_set())).coeffs
     norms = all_norms(q, 2)
     circle = np.nonzero(norms == a)[0]
-    restricted = e_hat[circle * (q * q)]  # frequencies (m', 0)
+    restricted = e.transform[circle * (q * q)]  # frequencies (m', 0)
     value = float(np.sum(np.abs(restricted) ** 2))
     bound = float(np.sqrt(3.0)) * float(q) ** -6 * float(len(e)) ** 1.5
     return SphereMassReport(q, a, len(e), value, bound,

@@ -14,6 +14,8 @@ from itertools import product
 
 import pytest
 
+pytestmark = pytest.mark.acceptance
+
 # Label -> CLI arguments.  Seeds are fixed; reports are deterministic.
 INVOCATIONS = {
     "L3": ["--q", "3", "--suite", "lemmas", "--seed", "101", "--instances", "25"],

@@ -1,5 +1,7 @@
 """Suite orchestration: seeding, generators, reports, and the CLI contract."""
 
+import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -152,6 +154,54 @@ def test_skipped_checks_count_as_passing():
     assert all(c.passed for c in skipped)
 
 
+def _fail_on_call(monkeypatch, name, index, fail):
+    """Patch experiments.<name> so that its index-th call returns fail(report, *args)."""
+    module = importlib.import_module("fqdist.experiments")
+    real = getattr(module, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        report = real(*args, **kwargs)
+        return fail(report, *args) if len(calls) - 1 == index else report
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
+    lemmas = ExperimentConfig(q=7, suite="lemmas", instances=3, seed=5)
+    coverage = ExperimentConfig(q=7, suite="coverage", instances=3, oracle_instances=2, seed=5)
+    for suite, cfg in (("lemmas", lemmas), ("coverage", coverage)):
+        rep = run_suite(suite, cfg)
+        assert rep.all_pass
+        assert not any("first_failure" in c.payload for c in rep.checks)
+
+    q = 7
+    _fail_on_call(monkeypatch, "marginal_spectral_mass", 1,
+                  lambda r, e: dataclasses.replace(r, holds=False))
+    # q - 1 radii per instance: the call at index (q - 1) + 2 is instance 1, radius 3.
+    _fail_on_call(monkeypatch, "sphere_restricted_mass", (q - 1) + 2,
+                  lambda r, e, a: dataclasses.replace(r, holds=False))
+
+    def bad_cell(report, e, f, spectrum):
+        cell_ok = report.cell_ok.copy()
+        cell_ok[2, 3] = False
+        return dataclasses.replace(report, cell_ok=cell_ok, all_ok=False)
+
+    _fail_on_call(monkeypatch, "discrepancy_report", 2, bad_cell)
+    checks = {c["name"]: c for c in run_suite("lemmas", lemmas).to_json_dict()["checks"]}
+    assert not checks["marginal-mass"]["pass"]
+    assert checks["marginal-mass"]["payload"]["first_failure"] == {
+        "instance": 1, "seed": 5, "cell": None}
+    assert not checks["sphere-restricted-mass"]["pass"]
+    assert checks["sphere-restricted-mass"]["payload"]["first_failure"] == {
+        "instance": 1, "seed": 5, "cell": 3}
+    checks = {c["name"]: c for c in run_suite("coverage", coverage).to_json_dict()["checks"]}
+    assert not checks["discrepancy"]["pass"]
+    assert checks["discrepancy"]["payload"]["first_failure"] == {
+        "instance": 2, "seed": 5, "cell": [2, 3]}
+
+
 def test_loaded_sets_override_generation():
     field = make_field(7)
     rng = np.random.default_rng(1)
@@ -257,6 +307,15 @@ def test_cli_rejects_q_mismatch_with_loaded_file(tmp_path, suite):
     p = _cli("--q", "7", "--suite", suite, "--e-file", str(q7), "--f-file", str(q11))
     assert p.returncode == 2
     assert "set F has q = 11" in p.stderr and "asks for q = 7" in p.stderr
+    assert p.stdout == ""
+
+
+def test_cli_rejects_noncanonical_point_file(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("q=7 dims=4 split=2,2\n0,0,0,0\n1,2,3,9\n")
+    p = _cli("--q", "7", "--suite", "coverage", "--e-file", str(path))
+    assert p.returncode == 2
+    assert "line 3" in p.stderr and "not in [0, 7)" in p.stderr
     assert p.stdout == ""
 
 

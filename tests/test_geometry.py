@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fqdist import (
     PointSet,
     SizeGuardError,
+    SplitPointSet,
     all_norms,
     decode_codes,
     encode_vectors,
@@ -111,6 +112,34 @@ def test_point_set_canonicalizes():
     assert len(ps) == 3
 
 
+@pytest.mark.parametrize("make", [
+    lambda field, codes: PointSet(field, 4, codes),
+    lambda field, codes: SplitPointSet(field, 2, 2, codes),
+], ids=["PointSet", "SplitPointSet"])
+def test_set_codes_canonical_read_only_and_owned(make):
+    f = make_field(3)
+    assert make(f, np.array([80, 5, 0, 5, 7])).codes.tolist() == [0, 5, 7, 80]
+    assert make(f, [[7, 0], [80, 7]]).codes.tolist() == [0, 7, 80]
+    caller = np.array([0, 5, 7, 80])
+    s = make(f, caller)
+    caller[0] = 1  # the set copied the caller's writable array
+    assert s.codes.tolist() == [0, 5, 7, 80]
+    assert not s.codes.flags.writeable
+    with pytest.raises(ValueError):
+        s.codes[0] = 2
+    # Another set's read-only codes are taken as they are.
+    assert np.shares_memory(make(f, s.codes).codes, s.codes)
+    with pytest.raises(ValueError):
+        make(f, [3, 81])
+
+
+def test_split_set_views_share_codes():
+    s = SplitPointSet(make_field(3), 2, 2, [9, 0, 40])
+    ps = s.as_point_set()
+    assert np.shares_memory(ps.codes, s.codes)
+    assert np.shares_memory(SplitPointSet.from_point_set(ps, 1, 3).codes, s.codes)
+
+
 def test_point_set_rejects_out_of_range():
     f = make_field(3)
     with pytest.raises(ValueError):
@@ -161,4 +190,30 @@ def test_load_rejects_malformed(tmp_path):
         load_point_set(path)
     path.write_text("q=4 dims=2\n1,2\n")
     with pytest.raises(ValueError):
+        load_point_set(path)
+    for header in ("q=x dims=2", "q=7 dims=2 split=1", "q=7 dims=2 split=1,1,0"):
+        path.write_text(f"# comment\n{header}\n1,2\n")
+        with pytest.raises(ValueError, match=r"bad\.txt, line 2: "):
+            load_point_set(path)
+
+
+@pytest.mark.parametrize("point, reason", [
+    ("1,2,7", r"not in \[0, 7\)"),
+    ("-1,0,0", r"not in \[0, 7\)"),
+    ("99999999999999999999,0,0", r"not in \[0, 7\)"),
+    ("0,1,2", "listed twice"),
+    ("0,x,2", "non-integer"),
+    ("0,1.5,2", "non-integer"),
+])
+def test_load_rejects_noncanonical_points(tmp_path, point, reason):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# comment\nq=7 dims=3\n0,1,2\n\n# another\n{point}\n3,3,3\n")
+    with pytest.raises(ValueError, match=rf"bad\.txt, line 6: .*{reason}"):
+        load_point_set(path)
+
+
+def test_load_reports_first_repeated_line(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("q=3 dims=2\n2,2\n1,1\n0,0\n1,1\n2,2\n")
+    with pytest.raises(ValueError, match=r"line 5: point '1,1' is listed twice"):
         load_point_set(path)

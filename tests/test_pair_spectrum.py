@@ -1,5 +1,6 @@
 """Two-block pair spectra: exact counting, dual routes, certificates."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,8 @@ from fqdist import (
     coverage_lower_bound,
     discrepancy_report,
     distance_set,
+    forward_transform,
+    indicator_table,
     load_split_point_set,
     make_field,
     marginal_spectral_mass,
@@ -53,6 +56,22 @@ def test_split_set_rejects_bad_dims():
         SplitPointSet(f, 0, 2, [0])
     with pytest.raises(ValueError):
         SplitPointSet(f, 2, 0, [0])
+
+
+def test_split_set_transform_cached_and_bit_identical(monkeypatch):
+    module = importlib.import_module("fqdist.pair_spectrum")
+    e = _random_split(7, 2, 2, 300, 11)
+    f = _random_split(7, 2, 2, 200, 12)
+    fresh = forward_transform(indicator_table(e.as_point_set())).coeffs
+    calls = []
+    real = module.forward_transform
+    monkeypatch.setattr(module, "forward_transform", lambda t: calls.append(t) or real(t))
+    assert np.array_equal(e.transform, fresh)
+    assert not e.transform.flags.writeable
+    pair_spectrum_fast(e, f)
+    pair_spectrum_fast(f, e)
+    marginal_spectral_mass(e)
+    assert len(calls) == 2  # once for e, once for f
 
 
 def test_product_set():

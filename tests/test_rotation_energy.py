@@ -14,11 +14,14 @@ from fqdist import (
     Rotation,
     SizeGuardError,
     SplitPointSet,
+    all_norms,
     circle_energy,
     correlation_transform_check,
     coverage_min_bound,
     energy_chain_check,
     enumerate_so2,
+    forward_transform,
+    indicator_table,
     make_field,
     pair_spectrum,
     pair_spectrum_fast,
@@ -238,6 +241,35 @@ def test_sphere_restricted_mass_bound():
     for a in range(1, 7):
         rep = sphere_restricted_mass(e, a)
         assert rep.holds
+
+
+def test_sphere_restricted_mass_transforms_once(monkeypatch):
+    module = importlib.import_module("fqdist.pair_spectrum")
+    q = 7
+    e = _random_plane_pair_set(q, 500, 9)
+    fresh = forward_transform(indicator_table(e.as_point_set())).coeffs
+    calls = []
+    real = module.forward_transform
+    monkeypatch.setattr(module, "forward_transform", lambda t: calls.append(t) or real(t))
+    for a in range(1, q):
+        circle = np.nonzero(all_norms(q, 2) == a)[0]
+        expected = float(np.sum(np.abs(fresh[circle * q * q]) ** 2))
+        assert sphere_restricted_mass(e, a).value == expected
+    assert len(calls) == 1
+
+
+def test_energy_checks_transform_each_set_once(monkeypatch):
+    module = importlib.import_module("fqdist.pair_spectrum")
+    calls = []
+    real = module.forward_transform
+    monkeypatch.setattr(module, "forward_transform", lambda t: calls.append(t) or real(t))
+    e = _random_plane_pair_set(7, 300, 10)
+    f = _random_plane_pair_set(7, 200, 11)
+    theta, phi = enumerate_so2(e.field)[1:3]
+    energy_chain_check(e, f)
+    coverage_min_bound(e, f)
+    assert correlation_transform_check(e, theta, phi).passed
+    assert len(calls) == 2  # once for e, once for f
 
 
 def test_sphere_restricted_mass_small_set():
