@@ -665,15 +665,17 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
             artifacts.setdefault("spectrum", spectrum)
         chain = energy_chain_check(e, f, spectrum)
         gen = substream(cfg.seed, _T_ROTSAMPLE, index)
-        devs = []
+        samples = []
         for _ in range(2):
-            theta = rotations[int(gen.integers(0, len(rotations)))]
-            phi = rotations[int(gen.integers(0, len(rotations)))]
-            devs.append(correlation_transform_check(e, theta, phi).max_deviation)
+            cell = [int(gen.integers(0, len(rotations))), int(gen.integers(0, len(rotations)))]
+            rep = correlation_transform_check(e, rotations[cell[0]], rotations[cell[1]])
+            samples.append((rep.max_deviation, cell))
+        max_dev, worst_cell = max(samples, key=lambda sample: sample[0])
         bound = coverage_min_bound(e, f, cfg.constant_c, spectrum)
         return {
             "chain": chain,
-            "max_transform_dev": max(devs),
+            "max_transform_dev": max_dev,
+            "worst_cell": worst_cell,
             "bound": bound,
         }
 
@@ -690,57 +692,45 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
             f = SplitPointSet(field, 2, 2, sampler.choice(q**4, size=nf, replace=False))
             pairs.append((e, f))
 
-    chain_ok = True
-    zero_ok = True
-    split_ok = True
-    over_ok = True
-    transform_ok = True
-    bound_ok = True
+    failures: dict[str, dict] = {}  # check name -> its first failure
     max_split = 0.0
     max_dev = 0.0
     max_emp_c = 0.0
     for i, (e, f) in enumerate(pairs):
         out = run_instance(e, f, i)
         chain = out["chain"]
-        chain_ok = chain_ok and chain.holds
-        zero_ok = zero_ok and chain.zero_agrees
-        split_ok = split_ok and chain.split_ok
-        over_ok = over_ok and chain.overcount_matches
-        transform_ok = transform_ok and out["max_transform_dev"] <= 1e-8
+        bound = out["bound"]
+        for name, ok, cell in (
+            ("energy-chain", chain.holds, None),
+            ("zero-frequency-term", chain.zero_agrees, None),
+            ("frequency-split", chain.split_ok, None),
+            ("orbit-weight-identity", chain.overcount_matches, None),
+            ("correlation-transform", out["max_transform_dev"] <= 1e-8, out["worst_cell"]),
+            ("coverage-min-bound", bound.holds or not bound.c_dominates, None),
+        ):
+            if not ok and name not in failures:
+                failures[name] = _failure(cfg, i, cell)
         max_split = max(max_split, chain.split_residual)
         max_dev = max(max_dev, out["max_transform_dev"])
-        bound = out["bound"]
         max_emp_c = max(max_emp_c, bound.empirical_c)
-        if bound.c_dominates:
-            bound_ok = bound_ok and bound.holds
 
     n_instances = len(pairs)
-    checks.append(CheckResult(
-        "energy-chain", "energy_chain_check", chain_ok,
-        {"instances": n_instances, "size_cap": cap},
-    ))
-    checks.append(CheckResult(
-        "zero-frequency-term", "energy_chain_check", zero_ok,
-        {"instances": n_instances,
-         "formula": "|SO2|^2 |E|^2 |F|^2 / q^4", "so2_size": so2_size},
-    ))
-    checks.append(CheckResult(
-        "frequency-split", "energy_chain_check", split_ok,
-        {"instances": n_instances, "max_relative_residual": max_split},
-    ))
-    checks.append(CheckResult(
-        "orbit-weight-identity", "energy_chain_check", over_ok,
-        {"instances": n_instances},
-    ))
-    checks.append(CheckResult(
-        "correlation-transform", "correlation_transform_check", transform_ok,
-        {"instances": n_instances, "max_deviation": max_dev},
-    ))
-    checks.append(CheckResult(
-        "coverage-min-bound", "coverage_min_bound", bound_ok,
-        {"instances": n_instances, "constant_c": cfg.constant_c,
-         "max_empirical_c": max_emp_c},
-    ))
+    for name, operation, payload in (
+        ("energy-chain", "energy_chain_check", {"instances": n_instances, "size_cap": cap}),
+        ("zero-frequency-term", "energy_chain_check",
+         {"instances": n_instances,
+          "formula": "|SO2|^2 |E|^2 |F|^2 / q^4", "so2_size": so2_size}),
+        ("frequency-split", "energy_chain_check",
+         {"instances": n_instances, "max_relative_residual": max_split}),
+        ("orbit-weight-identity", "energy_chain_check", {"instances": n_instances}),
+        ("correlation-transform", "correlation_transform_check",
+         {"instances": n_instances, "max_deviation": max_dev}),
+        ("coverage-min-bound", "coverage_min_bound",
+         {"instances": n_instances, "constant_c": cfg.constant_c,
+          "max_empirical_c": max_emp_c}),
+    ):
+        checks.append(CheckResult(name, operation, name not in failures,
+                                  _with_failure(payload, failures.get(name))))
     return checks, artifacts
 
 

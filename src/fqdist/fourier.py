@@ -29,9 +29,7 @@ MAX_QUADRATIC = 6 * 10**7
 @lru_cache(maxsize=32)
 def _kernel(q: int) -> np.ndarray:
     """K[m, x] = chi(-m x) on scalars; symmetric, and conj(K) inverts it."""
-    table = np.exp(2j * np.pi * np.arange(q) / q)
-    idx = (-np.outer(np.arange(q), np.arange(q))) % q
-    k = table[idx]
+    k = PrimeField(q).char_table[(-np.outer(np.arange(q), np.arange(q))) % q]
     k.setflags(write=False)
     return k
 

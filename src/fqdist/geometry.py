@@ -54,11 +54,6 @@ def decode_codes(q: int, d: int, codes) -> np.ndarray:
     return out[0] if single else out
 
 
-def norm(field: PrimeField, v) -> int:
-    """Sum of squared coordinates mod q."""
-    return int(sum(int(x) * int(x) for x in v) % field.q)
-
-
 def all_norms(q: int, d: int) -> np.ndarray:
     """norms[c] = norm of the point with code c, for every c < q^d (read-only).
 

@@ -7,7 +7,9 @@ matrix
 where |.| is the sum-of-squares norm.  Everything downstream (coverage sets,
 discrepancy certificates, energy identities) reads off this matrix, so two
 independent routes compute it: a literal pair scan and a convolution route
-through the character transform whose rounding is hard-checked.
+that sums the exact difference histogram of E - F (difference_histogram,
+inverted from the character transforms with a hard-checked rounding) by norm
+class.
 
 A SplitPointSet keeps its codes as geometry._canonical_codes leaves them and
 computes its indicator transform at most once (SplitPointSet.transform); every
@@ -207,13 +209,13 @@ def pair_spectrum_naive(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
     return spectrum
 
 
-def pair_spectrum_fast(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
-    """Convolution route: the difference histogram of E - F via transforms.
+def difference_histogram(e: SplitPointSet, f: SplitPointSet) -> np.ndarray:
+    """D[v] = #{(x, y) in E x F : x - y = v} for every code v, as exact int64.
 
-    h(u) = #{(x, y) : x - y = u} has transform q^d E_hat conj(F_hat); the
-    histogram is recovered by inversion, snapped to integers with a hard
-    failure if any residue exceeds CONVOLUTION_RESIDUE, then aggregated by
-    the norm class of each half.
+    D has transform q^d E_hat conj(F_hat), so it is one inversion of the two
+    cached set transforms, snapped to integers with a hard failure if any
+    residue exceeds CONVOLUTION_RESIDUE.  The pair spectrum and the
+    rotation-energy right side both read D from here.
     """
     _check_compatible(e, f)
     q, d = e.field.q, e.d
@@ -221,15 +223,20 @@ def pair_spectrum_fast(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
         raise SizeGuardError(f"q^d = {q**d} exceeds the enumeration limit")
     product = e.transform * np.conj(f.transform) * float(q) ** d
     h = inverse_transform(SpectralTable(e.field, d, product)).values
-    h_int = np.rint(h.real).astype(np.int64)
-    residue = float(np.max(np.abs(h - h_int))) if len(h) else 0.0
+    snapped = np.rint(h.real)
+    residue = float(np.max(np.abs(h - snapped))) if len(h) else 0.0
     if residue > CONVOLUTION_RESIDUE:
         raise PrecisionError(
             f"difference histogram residue {residue:.3e} exceeds {CONVOLUTION_RESIDUE}"
         )
-    classes = _split_norm_classes(e.field, e.k, e.l)
+    return snapped.astype(np.int64)
+
+
+def pair_spectrum_fast(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
+    """Transform route: the difference histogram of E - F summed by half-norm class."""
+    q = e.field.q
     s_flat = np.zeros(q * q, dtype=np.int64)
-    np.add.at(s_flat, classes, h_int)
+    np.add.at(s_flat, _split_norm_classes(e.field, e.k, e.l), difference_histogram(e, f))
     spectrum = PairSpectrum(e.field, e.k, e.l, len(e), len(f), s_flat.reshape(q, q))
     _check_mass(spectrum)
     return spectrum
@@ -421,22 +428,6 @@ def surjectivity_check(e: SplitPointSet, f: SplitPointSet,
     surjective = coverage == q * q
     return SurjectivityCheck(q, k, l, len(e), len(f), threshold, met,
                              coverage, surjective, (not met) or surjective)
-
-
-def coverage_lower_bound(e: SplitPointSet, f: SplitPointSet,
-                         spectrum: PairSpectrum | None = None) -> tuple[Fraction, int, bool]:
-    """Cauchy-Schwarz floor |E|^2 |F|^2 / sum s^2 <= #achieved pairs.
-
-    Returns (bound, achieved, holds).  Exact rationals throughout.
-    """
-    if spectrum is None:
-        spectrum = pair_spectrum(e, f)
-    energy = spectrum_energy(spectrum)
-    if energy == 0:
-        raise ValueError("empty sets have no pair spectrum to bound")
-    bound = Fraction(len(e) ** 2 * len(f) ** 2, energy)
-    achieved = int(np.count_nonzero(spectrum.s))
-    return bound, achieved, bound <= achieved
 
 
 @dataclass(frozen=True)

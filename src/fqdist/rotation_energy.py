@@ -8,18 +8,20 @@ where r_{theta,phi}^E(u', u'') counts pairs (x, z) in E^2 with x' - theta z'
 = u' and x'' - phi z'' = u''.  The left side is exact integer counting from
 the pair spectrum.  The right side is exact too: for each rotation pair
 R = (theta, phi) it counts quadruples with x - y = R(z - w), which is
-sum_v D(v) D(R v) over the difference histogram D of E - F.  D comes from
-one FFT correlation, snapped to integers with a hard failure above the
-convolution residue guard.  Three checks stay independent of that route:
-  - the exact orbit-weight identity rhs - lhs = sum (w_a w_b - 1) s(a,b)^2,
-    in integers against the pair spectrum;
+sum_v D(v) D(R v) over the difference histogram D of E - F.  D is
+pair_spectrum.difference_histogram, the same exact integer array whose
+norm-class sums are the pair spectrum.  Three cross-checks:
   - the literal pair count rotation_correlation, which the energy suite
     compares with the transform identity on sampled rotation pairs
     (correlation_transform_check) and the tests compare with every
     rotation pair's term of rhs;
   - the split of the right side into zero, mixed, and nonzero frequency
     classes through the character transform, which must agree to a relative
-    tolerance.
+    tolerance;
+  - the exact orbit-weight identity rhs - lhs = sum (w_a w_b - 1) s(a,b)^2,
+    in integers against the pair spectrum.  It holds for any D, so it checks
+    the rotation gathers, and D itself whenever the spectrum took the
+    literal pair scan.
 The transform-based checks here read each set's cached indicator transform
 (SplitPointSet.transform), so a set is transformed at most once however many
 checks and radii look at it.
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PrecisionError, SizeGuardError
+from .errors import SizeGuardError
 from .field import (
     PrimeField,
     Rotation,
@@ -41,15 +43,15 @@ from .field import (
     rotation_inverse,
 )
 from .fourier import DensityTable, forward_transform
-from .geometry import MAX_ENUMERATION, PointSet, all_norms, decode_codes, norm_fiber_sizes
+from .geometry import PointSet, all_norms, decode_codes
 from .pair_spectrum import (
-    CONVOLUTION_RESIDUE,
     MAX_PAIRS,
     PairSpectrum,
     SplitPointSet,
     _pair_chunk,
     _split_norm_classes,
     achieved_pairs,
+    difference_histogram,
     distance_set,
     pair_spectrum,
     spectrum_energy,
@@ -186,37 +188,19 @@ def _rotation_pair_energies(e: SplitPointSet, f: SplitPointSet,
     The sum counts quadruples (x, z, y, w) in E^2 x F^2 with
     x - y = R(z - w), R = (theta, phi).  With the difference histogram
     D(v) = #{(x, y) in E x F : x - y = v} each entry is therefore
-    sum_v D(v) D(theta v', phi v'').  D is one FFT correlation, snapped to
-    integers with a hard failure above the convolution residue guard; the
-    entries are integer gathers over the support of D.  The cost is at most
-    three transforms of q^4 cells plus |SO2|^2 |supp D| gathers, where
-    |supp D| <= min(|E||F|, q^4): never more than half the
-    |SO2|^2 (|E|^2 + |F|^2) pairs a literal count scans, though the
-    transforms make tiny sets cost more than they would literally.  Gathers
-    run in phi batches of about 4e6 cells.
+    sum_v D(v) D(theta v', phi v''), an integer gather over the support of D.
+    D comes from difference_histogram, one inversion of the two sets' cached
+    transforms; the gathers cost |SO2|^2 |supp D| with
+    |supp D| <= min(|E||F|, q^4), never more than half the
+    |SO2|^2 (|E|^2 + |F|^2) pairs a literal count scans.  They run in phi
+    batches of about 4e6 cells.
     """
     q = e.field.q
-    if q**4 > MAX_ENUMERATION:
-        raise SizeGuardError(f"q^4 = {q**4} exceeds the enumeration limit")
     ne, nf = len(e), len(f)
     # Each entry is at most max D * sum D <= min(|E|, |F|) |E||F|.
     if ne * nf * min(ne, nf) >= 2**63:
         raise SizeGuardError("rotation-pair energies would overflow int64")
-    hats = []
-    for s in (e,) if f is e or np.array_equal(e.codes, f.codes) else (e, f):
-        indicator = np.zeros((q, q, q, q))
-        indicator.reshape(-1)[s.codes] = 1.0
-        hats.append(np.fft.fftn(indicator))
-    product = hats[0] * np.conj(hats[-1])
-    h = np.fft.ifftn(product).reshape(-1)
-    snapped = np.rint(h.real)
-    residue = float(np.max(np.abs(h - snapped)))
-    if residue > CONVOLUTION_RESIDUE:
-        raise PrecisionError(
-            f"rotation-energy difference histogram residue {residue:.3e} exceeds "
-            f"{CONVOLUTION_RESIDUE}"
-        )
-    d = snapped.astype(np.int64)
+    d = difference_histogram(e, f)
     support = np.flatnonzero(d)
     weights = d[support]
     first, second = np.divmod(support, q * q)

@@ -15,6 +15,7 @@ from fqdist import (
     SizeGuardError,
     SplitPointSet,
     distance_set,
+    enumerate_so2,
     generate_set,
     make_field,
     run_suite,
@@ -202,6 +203,54 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
         "instance": 2, "seed": 5, "cell": [2, 3]}
 
 
+def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
+    cfg = ExperimentConfig(q=7, suite="energy", instances=3, seed=5)
+    rep = run_suite("energy", cfg)
+    assert rep.all_pass
+    assert not any("first_failure" in c.payload for c in rep.checks)
+
+    def replaced(**fields):
+        return lambda report, *args: dataclasses.replace(report, **fields)
+
+    # energy_chain_check call 0 is the single-point identity; call i + 1 is instance i.
+    _fail_on_call(monkeypatch, "energy_chain_check", 2, replaced(holds=False, split_ok=False))
+    _fail_on_call(monkeypatch, "energy_chain_check", 3,
+                  replaced(holds=False, zero_agrees=False, overcount_matches=False))
+    # Two sampled rotation pairs per instance; in instance 1 the second one is worse.
+    rotations = enumerate_so2(make_field(7))
+    sampled = []
+
+    def deviation(value):
+        def fail(report, e, theta, phi):
+            sampled.append([rotations.index(theta), rotations.index(phi)])
+            return dataclasses.replace(report, max_deviation=value)
+        return fail
+
+    _fail_on_call(monkeypatch, "correlation_transform_check", 2, deviation(0.5))
+    _fail_on_call(monkeypatch, "correlation_transform_check", 3, deviation(1.0))
+    _fail_on_call(monkeypatch, "correlation_transform_check", 5, deviation(1.0))
+    # A bound that fails while c does not dominate is no failure.
+    _fail_on_call(monkeypatch, "coverage_min_bound", 0, replaced(holds=False, c_dominates=False))
+    _fail_on_call(monkeypatch, "coverage_min_bound", 2, replaced(holds=False, c_dominates=True))
+
+    checks = {c["name"]: c for c in run_suite("energy", cfg).to_json_dict()["checks"]}
+    assert sampled[0] != sampled[1]
+    expected = {
+        "energy-chain": (1, None),
+        "frequency-split": (1, None),
+        "zero-frequency-term": (2, None),
+        "orbit-weight-identity": (2, None),
+        "correlation-transform": (1, sampled[1]),
+        "coverage-min-bound": (2, None),
+    }
+    for name, (instance, cell) in expected.items():
+        assert not checks[name]["pass"], name
+        assert checks[name]["payload"]["first_failure"] == {
+            "instance": instance, "seed": 5, "cell": cell}, name
+    assert checks["single-point-identity"]["pass"]
+    assert "first_failure" not in checks["single-point-identity"]["payload"]
+
+
 def test_loaded_sets_override_generation():
     field = make_field(7)
     rng = np.random.default_rng(1)
@@ -224,6 +273,19 @@ def test_loaded_sets_must_match_config():
         run_suite("coverage", cfg, e_set=other_q)
     with pytest.raises(ValueError, match=r"set F has q = 7, split \(1, 3\).*split \(2, 2\)"):
         run_suite("energy", ExperimentConfig(q=7, suite="energy"), e_set=e, f_set=other_split)
+
+
+def test_energy_suite_runs_without_numpy_fft():
+    # One transform engine: nothing on the energy suite's path imports numpy.fft.
+    script = (
+        "import sys\n"
+        "from fqdist.cli import main\n"
+        "code = main(['--q', '7', '--suite', 'energy', '--seed', '1', '--instances', '2'])\n"
+        "print(code, 'numpy.fft' in sys.modules, file=sys.stderr)\n"
+    )
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
+    assert p.returncode == 0, p.stderr
+    assert p.stderr.split() == ["0", "False"]
 
 
 def test_cli_exit_zero_and_json_schema():

@@ -15,7 +15,6 @@ from fqdist import (
     enumerate_sphere,
     load_point_set,
     make_field,
-    norm,
     norm_fiber_sizes,
     save_point_set,
 )
@@ -42,13 +41,6 @@ def test_encode_decode_roundtrip(vectors):
     codes = encode_vectors(7, vectors)
     back = decode_codes(7, 3, codes)
     assert [tuple(v) for v in back] == [tuple(v) for v in vectors]
-
-
-def test_norm_frozen():
-    f = make_field(3)
-    assert norm(f, (1, 2)) == 2  # 1 + 4 = 5 = 2 mod 3
-    assert norm(f, (0, 0)) == 0
-    assert norm(make_field(7), (1, 2, 3)) == 0  # 14 = 0 mod 7
 
 
 def test_fiber_sizes_frozen():

@@ -13,9 +13,10 @@ from fqdist import (
     SplitPointSet,
     achieved_pairs,
     all_norms,
-    coverage_lower_bound,
+    difference_histogram,
     discrepancy_report,
     distance_set,
+    encode_vectors,
     forward_transform,
     indicator_table,
     load_split_point_set,
@@ -72,6 +73,22 @@ def test_split_set_transform_cached_and_bit_identical(monkeypatch):
     pair_spectrum_fast(f, e)
     marginal_spectral_mass(e)
     assert len(calls) == 2  # once for e, once for f
+
+
+@pytest.mark.parametrize("q, k, l, size_e, size_f, seed", [(3, 1, 2, 12, 17, 31),
+                                                        (7, 2, 2, 150, 90, 32)])
+def test_difference_histogram_matches_literal_bincount(q, k, l, size_e, size_f, seed):
+    e = _random_split(q, k, l, size_e, seed)
+    f = _random_split(q, k, l, size_f, seed + 1)
+    twin = SplitPointSet(e.field, k, l, e.codes.copy())
+    point = SplitPointSet(e.field, k, l, [q ** (k + l) - 1])
+    for a, b in ((e, f), (f, e), (e, e), (e, twin), (point, point), (point, f)):
+        diffs = (a.coords()[:, None, :] - b.coords()[None, :, :]) % q
+        literal = np.bincount(encode_vectors(q, diffs.reshape(-1, k + l)),
+                              minlength=q ** (k + l))
+        hist = difference_histogram(a, b)
+        assert hist.dtype == np.int64
+        assert np.array_equal(hist, literal)
 
 
 def test_product_set():
@@ -214,15 +231,6 @@ def test_surjectivity_requires_block_dims():
     e = _random_split(3, 1, 2, 10, 3)
     with pytest.raises(ValueError):
         surjectivity_check(e, e)
-
-
-def test_coverage_lower_bound_full_q3():
-    field = make_field(3)
-    full = SplitPointSet.full(field, 2, 2)
-    bound, achieved, holds = coverage_lower_bound(full, full)
-    assert bound == Fraction(729, 121)
-    assert achieved == 9
-    assert holds
 
 
 def test_marginal_mass_single_point():
