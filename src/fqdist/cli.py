@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"suite {args.suite!r} does not accept loaded sets")
         if args.format == "csv" and args.out is None:
             raise ValueError("--format csv requires --out")
-        report = run_suite(args.suite, cfg, e_set, f_set)
+        report = run_suite(cfg, e_set, f_set)
     except (ValueError, SizeGuardError, OSError) as exc:
         parser.exit(2, f"fqdist: error: {exc}\n")
     if e_set is not None:

@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
 
+from . import fourier, rotation_energy
 from .errors import SizeGuardError
 from .field import PrimeField, enumerate_so2, make_field, so2_orbit_check
 from .fourier import (
-    MAX_QUADRATIC,
     DensityTable,
     exact_phase_histogram,
     forward_transform,
@@ -31,9 +31,10 @@ from .fourier import (
     plancherel_gap,
     sphere_decay_check,
 )
-from .geometry import PointSet, all_norms, decode_codes, norm_fiber_sizes
+from .geometry import PointSet, _require_enumerable, all_norms, decode_codes, norm_fiber_sizes
 from .pair_spectrum import (
     SplitPointSet,
+    _coverage_threshold,
     achieved_pairs,
     discrepancy_report,
     distance_set,
@@ -73,6 +74,9 @@ _T_PHASE = 12
 
 _MASK = (1 << 64) - 1
 
+# The missing-distance search refuses factor spaces F_q^k larger than this.
+MAX_SEARCH_SPACE = 10**5
+
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
     """Independent generator determined by (seed, tags) alone."""
@@ -83,9 +87,9 @@ def substream(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by the CLI and the suite runners."""
+    """Knobs shared by the CLI and the suite runners, validated once and frozen."""
 
     q: int
     k: int = 2
@@ -111,6 +115,10 @@ class ExperimentConfig:
             raise ValueError("instance counts must be positive")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        if self.strip_len is not None and not 1 <= self.strip_len <= self.q:
+            raise ValueError(f"strip length must be in [1, q = {self.q}], got {self.strip_len}")
+        if not (math.isfinite(self.constant_c) and self.constant_c > 0):
+            raise ValueError(f"constant_c must be finite and positive, got {self.constant_c}")
 
 
 def _instance_density(cfg: ExperimentConfig, instance: int, which_bit: int) -> float:
@@ -122,9 +130,7 @@ def _instance_density(cfg: ExperimentConfig, instance: int, which_bit: int) -> f
 
 def _bernoulli_codes(cfg: ExperimentConfig, field: PrimeField, dims: int,
                      instance: int, which_bit: int) -> np.ndarray:
-    size = field.q**dims
-    if size > 10**8:
-        raise SizeGuardError(f"q^dims = {size} exceeds the enumeration limit")
+    size = _require_enumerable(field.q, dims)
     density = _instance_density(cfg, instance, which_bit)
     gen = substream(cfg.seed, _T_BERNOULLI, instance, which_bit)
     return np.nonzero(gen.random(size) < density)[0].astype(np.int64)
@@ -134,7 +140,7 @@ def _near_full_codes(cfg: ExperimentConfig, field: PrimeField, instance: int) ->
     """Full space minus a seeded deletion, small enough to stay over threshold."""
     q, k, l = field.q, cfg.k, cfg.l
     ambient = q ** (k + l)
-    threshold = 16 * q ** (k + 2 * l + 1)
+    threshold = _coverage_threshold(q, k, l)
     n_min = math.isqrt(threshold) + 1
     max_del = ambient - n_min
     if max_del < 1:
@@ -189,7 +195,7 @@ def search_missing_distance_set(field: PrimeField, k: int, budget: int,
     if k % 2 == 0:
         raise ValueError("the search targets odd k; even k has no such gap here")
     q = field.q
-    if q**k > 10**5:
+    if q**k > MAX_SEARCH_SPACE:
         raise SizeGuardError(f"q^k = {q**k} is too large for the greedy search")
     gen = substream(seed, _T_SEARCH, q, k)
     restarts = 4
@@ -370,7 +376,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         ))
 
     for d in dims:
-        if (q**d) ** 2 > MAX_QUADRATIC:
+        if (q**d) ** 2 > fourier.MAX_QUADRATIC:
             checks.append(_skip(f"orthogonality d={d}", "orthogonality_check",
                                 f"q^2d = {(q**d)**2} phases exceed the brute-force budget"))
             continue
@@ -400,7 +406,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
 
     # Round-trip and the defining-sum route, on the largest ambient that the
     # quadratic route still allows.
-    rt_dims = [d for d in dims if (q**d) ** 2 <= MAX_QUADRATIC]
+    rt_dims = [d for d in dims if (q**d) ** 2 <= fourier.MAX_QUADRATIC]
     if rt_dims:
         d = rt_dims[-1]
         gen = substream(cfg.seed, _T_PLANCHEREL, 99, d)
@@ -577,16 +583,13 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
 
     # Full space and seeded near-full deletions, where the threshold is live.
     ambient = q ** (k + l)
-    threshold = 16 * q ** (k + 2 * l + 1)
+    threshold = _coverage_threshold(q, k, l)
     if ambient * ambient > threshold:
         full = SplitPointSet.full(field, k, l)
         sc = surjectivity_check(full, full)
         surj_ok = sc.threshold_met and sc.surjective
         min_size = len(full)
-        deletion_cfg = ExperimentConfig(
-            q=cfg.q, k=k, l=l, suite=cfg.suite, generator="near-full",
-            seed=cfg.seed, instances=cfg.instances,
-        )
+        deletion_cfg = replace(cfg, generator="near-full")
         for i in range(cfg.instances):
             e = generate_set(deletion_cfg, "E", i)
             min_size = min(min_size, len(e))
@@ -705,7 +708,8 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
             ("zero-frequency-term", chain.zero_agrees, None),
             ("frequency-split", chain.split_ok, None),
             ("orbit-weight-identity", chain.overcount_matches, None),
-            ("correlation-transform", out["max_transform_dev"] <= 1e-8, out["worst_cell"]),
+            ("correlation-transform",
+             out["max_transform_dev"] <= rotation_energy.CORRELATION_TOLERANCE, out["worst_cell"]),
             ("coverage-min-bound", bound.holds or not bound.c_dominates, None),
         ):
             if not ok and name not in failures:
@@ -744,8 +748,7 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
     rows: list[list] = []
 
     if (k, l) == (2, 2):
-        circles_cfg = ExperimentConfig(q=q, k=2, l=2, suite="sharpness",
-                                       generator="circles", seed=cfg.seed)
+        circles_cfg = replace(cfg, generator="circles")
         e = generate_set(circles_cfg, "E")
         f = generate_set(circles_cfg, "F")
         spectrum = pair_spectrum(e, f)
@@ -795,7 +798,7 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
         checks.append(_skip("plane-strip", "plane_strip_scan",
                             "needs k = l = 2 and q = 3 mod 4"))
 
-    if k % 2 == 1 and q**k <= 10**5:
+    if k % 2 == 1 and q**k <= MAX_SEARCH_SPACE:
         found = search_missing_distance_set(field, k, cfg.budget, cfg.seed)
         e = SplitPointSet.product(found.point_set, PointSet.full(field, l))
         spectrum = pair_spectrum(e, e)
@@ -820,12 +823,10 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
     return checks, artifacts
 
 
-def run_suite(suite: str, cfg: ExperimentConfig,
+def run_suite(cfg: ExperimentConfig,
               e_set: SplitPointSet | None = None,
               f_set: SplitPointSet | None = None) -> RunReport:
-    """Run one suite and collect its checks; never raises on failed checks."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    """Run the suite cfg.suite and collect its checks; never raises on failed checks."""
     for name, s in (("E", e_set), ("F", f_set)):
         if s is not None and (s.field.q, s.k, s.l) != (cfg.q, cfg.k, cfg.l):
             raise ValueError(
@@ -837,14 +838,14 @@ def run_suite(suite: str, cfg: ExperimentConfig,
     if e_set is not None:
         loaded = (e_set, f_set if f_set is not None else e_set)
     start = time.perf_counter()
-    if suite == "lemmas":
+    if cfg.suite == "lemmas":
         checks, artifacts = _lemmas_checks(cfg, field)
-    elif suite == "coverage":
+    elif cfg.suite == "coverage":
         checks, artifacts = _coverage_checks(cfg, field, loaded)
-    elif suite == "energy":
+    elif cfg.suite == "energy":
         checks, artifacts = _energy_checks(cfg, field, loaded)
     else:
         checks, artifacts = _sharpness_checks(cfg, field)
     duration_ms = int((time.perf_counter() - start) * 1000)
     config = asdict(cfg)
-    return RunReport(suite, config, checks, duration_ms, artifacts)
+    return RunReport(cfg.suite, config, checks, duration_ms, artifacts)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .field import PrimeField
-from .geometry import MAX_ENUMERATION, PointSet, all_norms, decode_codes
+from .geometry import PointSet, _require_enumerable, all_norms, decode_codes
 
 # Defining-sum (quadratic) routes are refused above this many phase evaluations.
 MAX_QUADRATIC = 6 * 10**7
@@ -66,10 +66,7 @@ class SpectralTable:
 
 def indicator_table(ps: PointSet) -> DensityTable:
     """0/1 table of a point set."""
-    size = ps.field.q**ps.d
-    if size > MAX_ENUMERATION:
-        raise SizeGuardError(f"q^d = {size} exceeds the enumeration limit")
-    values = np.zeros(size, dtype=np.complex128)
+    values = np.zeros(_require_enumerable(ps.field.q, ps.d), dtype=np.complex128)
     values[ps.codes] = 1.0
     return DensityTable(ps.field, ps.d, values)
 
@@ -88,7 +85,7 @@ def inverse_transform(spec: SpectralTable) -> DensityTable:
     return DensityTable(spec.field, spec.d, values)
 
 
-def forward_transform_direct(f: DensityTable, chunk: int = 256) -> SpectralTable:
+def forward_transform_direct(f: DensityTable) -> SpectralTable:
     """Defining-sum transform, one inner product per frequency.
 
     Independent of the separable route; used to cross-check it.  Cost is
@@ -104,6 +101,7 @@ def forward_transform_direct(f: DensityTable, chunk: int = 256) -> SpectralTable
     coords = decode_codes(q, d, np.arange(n))
     table = f.field.char_table
     coeffs = np.empty(n, dtype=np.complex128)
+    chunk = 256
     for start in range(0, n, chunk):
         m_block = coords[start : start + chunk]
         phases = (-(m_block @ coords.T)) % q
@@ -131,7 +129,7 @@ class OrthogonalityReport:
     passed: bool
 
 
-def orthogonality_check(field: PrimeField, d: int, tolerance: float = 1e-8) -> OrthogonalityReport:
+def orthogonality_check(field: PrimeField, d: int) -> OrthogonalityReport:
     """Sum chi(x.m) over all x for every m, by brute force (guarded)."""
     q = field.q
     n = q**d
@@ -143,7 +141,8 @@ def orthogonality_check(field: PrimeField, d: int, tolerance: float = 1e-8) -> O
     sums = forward_transform_direct(ones).coeffs * (float(q) ** d)
     zero_sum = sums[0].real
     max_nonzero = float(np.max(np.abs(sums[1:]))) if n > 1 else 0.0
-    passed = (abs(zero_sum - n) < tolerance * n) and (max_nonzero < tolerance * n)
+    tolerance = 1e-8 * n
+    passed = (abs(zero_sum - n) < tolerance) and (max_nonzero < tolerance)
     return OrthogonalityReport(q, d, float(zero_sum), max_nonzero, passed)
 
 
@@ -160,16 +159,14 @@ class SphereDecayReport:
     passed: bool
 
 
-def sphere_decay_check(field: PrimeField, d: int, rel_tolerance: float = 1e-9) -> SphereDecayReport:
+def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     """Certify the Kloosterman-type sphere decay |S_t_hat(m)| <= 2 q^-(d+1)/2.
 
     Scans every nonzero radius t and every nonzero frequency m exhaustively.
     """
     q = field.q
     n = q**d
-    if n > MAX_ENUMERATION:
-        raise SizeGuardError(f"q^d = {n} exceeds the enumeration limit")
-    norms = all_norms(q, d)
+    norms = all_norms(q, d)  # refuses an ambient past the enumeration limit
     bound = 2.0 * float(q) ** (-(d + 1) / 2.0)
     max_ratio = 0.0
     worst_t = 0
@@ -187,7 +184,7 @@ def sphere_decay_check(field: PrimeField, d: int, rel_tolerance: float = 1e-9) -
             worst_t = t
             worst_m = tuple(int(x) for x in decode_codes(q, d, m_idx))
     return SphereDecayReport(q, d, bound, max_ratio, worst_t, worst_m,
-                             max_ratio <= 1.0 + rel_tolerance)
+                             max_ratio <= 1.0 + 1e-9)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,14 @@ MAX_ENUMERATION = 10**8
 _norms_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
+def _require_enumerable(q: int, d: int) -> int:
+    """q^d, refused with SizeGuardError above MAX_ENUMERATION (read on every call)."""
+    size = q**d
+    if size > MAX_ENUMERATION:
+        raise SizeGuardError(f"q^d = {size} exceeds the enumeration limit {MAX_ENUMERATION}")
+    return size
+
+
 def encode_vectors(q: int, coords) -> np.ndarray:
     """Base-q codes of the rows of an (n, d) coordinate array (d >= 1)."""
     arr = np.asarray(coords, dtype=np.int64)
@@ -60,16 +68,13 @@ def all_norms(q: int, d: int) -> np.ndarray:
     Built one coordinate at a time: appending a coordinate multiplies codes by
     q and adds the new square, which matches the MSB-first encoding.
     """
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    _require_enumerable(q, d)
     key = (q, d)
     cached = _norms_cache.get(key)
     if cached is not None:
         return cached
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    if q**d > MAX_ENUMERATION:
-        raise SizeGuardError(
-            f"q^d = {q**d} exceeds the enumeration limit {MAX_ENUMERATION}"
-        )
     sq = (np.arange(q, dtype=np.int64) ** 2) % q
     norms = np.zeros(1, dtype=np.int64)
     for _ in range(d):
@@ -104,15 +109,8 @@ class Sphere:
 def enumerate_sphere(field: PrimeField, d: int, t: int) -> Sphere:
     """All points of F_q^d with norm t, in lexicographic order.
 
-    Refuses oversized ambients; for counts alone use norm_fiber_sizes.
+    Refuses oversized ambients (in all_norms); for counts use norm_fiber_sizes.
     """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    if field.q**d > MAX_ENUMERATION:
-        raise SizeGuardError(
-            f"q^d = {field.q**d} exceeds the enumeration limit {MAX_ENUMERATION}; "
-            "norm_fiber_sizes gives the count without enumerating"
-        )
     t = t % field.q
     norms = all_norms(field.q, d)
     codes = np.nonzero(norms == t)[0].astype(np.int64)
@@ -174,28 +172,21 @@ class PointSet:
 
     @classmethod
     def full(cls, field: PrimeField, d: int) -> "PointSet":
-        if field.q**d > MAX_ENUMERATION:
-            raise SizeGuardError(f"q^d = {field.q**d} exceeds the enumeration limit")
-        return cls(field, d, np.arange(field.q**d, dtype=np.int64))
+        return cls(field, d, np.arange(_require_enumerable(field.q, d), dtype=np.int64))
 
 
-def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None,
-                   comment: str | None = None) -> None:
+def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None) -> None:
     """Write a point set as a header line plus one comma-separated point per line.
 
     Header: ``q=<q> dims=<d>`` with an optional ``split=<k>,<l>`` field.
-    Lines starting with # are comments.
+    load_point_set also skips lines starting with #, as comments.
     """
     if split is not None and split[0] + split[1] != ps.d:
         raise ValueError(f"split {split} does not sum to dims {ps.d}")
-    lines = []
-    if comment:
-        for row in comment.splitlines():
-            lines.append(f"# {row}")
     header = f"q={ps.field.q} dims={ps.d}"
     if split is not None:
         header += f" split={split[0]},{split[1]}"
-    lines.append(header)
+    lines = [header]
     for row in ps.coords():
         lines.append(",".join(str(int(x)) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")

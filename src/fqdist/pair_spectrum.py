@@ -26,13 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import geometry
 from .errors import PrecisionError, SizeGuardError
 from .field import PrimeField
 from .fourier import SpectralTable, forward_transform, indicator_table, inverse_transform
 from .geometry import (
-    MAX_ENUMERATION,
     PointSet,
     _canonical_codes,
+    _require_enumerable,
     all_norms,
     decode_codes,
     encode_vectors,
@@ -45,6 +46,17 @@ MAX_PAIRS = 10**8
 
 # Largest rounding residue tolerated when the convolution route snaps to ints.
 CONVOLUTION_RESIDUE = 1e-3
+
+
+def _require_scannable(n_e: int, n_f: int) -> None:
+    """Refuse a literal scan of n_e x n_f pairs above MAX_PAIRS (read on every call)."""
+    if n_e * n_f > MAX_PAIRS:
+        raise SizeGuardError(f"{n_e} x {n_f} pairs exceed the scan limit {MAX_PAIRS}")
+
+
+def _coverage_threshold(q: int, k: int, l: int) -> int:
+    """The product size |E||F| above which every (a, b) cell must be achieved."""
+    return 16 * q ** (k + 2 * l + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +117,7 @@ class SplitPointSet:
 
     @classmethod
     def full(cls, field: PrimeField, k: int, l: int) -> "SplitPointSet":
-        if field.q ** (k + l) > MAX_ENUMERATION:
-            raise SizeGuardError(f"q^(k+l) = {field.q ** (k + l)} exceeds the enumeration limit")
-        return cls(field, k, l, np.arange(field.q ** (k + l), dtype=np.int64))
+        return cls.from_point_set(PointSet.full(field, k + l), k, l)
 
     @classmethod
     def product(cls, first: PointSet, second: PointSet) -> "SplitPointSet":
@@ -149,8 +159,7 @@ def distance_set(ps: PointSet) -> set[int]:
     """All norms |x - y| realized by pairs from a nonempty point set."""
     if len(ps) == 0:
         raise ValueError("distance set of an empty point set is undefined")
-    if len(ps) * len(ps) > MAX_PAIRS:
-        raise SizeGuardError(f"{len(ps)}^2 pairs exceed the scan limit {MAX_PAIRS}")
+    _require_scannable(len(ps), len(ps))
     q = ps.field.q
     coords = ps.coords()
     seen = np.zeros(q, dtype=bool)
@@ -188,11 +197,7 @@ def pair_spectrum_naive(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
     """Literal scan over all |E| x |F| pairs (guarded); the reference route."""
     _check_compatible(e, f)
     q = e.field.q
-    if len(e) * len(f) > MAX_PAIRS:
-        raise SizeGuardError(
-            f"{len(e)} x {len(f)} pairs exceed the scan limit {MAX_PAIRS}; "
-            "use pair_spectrum_fast"
-        )
+    _require_scannable(len(e), len(f))
     ce = e.coords()
     cf = f.coords()
     k = e.k
@@ -219,8 +224,7 @@ def difference_histogram(e: SplitPointSet, f: SplitPointSet) -> np.ndarray:
     """
     _check_compatible(e, f)
     q, d = e.field.q, e.d
-    if q**d > MAX_ENUMERATION:
-        raise SizeGuardError(f"q^d = {q**d} exceeds the enumeration limit")
+    _require_enumerable(q, d)  # a cached transform never reaches indicator_table's guard
     product = e.transform * np.conj(f.transform) * float(q) ** d
     h = inverse_transform(SpectralTable(e.field, d, product)).values
     snapped = np.rint(h.real)
@@ -246,7 +250,7 @@ def pair_spectrum(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
     """Route selection: literal scan for small pair counts, transforms otherwise."""
     pairs = len(e) * len(f)
     ambient = e.field.q**e.d
-    if pairs <= min(10**6, ambient) or ambient > MAX_ENUMERATION:
+    if pairs <= min(10**6, ambient) or ambient > geometry.MAX_ENUMERATION:
         return pair_spectrum_naive(e, f)
     return pair_spectrum_fast(e, f)
 
@@ -308,7 +312,7 @@ class DiscrepancyReport:
       budget(a,b) = 2 q^((k-1)/2) sqrt(|E||F|) |S_b|
                   + 2 q^((l-1)/2) sqrt(|E||F|) |S_a|
                   + 4 q^((k+l)/2 - 1) sqrt(|E||F|)                  (float)
-    and the certificate is |error| <= budget up to rel_tolerance.
+    and the certificate is |error| <= budget up to a relative 1e-6.
     """
 
     field: PrimeField
@@ -351,8 +355,7 @@ class DiscrepancyReport:
 
 
 def discrepancy_report(e: SplitPointSet, f: SplitPointSet,
-                       spectrum: PairSpectrum | None = None,
-                       rel_tolerance: float = 1e-6) -> DiscrepancyReport:
+                       spectrum: PairSpectrum | None = None) -> DiscrepancyReport:
     """Certify the three-term error budget on every spectrum cell."""
     if spectrum is None:
         spectrum = pair_spectrum(e, f)
@@ -379,7 +382,7 @@ def discrepancy_report(e: SplitPointSet, f: SplitPointSet,
             bud = (2.0 * float(q) ** ((k - 1) / 2.0) * root_ef * float(sphere_l[b])
                    + 2.0 * float(q) ** ((l - 1) / 2.0) * root_ef * float(sphere_k[a])
                    + term_cross)
-            ok = abs(float(err)) <= bud * (1.0 + rel_tolerance)
+            ok = abs(float(err)) <= bud * (1.0 + 1e-6)
             ratio = abs(float(err)) / bud if bud > 0 else (0.0 if err == 0 else float("inf"))
             max_ratio = max(max_ratio, ratio)
             row_main.append(m)
@@ -394,7 +397,7 @@ def discrepancy_report(e: SplitPointSet, f: SplitPointSet,
 
 @dataclass(frozen=True)
 class SurjectivityCheck:
-    """Threshold test: |E||F| > threshold_constant * q^(k+2l+1) forces full coverage."""
+    """Threshold test: |E||F| > 16 q^(k+2l+1) forces full coverage."""
 
     q: int
     k: int
@@ -409,8 +412,7 @@ class SurjectivityCheck:
 
 
 def surjectivity_check(e: SplitPointSet, f: SplitPointSet,
-                       spectrum: PairSpectrum | None = None,
-                       threshold_constant: int = 16) -> SurjectivityCheck:
+                       spectrum: PairSpectrum | None = None) -> SurjectivityCheck:
     """Test the coverage threshold on a concrete pair of sets.
 
     consistent is False exactly when the product size clears the threshold
@@ -422,7 +424,7 @@ def surjectivity_check(e: SplitPointSet, f: SplitPointSet,
         spectrum = pair_spectrum(e, f)
     _check_compatible(e, f)
     q, k, l = e.field.q, e.k, e.l
-    threshold = Fraction(threshold_constant * q ** (k + 2 * l + 1))
+    threshold = Fraction(_coverage_threshold(q, k, l))
     met = Fraction(len(e) * len(f)) > threshold
     coverage = int(np.count_nonzero(spectrum.s))
     surjective = coverage == q * q
@@ -451,7 +453,7 @@ class MarginalMassReport:
     float_agrees: bool
 
 
-def marginal_spectral_mass(e: SplitPointSet, abs_tolerance: float = 1e-9) -> MarginalMassReport:
+def marginal_spectral_mass(e: SplitPointSet) -> MarginalMassReport:
     """Evaluate the zero-second-block spectral mass both exactly and in floats."""
     q, k, l = e.field.q, e.k, e.l
     fibers = np.bincount(e.first_codes(), minlength=q**k)
@@ -460,7 +462,7 @@ def marginal_spectral_mass(e: SplitPointSet, abs_tolerance: float = 1e-9) -> Mar
     # Float route: the full (k+l)-dim transform restricted to m'' = 0.
     coeffs = e.transform.reshape(q**k, q**l)[:, 0]
     float_value = float(np.sum(np.abs(coeffs) ** 2))
-    agrees = abs(float_value - float(exact)) <= abs_tolerance
+    agrees = abs(float_value - float(exact)) <= 1e-9
     return MarginalMassReport(q, k, l, len(e), exact, bound, exact <= bound,
                               exact == bound, float_value, agrees)
 

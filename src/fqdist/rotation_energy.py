@@ -45,10 +45,10 @@ from .field import (
 from .fourier import DensityTable, forward_transform
 from .geometry import PointSet, all_norms, decode_codes
 from .pair_spectrum import (
-    MAX_PAIRS,
     PairSpectrum,
     SplitPointSet,
     _pair_chunk,
+    _require_scannable,
     _split_norm_classes,
     achieved_pairs,
     difference_histogram,
@@ -56,6 +56,9 @@ from .pair_spectrum import (
     pair_spectrum,
     spectrum_energy,
 )
+
+# Largest |r_hat - q^4 E_hat conj(E_hat o R^-1)| a correlation-transform check passes.
+CORRELATION_TOLERANCE = 1e-8
 
 
 def _require_plane_pair(e: SplitPointSet) -> None:
@@ -99,8 +102,7 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> Co
     _require_plane_pair(e)
     q = e.field.q
     n = len(e)
-    if n * n > MAX_PAIRS:
-        raise SizeGuardError(f"{n}^2 pairs exceed the scan limit {MAX_PAIRS}")
+    _require_scannable(n, n)
     first = decode_codes(q, 2, e.first_codes())
     second = decode_codes(q, 2, e.second_codes())
     rt1, rt2 = _rotated_halves(e, theta, "first")
@@ -127,8 +129,8 @@ class CorrelationTransformReport:
     passed: bool
 
 
-def correlation_transform_check(e: SplitPointSet, theta: Rotation, phi: Rotation,
-                                tolerance: float = 1e-8) -> CorrelationTransformReport:
+def correlation_transform_check(e: SplitPointSet, theta: Rotation,
+                                phi: Rotation) -> CorrelationTransformReport:
     """Check r_hat(m', m'') = q^4 E_hat(m', m'') conj(E_hat(inv theta m', inv phi m'')).
 
     The frequency argument carries the INVERSE rotations (the matrices are
@@ -147,7 +149,7 @@ def correlation_transform_check(e: SplitPointSet, theta: Rotation, phi: Rotation
     rotated_index = perm_t[m_first] * (q * q) + perm_p[m_second]
     rhs = float(q) ** 4 * e_hat * np.conj(e_hat[rotated_index])
     dev = float(np.max(np.abs(r_hat - rhs)))
-    return CorrelationTransformReport(q, theta, phi, dev, dev <= tolerance)
+    return CorrelationTransformReport(q, theta, phi, dev, dev <= CORRELATION_TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -238,8 +240,7 @@ class EnergyChainReport:
 
 
 def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
-                       spectrum: PairSpectrum | None = None,
-                       split_rel_tolerance: float = 1e-6) -> EnergyChainReport:
+                       spectrum: PairSpectrum | None = None) -> EnergyChainReport:
     """Certify lhs <= rhs with exact integers and cross-check the split.
 
     lhs is the squared mass of the pair spectrum.  rhs is the rotation-summed
@@ -249,7 +250,7 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
         with w_0 = |SO2| and w_t = 1 otherwise, a float-free cross-check;
       - the frequency-class split of rhs, whose zero class must equal
         |SO2|^2 |E|^2 |F|^2 / q^4 and whose total must match rhs to a
-        relative tolerance.
+        relative 1e-6.
     """
     _require_plane_pair(e)
     _require_plane_pair(f)
@@ -284,7 +285,7 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
         zero_term=split.zero_formula, zero_float=split.zero, zero_agrees=zero_agrees,
         mixed_term=split.mixed, nonzero_term=split.nonzero,
-        split_residual=residual, split_ok=residual <= split_rel_tolerance,
+        split_residual=residual, split_ok=residual <= 1e-6,
         overcount=overcount, overcount_matches=(rhs - lhs == overcount),
     )
 
@@ -333,8 +334,7 @@ class SphereMassReport:
     holds: bool
 
 
-def sphere_restricted_mass(e: SplitPointSet, a: int,
-                           rel_tolerance: float = 1e-9) -> SphereMassReport:
+def sphere_restricted_mass(e: SplitPointSet, a: int) -> SphereMassReport:
     """sum over |m'| = a of |E_hat(m', 0)|^2 against sqrt(3) q^-6 |E|^(3/2).
 
     E's transform is computed on the first call and reused for every radius.
@@ -348,7 +348,7 @@ def sphere_restricted_mass(e: SplitPointSet, a: int,
     value = float(np.sum(np.abs(restricted) ** 2))
     bound = float(np.sqrt(3.0)) * float(q) ** -6 * float(len(e)) ** 1.5
     return SphereMassReport(q, a, len(e), value, bound,
-                            value <= bound * (1.0 + rel_tolerance))
+                            value <= bound * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -383,12 +383,12 @@ def coverage_min_bound(e: SplitPointSet, f: SplitPointSet, constant_c: float = 1
     _require_plane_pair(f)
     if len(e) == 0 or len(f) == 0:
         raise ValueError("coverage bound needs nonempty sets")
-    if constant_c <= 0:
-        raise ValueError("constant_c must be positive")
+    if not (np.isfinite(constant_c) and constant_c > 0):
+        raise ValueError("constant_c must be finite and positive")
     q = e.field.q
     if spectrum is None:
         spectrum = pair_spectrum(e, f)
-    achieved = len(achieved_pairs(spectrum))
+    achieved = int(np.count_nonzero(spectrum.s))
     so2_size = len(enumerate_so2(e.field))
     product = len(e) * len(f)
     branch_mass = product / (3.0 * q**4)

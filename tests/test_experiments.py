@@ -114,12 +114,21 @@ def test_config_validation():
         ExperimentConfig(q=7, density=1.5)
     with pytest.raises(ValueError):
         ExperimentConfig(q=7, instances=0)
+    for strip_len in (0, 8, 20):
+        with pytest.raises(ValueError, match="strip length"):
+            ExperimentConfig(q=7, strip_len=strip_len)
+    for constant_c in (0.0, -3.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="constant_c"):
+            ExperimentConfig(q=7, constant_c=constant_c)
+    assert ExperimentConfig(q=7, strip_len=7, constant_c=0.5).strip_len == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ExperimentConfig(q=7).suite = "nope"  # run_suite trusts the validated suite
 
 
 def test_all_suites_pass_q3():
     for suite in ("lemmas", "coverage", "energy", "sharpness"):
         cfg = ExperimentConfig(q=3, suite=suite, instances=4, oracle_instances=4, seed=2)
-        rep = run_suite(suite, cfg)
+        rep = run_suite(cfg)
         assert rep.all_pass, [c for c in rep.checks if not c.passed]
         assert rep.suite == suite
         assert rep.config["q"] == 3
@@ -127,8 +136,8 @@ def test_all_suites_pass_q3():
 
 def test_report_json_deterministic():
     cfg = ExperimentConfig(q=3, suite="energy", instances=3, seed=4)
-    r1 = run_suite("energy", cfg).to_json_dict()
-    r2 = run_suite("energy", cfg).to_json_dict()
+    r1 = run_suite(cfg).to_json_dict()
+    r2 = run_suite(cfg).to_json_dict()
     r1.pop("duration_ms")
     r2.pop("duration_ms")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
@@ -137,7 +146,7 @@ def test_report_json_deterministic():
 def test_report_json_is_serializable_for_all_suites():
     for suite in ("lemmas", "coverage", "energy", "sharpness"):
         cfg = ExperimentConfig(q=3, suite=suite, instances=3, oracle_instances=3, seed=1)
-        text = run_suite(suite, cfg).to_json_text()
+        text = run_suite(cfg).to_json_text()
         parsed = json.loads(text)
         assert parsed["schema"] == 1
         assert isinstance(parsed["checks"], list) and parsed["checks"]
@@ -148,7 +157,7 @@ def test_report_json_is_serializable_for_all_suites():
 def test_skipped_checks_count_as_passing():
     # q = 5 is 1 mod 4: rotation-dependent lemmas skip but the suite passes.
     cfg = ExperimentConfig(q=5, suite="lemmas", instances=3, seed=1)
-    rep = run_suite("lemmas", cfg)
+    rep = run_suite(cfg)
     assert rep.all_pass
     skipped = [c for c in rep.checks if c.payload.get("skipped")]
     assert any(c.name == "so2-orbit" for c in skipped)
@@ -172,8 +181,8 @@ def _fail_on_call(monkeypatch, name, index, fail):
 def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
     lemmas = ExperimentConfig(q=7, suite="lemmas", instances=3, seed=5)
     coverage = ExperimentConfig(q=7, suite="coverage", instances=3, oracle_instances=2, seed=5)
-    for suite, cfg in (("lemmas", lemmas), ("coverage", coverage)):
-        rep = run_suite(suite, cfg)
+    for cfg in (lemmas, coverage):
+        rep = run_suite(cfg)
         assert rep.all_pass
         assert not any("first_failure" in c.payload for c in rep.checks)
 
@@ -190,14 +199,14 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
         return dataclasses.replace(report, cell_ok=cell_ok, all_ok=False)
 
     _fail_on_call(monkeypatch, "discrepancy_report", 2, bad_cell)
-    checks = {c["name"]: c for c in run_suite("lemmas", lemmas).to_json_dict()["checks"]}
+    checks = {c["name"]: c for c in run_suite(lemmas).to_json_dict()["checks"]}
     assert not checks["marginal-mass"]["pass"]
     assert checks["marginal-mass"]["payload"]["first_failure"] == {
         "instance": 1, "seed": 5, "cell": None}
     assert not checks["sphere-restricted-mass"]["pass"]
     assert checks["sphere-restricted-mass"]["payload"]["first_failure"] == {
         "instance": 1, "seed": 5, "cell": 3}
-    checks = {c["name"]: c for c in run_suite("coverage", coverage).to_json_dict()["checks"]}
+    checks = {c["name"]: c for c in run_suite(coverage).to_json_dict()["checks"]}
     assert not checks["discrepancy"]["pass"]
     assert checks["discrepancy"]["payload"]["first_failure"] == {
         "instance": 2, "seed": 5, "cell": [2, 3]}
@@ -205,7 +214,7 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
 
 def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
     cfg = ExperimentConfig(q=7, suite="energy", instances=3, seed=5)
-    rep = run_suite("energy", cfg)
+    rep = run_suite(cfg)
     assert rep.all_pass
     assert not any("first_failure" in c.payload for c in rep.checks)
 
@@ -233,7 +242,7 @@ def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
     _fail_on_call(monkeypatch, "coverage_min_bound", 0, replaced(holds=False, c_dominates=False))
     _fail_on_call(monkeypatch, "coverage_min_bound", 2, replaced(holds=False, c_dominates=True))
 
-    checks = {c["name"]: c for c in run_suite("energy", cfg).to_json_dict()["checks"]}
+    checks = {c["name"]: c for c in run_suite(cfg).to_json_dict()["checks"]}
     assert sampled[0] != sampled[1]
     expected = {
         "energy-chain": (1, None),
@@ -256,7 +265,7 @@ def test_loaded_sets_override_generation():
     rng = np.random.default_rng(1)
     e = SplitPointSet(field, 2, 2, rng.choice(7**4, 400, replace=False))
     cfg = ExperimentConfig(q=7, suite="coverage", seed=1)
-    rep = run_suite("coverage", cfg, e_set=e)
+    rep = run_suite(cfg, e_set=e)
     names = [c.name for c in rep.checks]
     assert "discrepancy (loaded sets)" in names
     assert rep.all_pass
@@ -270,9 +279,9 @@ def test_loaded_sets_must_match_config():
     other_split = SplitPointSet(field, 1, 3, e.codes)
     cfg = ExperimentConfig(q=7, suite="coverage", seed=1)
     with pytest.raises(ValueError, match=r"set E has q = 11.*asks for q = 7"):
-        run_suite("coverage", cfg, e_set=other_q)
+        run_suite(cfg, e_set=other_q)
     with pytest.raises(ValueError, match=r"set F has q = 7, split \(1, 3\).*split \(2, 2\)"):
-        run_suite("energy", ExperimentConfig(q=7, suite="energy"), e_set=e, f_set=other_split)
+        run_suite(ExperimentConfig(q=7, suite="energy"), e_set=e, f_set=other_split)
 
 
 def test_energy_suite_runs_without_numpy_fft():
@@ -306,6 +315,18 @@ def test_cli_rejects_bad_modulus():
 def test_cli_rejects_wrong_suite_shape():
     p = _cli("--q", "5", "--suite", "energy")
     assert p.returncode == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ("--suite", "coverage", "--generator", "strip", "--strip-len", "20"),
+    ("--suite", "coverage", "--generator", "strip", "--strip-len", "0"),
+    ("--suite", "lemmas", "--constant-c", "-3"),
+    ("--suite", "lemmas", "--constant-c", "nan"),
+], ids=["strip-len-20", "strip-len-0", "constant-c-neg", "constant-c-nan"])
+def test_cli_rejects_out_of_range_flags(flags):
+    p = _cli("--q", "7", "--instances", "1", "--oracle-instances", "1", *flags)
+    assert p.returncode == 2, p.stdout[-500:]
+    assert p.stdout == ""
 
 
 def test_cli_stdout_deterministic():

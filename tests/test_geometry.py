@@ -1,18 +1,24 @@
 """Vector encoding, norms, spheres, and point-set containers."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqdist import (
+    ExperimentConfig,
     PointSet,
     SizeGuardError,
     SplitPointSet,
     all_norms,
     decode_codes,
+    difference_histogram,
     encode_vectors,
     enumerate_sphere,
+    generate_set,
+    indicator_table,
     load_point_set,
     make_field,
     norm_fiber_sizes,
@@ -95,6 +101,25 @@ def test_all_norms_cached_and_readonly():
 def test_all_norms_guard():
     with pytest.raises(SizeGuardError):
         all_norms(101, 4)  # 104 million codes
+
+
+def test_one_enumeration_limit_moves_every_guard(monkeypatch):
+    field = make_field(3)
+    e = SplitPointSet(field, 2, 2, [0, 5, 40])
+    assert all_norms(3, 4) is all_norms(3, 4)  # cached before the limit drops
+    assert len(e.transform) == 3**4  # cached, so difference_histogram builds no indicator table
+    monkeypatch.setattr(importlib.import_module("fqdist.geometry"), "MAX_ENUMERATION", 3**4 - 1)
+    for refused in (
+        lambda: all_norms(3, 4),
+        lambda: PointSet.full(field, 4),
+        lambda: SplitPointSet.full(field, 2, 2),
+        lambda: indicator_table(e.as_point_set()),
+        lambda: difference_histogram(e, e),
+        lambda: generate_set(ExperimentConfig(q=3, generator="bernoulli"), "E"),
+    ):
+        with pytest.raises(SizeGuardError, match="enumeration limit 80$"):
+            refused()
+    assert len(PointSet.full(field, 3)) == 27
 
 
 def test_point_set_canonicalizes():

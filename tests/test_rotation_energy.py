@@ -180,7 +180,7 @@ def test_residue_guard_raises(monkeypatch):
 def test_rhs_route_size_guard(monkeypatch):
     e = _random_plane_pair_set(3, 10, 15)
     spectrum = pair_spectrum(e, e)
-    monkeypatch.setattr(importlib.import_module("fqdist.pair_spectrum"), "MAX_ENUMERATION", 3**4 - 1)
+    monkeypatch.setattr(importlib.import_module("fqdist.geometry"), "MAX_ENUMERATION", 3**4 - 1)
     with pytest.raises(SizeGuardError, match="enumeration limit"):
         energy_chain_check(e, e, spectrum)
 
@@ -287,6 +287,9 @@ def test_coverage_min_bound_full_q3():
     assert rep.branch_mixed == pytest.approx(0.9)
     assert rep.branch_group == pytest.approx(81 / 48)
     assert rep.min_bound == pytest.approx(0.9)
+    for constant_c in (0.0, -3.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            coverage_min_bound(full, full, constant_c)
 
 
 def test_strip_scan_frozen():
