@@ -52,7 +52,6 @@ from .fourier import (
 )
 from .geometry import (
     PointSet,
-    Sphere,
     all_norms,
     decode_codes,
     encode_vectors,
@@ -73,7 +72,6 @@ from .pair_spectrum import (
     distance_set,
     load_split_point_set,
     marginal_spectral_mass,
-    pair_spectrum,
     pair_spectrum_fast,
     pair_spectrum_naive,
     read_spectrum_csv,
@@ -116,13 +114,13 @@ __all__ = [
     "exact_phase_histogram", "forward_transform", "forward_transform_direct",
     "indicator_table", "inverse_transform", "orthogonality_check",
     "plancherel_gap", "sphere_decay_check",
-    "PointSet", "Sphere", "all_norms", "decode_codes",
+    "PointSet", "all_norms", "decode_codes",
     "encode_vectors", "enumerate_sphere", "load_point_set",
     "norm_fiber_sizes", "save_point_set",
     "DiscrepancyReport", "MarginalMassReport", "PairSpectrum",
     "SplitPointSet", "SurjectivityCheck", "achieved_pairs",
     "difference_histogram", "discrepancy_report", "distance_set",
-    "load_split_point_set", "marginal_spectral_mass", "pair_spectrum",
+    "load_split_point_set", "marginal_spectral_mass",
     "pair_spectrum_fast", "pair_spectrum_naive", "read_spectrum_csv",
     "spectrum_energy", "spectrum_energy_bruteforce", "surjectivity_check",
     "write_spectrum_csv",

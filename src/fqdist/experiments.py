@@ -31,7 +31,14 @@ from .fourier import (
     plancherel_gap,
     sphere_decay_check,
 )
-from .geometry import PointSet, _require_enumerable, all_norms, decode_codes, norm_fiber_sizes
+from .geometry import (
+    PointSet,
+    _require_enumerable,
+    decode_codes,
+    encode_vectors,
+    enumerate_sphere,
+    norm_fiber_sizes,
+)
 from .pair_spectrum import (
     SplitPointSet,
     _coverage_threshold,
@@ -157,14 +164,6 @@ def _near_full_codes(cfg: ExperimentConfig, field: PrimeField, instance: int) ->
     return np.nonzero(keep)[0].astype(np.int64)
 
 
-def _circle_codes(field: PrimeField, which_bit: int) -> np.ndarray:
-    """Unit circle embedded in the first plane (E) or the second plane (F)."""
-    q = field.q
-    norms = all_norms(q, 2)
-    circle = np.nonzero(norms == 1 % q)[0].astype(np.int64)
-    return circle * (q * q) if which_bit == 0 else circle
-
-
 def _product_first_factor(cfg: ExperimentConfig, field: PrimeField, instance: int) -> PointSet:
     """Nonempty seeded random subset of F_q^k for product constructions."""
     for attempt in range(64):
@@ -254,7 +253,8 @@ def generate_set(cfg: ExperimentConfig, which: str, instance: int = 0) -> SplitP
     if cfg.generator == "circles":
         if (k, l) != (2, 2):
             raise ValueError("circles need the plane-pair split k = l = 2")
-        return SplitPointSet(field, 2, 2, _circle_codes(field, which_bit))
+        circle = enumerate_sphere(field, 2, 1).codes  # the unit circle, in E's or F's plane
+        return SplitPointSet(field, 2, 2, circle * field.q**2 if which_bit == 0 else circle)
     if cfg.generator == "product":
         first = _product_first_factor(cfg, field, instance)
         return SplitPointSet.product(first, PointSet.full(field, l))
@@ -376,7 +376,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         ))
 
     for d in dims:
-        if (q**d) ** 2 > fourier.MAX_QUADRATIC:
+        if fourier._exceeds_quadratic(q, d):
             checks.append(_skip(f"orthogonality d={d}", "orthogonality_check",
                                 f"q^2d = {(q**d)**2} phases exceed the brute-force budget"))
             continue
@@ -406,7 +406,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
 
     # Round-trip and the defining-sum route, on the largest ambient that the
     # quadratic route still allows.
-    rt_dims = [d for d in dims if (q**d) ** 2 <= fourier.MAX_QUADRATIC]
+    rt_dims = [d for d in dims if not fourier._exceeds_quadratic(q, d)]
     if rt_dims:
         d = rt_dims[-1]
         gen = substream(cfg.seed, _T_PLANCHEREL, 99, d)
@@ -436,10 +436,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         m = [int(x) for x in gen.integers(0, q, size=d)]
         hist = exact_phase_histogram(ps, m)
         spec = forward_transform(indicator_table(ps))
-        code = 0
-        for x in m:
-            code = code * q + x
-        phase_worst = max(phase_worst, abs(hist.coefficient() - spec.coeffs[code]))
+        phase_worst = max(phase_worst, abs(hist.coefficient() - spec.coeffs[encode_vectors(q, m)]))
     checks.append(CheckResult(
         "phase-histogram-agreement", "exact_phase_histogram",
         phase_worst <= 1e-10, {"max_abs_disagreement": phase_worst},

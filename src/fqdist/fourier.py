@@ -26,6 +26,11 @@ from .geometry import PointSet, _require_enumerable, all_norms, decode_codes
 MAX_QUADRATIC = 6 * 10**7
 
 
+def _exceeds_quadratic(q: int, d: int) -> bool:
+    """True when q^2d phase evaluations exceed MAX_QUADRATIC (read on every call)."""
+    return (q**d) ** 2 > MAX_QUADRATIC
+
+
 @lru_cache(maxsize=32)
 def _kernel(q: int) -> np.ndarray:
     """K[m, x] = chi(-m x) on scalars; symmetric, and conj(K) inverts it."""
@@ -93,7 +98,7 @@ def forward_transform_direct(f: DensityTable) -> SpectralTable:
     """
     q, d = f.field.q, f.d
     n = q**d
-    if n * n > MAX_QUADRATIC:
+    if _exceeds_quadratic(q, d):
         raise SizeGuardError(
             f"defining-sum transform needs q^2d = {n * n} phases; "
             "use forward_transform instead"
@@ -133,7 +138,7 @@ def orthogonality_check(field: PrimeField, d: int) -> OrthogonalityReport:
     """Sum chi(x.m) over all x for every m, by brute force (guarded)."""
     q = field.q
     n = q**d
-    if n * n > MAX_QUADRATIC:
+    if _exceeds_quadratic(q, d):
         raise SizeGuardError(
             f"orthogonality brute force needs q^2d = {n * n} phases; too large"
         )

@@ -89,32 +89,14 @@ def norm_fiber_sizes(field: PrimeField, d: int) -> np.ndarray:
     return np.bincount(all_norms(field.q, d), minlength=field.q).astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class Sphere:
-    """The sphere of radius t (norm value t) in F_q^d, points enumerated."""
-
-    field: PrimeField
-    d: int
-    t: int
-    codes: np.ndarray  # ascending, which is lexicographic on coordinates
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    @property
-    def points(self) -> list[tuple[int, ...]]:
-        return [tuple(int(x) for x in row) for row in decode_codes(self.field.q, self.d, self.codes)]
-
-
-def enumerate_sphere(field: PrimeField, d: int, t: int) -> Sphere:
-    """All points of F_q^d with norm t, in lexicographic order.
+def enumerate_sphere(field: PrimeField, d: int, t: int) -> PointSet:
+    """All points of F_q^d with norm t, codes ascending (lexicographic order).
 
     Refuses oversized ambients (in all_norms); for counts use norm_fiber_sizes.
     """
-    t = t % field.q
-    norms = all_norms(field.q, d)
-    codes = np.nonzero(norms == t)[0].astype(np.int64)
-    return Sphere(field, d, t, codes)
+    codes = np.flatnonzero(all_norms(field.q, d) == t % field.q)
+    codes.setflags(write=False)  # nobody else holds it, so the set need not copy it
+    return PointSet(field, d, codes)
 
 
 def _canonical_codes(codes, ambient: int) -> np.ndarray:

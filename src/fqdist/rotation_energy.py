@@ -11,10 +11,11 @@ R = (theta, phi) it counts quadruples with x - y = R(z - w), which is
 sum_v D(v) D(R v) over the difference histogram D of E - F.  D is
 pair_spectrum.difference_histogram, the same exact integer array whose
 norm-class sums are the pair spectrum.  Three cross-checks:
-  - the literal pair count rotation_correlation, which the energy suite
-    compares with the transform identity on sampled rotation pairs
-    (correlation_transform_check) and the tests compare with every
-    rotation pair's term of rhs;
+  - the literal pair count rotation_correlation, which visits all |E|^2
+    pairs and reads each half of x - R z from one q^2 x q^2 plane-difference
+    table, with no transform.  The energy suite compares it with the
+    transform identity on sampled rotation pairs (correlation_transform_check)
+    and the tests compare it with every rotation pair's term of rhs;
   - the split of the right side into zero, mixed, and nonzero frequency
     classes through the character transform, which must agree to a relative
     tolerance;
@@ -43,7 +44,7 @@ from .field import (
     rotation_inverse,
 )
 from .fourier import DensityTable, forward_transform
-from .geometry import PointSet, all_norms, decode_codes
+from .geometry import PointSet, _require_enumerable, enumerate_sphere
 from .pair_spectrum import (
     PairSpectrum,
     SplitPointSet,
@@ -82,40 +83,33 @@ class CorrelationTable:
         return int(self.counts.sum())
 
 
-def _rotated_halves(s: SplitPointSet, rot: Rotation, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the chosen half of every point, rotated by rot."""
-    q = s.field.q
-    codes = s.first_codes() if which == "first" else s.second_codes()
-    rotated = rotation_code_permutation(s.field, rot)[codes]
-    return rotated // q, rotated % q
-
-
-def _half_diff_codes(x1, x2, z1, z2, q: int) -> np.ndarray:
-    """Codes of x - z over all (row, column) pairs of plane vectors."""
-    u1 = (x1[:, None] - z1[None, :]) % q
-    u2 = (x2[:, None] - z2[None, :]) % q
-    return u1 * q + u2
-
-
 def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> CorrelationTable:
-    """Count pairs (x, z) in E^2 by the value (x' - theta z', x'' - phi z'')."""
+    """Count pairs (x, z) in E^2 by the value (x' - theta z', x'' - phi z'').
+
+    Every one of the |E|^2 pairs is visited, with no transform: each half of
+    a pair is one gather from the plane-difference table
+    pdiff[c_x, c_z] = code(x - z), which has q^2 x q^2 cells.
+    """
     _require_plane_pair(e)
     q = e.field.q
     n = len(e)
     _require_scannable(n, n)
-    first = decode_codes(q, 2, e.first_codes())
-    second = decode_codes(q, 2, e.second_codes())
-    rt1, rt2 = _rotated_halves(e, theta, "first")
-    rp1, rp2 = _rotated_halves(e, phi, "second")
-    flat = np.zeros(q**4, dtype=np.int64)
+    cells = _require_enumerable(q, 4)  # the table and the histogram are both q^4 cells
+    plane = q * q
+    axis = np.arange(q)
+    diff = (axis[:, None] - axis[None, :]) % q
+    pdiff = (diff[:, None, :, None] * q + diff[None, :, None, :]).reshape(plane, plane)
+    first, second = e.first_codes(), e.second_codes()
+    rotated_first = rotation_code_permutation(e.field, theta)[first]
+    rotated_second = rotation_code_permutation(e.field, phi)[second]
+    flat = np.zeros(cells, dtype=np.int64)
     chunk = _pair_chunk(max(n, 1))
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
-        pu = _half_diff_codes(first[rows, 0], first[rows, 1], rt1, rt2, q)
-        qu = _half_diff_codes(second[rows, 0], second[rows, 1], rp1, rp2, q)
-        joint = (pu * (q * q) + qu).reshape(-1)
-        flat += np.bincount(joint, minlength=q**4)
-    return CorrelationTable(e.field, theta, phi, n, flat.reshape(q * q, q * q))
+        joint = (pdiff[first[rows, None], rotated_first[None, :]] * plane
+                 + pdiff[second[rows, None], rotated_second[None, :]])
+        flat += np.bincount(joint.reshape(-1), minlength=cells)
+    return CorrelationTable(e.field, theta, phi, n, flat.reshape(plane, plane))
 
 
 @dataclass(frozen=True)
@@ -266,15 +260,10 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
     so2_size = len(rotations)
     rhs = sum(int(v) for v in _rotation_pair_energies(e, f, rotations).flat)
 
-    weights = np.ones(q, dtype=object)
-    weights[0] = so2_size
-    overcount = 0
-    for a in range(q):
-        for b in range(q):
-            w = int(weights[a]) * int(weights[b]) - 1
-            if w:
-                v = int(spectrum.s[a, b])
-                overcount += w * v * v
+    # w_a w_b - 1 vanishes off row 0 and column 0, since w_t = 1 for t != 0.
+    s = spectrum.s
+    axis_mass = sum(int(v) ** 2 for v in (*s[0, 1:], *s[1:, 0]))
+    overcount = (so2_size**2 - 1) * int(s[0, 0]) ** 2 + (so2_size - 1) * axis_mass
 
     split = _spectral_split(e, f, so2_size)
     zero_exact = float(split.zero_formula)
@@ -310,14 +299,12 @@ def circle_energy(field: PrimeField, a: int) -> CircleEnergyReport:
     if a == 0:
         raise ValueError("the zero circle is degenerate here; use a != 0")
     q = field.q
-    norms = all_norms(q, 2)
-    codes = np.nonzero(norms == a)[0]
-    coords = decode_codes(q, 2, codes)
+    coords = enumerate_sphere(field, 2, a).coords()
     s1 = (coords[:, 0][:, None] + coords[:, 0][None, :]) % q
     s2 = (coords[:, 1][:, None] + coords[:, 1][None, :]) % q
     sums = np.bincount((s1 * q + s2).reshape(-1), minlength=q * q)
     energy = int(np.dot(sums, sums))
-    size = len(codes)
+    size = len(coords)
     bound = 3 * size * size
     return CircleEnergyReport(q, a, size, energy, bound, energy <= bound)
 
@@ -342,8 +329,7 @@ def sphere_restricted_mass(e: SplitPointSet, a: int) -> SphereMassReport:
     _require_plane_pair(e)
     q = e.field.q
     a = a % q
-    norms = all_norms(q, 2)
-    circle = np.nonzero(norms == a)[0]
+    circle = enumerate_sphere(e.field, 2, a).codes
     restricted = e.transform[circle * (q * q)]  # frequencies (m', 0)
     value = float(np.sum(np.abs(restricted) ** 2))
     bound = float(np.sqrt(3.0)) * float(q) ** -6 * float(len(e)) ** 1.5

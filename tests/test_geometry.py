@@ -72,7 +72,7 @@ def test_sphere_count_law():
 
 def test_unit_circle_q3_frozen():
     s = enumerate_sphere(make_field(3), 2, 1)
-    assert sorted(s.points) == [(0, 1), (0, 2), (1, 0), (2, 0)]
+    assert sorted(s.points()) == [(0, 1), (0, 2), (1, 0), (2, 0)]
 
 
 def test_sphere_size_frozen_731():

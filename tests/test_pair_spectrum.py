@@ -1,6 +1,5 @@
 """Two-block pair spectra: exact counting, dual routes, certificates."""
 
-import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -8,22 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fqdist.pair_spectrum as spectrum_module
 from fqdist import (
     PointSet,
     SplitPointSet,
     achieved_pairs,
-    all_norms,
     difference_histogram,
     discrepancy_report,
     distance_set,
     encode_vectors,
+    enumerate_sphere,
     forward_transform,
     indicator_table,
     load_split_point_set,
     make_field,
     marginal_spectral_mass,
     norm_fiber_sizes,
-    pair_spectrum,
     pair_spectrum_fast,
     pair_spectrum_naive,
     read_spectrum_csv,
@@ -33,6 +32,7 @@ from fqdist import (
     surjectivity_check,
     write_spectrum_csv,
 )
+from fqdist.pair_spectrum import pair_spectrum
 
 
 def _random_split(q, k, l, size, seed):
@@ -60,13 +60,12 @@ def test_split_set_rejects_bad_dims():
 
 
 def test_split_set_transform_cached_and_bit_identical(monkeypatch):
-    module = importlib.import_module("fqdist.pair_spectrum")
     e = _random_split(7, 2, 2, 300, 11)
     f = _random_split(7, 2, 2, 200, 12)
     fresh = forward_transform(indicator_table(e.as_point_set())).coeffs
     calls = []
-    real = module.forward_transform
-    monkeypatch.setattr(module, "forward_transform", lambda t: calls.append(t) or real(t))
+    real = spectrum_module.forward_transform
+    monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
     assert np.array_equal(e.transform, fresh)
     assert not e.transform.flags.writeable
     pair_spectrum_fast(e, f)
@@ -170,7 +169,7 @@ def test_circles_spectrum_frozen():
     # exactly one realized pair, (1, 1), carrying all of |E||F|.
     for q in (3, 7, 11):
         field = make_field(q)
-        circle = np.nonzero(all_norms(q, 2) == 1)[0]
+        circle = enumerate_sphere(field, 2, 1).codes
         e = SplitPointSet(field, 2, 2, circle * q * q)
         f = SplitPointSet(field, 2, 2, circle)
         spec = pair_spectrum(e, f)

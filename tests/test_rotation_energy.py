@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fqdist.pair_spectrum as spectrum_module
 from fqdist import (
     PointSet,
     PrecisionError,
@@ -23,7 +24,6 @@ from fqdist import (
     forward_transform,
     indicator_table,
     make_field,
-    pair_spectrum,
     pair_spectrum_fast,
     plane_strip_scan,
     rotation_apply,
@@ -33,6 +33,7 @@ from fqdist import (
     sphere_restricted_mass,
     write_circle_energy_csv,
 )
+from fqdist.pair_spectrum import pair_spectrum
 
 
 def _random_plane_pair_set(q, size, seed):
@@ -60,22 +61,24 @@ def test_correlation_total_is_pair_count():
 
 
 def test_correlation_identity_rotation_counts_differences():
-    # With both rotations the identity, r(u) counts difference pairs directly.
-    e = _random_plane_pair_set(3, 15, 2)
+    # r(u) counts the differences (x' - theta z', x'' - phi z''), recomputed
+    # here pair by pair through rotation_apply; the identity counts x - z.
     ident = Rotation(1, 0)
-    table = rotation_correlation(e, ident, ident)
-    q = 3
-    first = e.first_codes()
-    second = e.second_codes()
-    manual = np.zeros((q * q, q * q), dtype=np.int64)
-    f1 = np.stack([first // q, first % q], axis=1)
-    f2 = np.stack([second // q, second % q], axis=1)
-    for i in range(len(e)):
-        for j in range(len(e)):
-            d1 = tuple((f1[i] - f1[j]) % q)
-            d2 = tuple((f2[i] - f2[j]) % q)
-            manual[d1[0] * q + d1[1], d2[0] * q + d2[1]] += 1
-    assert np.array_equal(table.counts, manual)
+    for q, size, seed in [(3, 15, 2), (3, 20, 21), (7, 40, 22)]:
+        e = _random_plane_pair_set(q, size, seed)
+        rots = enumerate_so2(e.field)
+        first = [(c // q, c % q) for c in e.first_codes().tolist()]
+        second = [(c // q, c % q) for c in e.second_codes().tolist()]
+        for theta, phi in [(ident, ident), (rots[0], rots[-1]), (rots[1], ident)]:
+            manual = np.zeros((q * q, q * q), dtype=np.int64)
+            for x1, x2 in zip(first, second):
+                for z1, z2 in zip(first, second):
+                    r1 = rotation_apply(e.field, theta, z1)
+                    r2 = rotation_apply(e.field, phi, z2)
+                    u1 = (x1[0] - r1[0]) % q * q + (x1[1] - r1[1]) % q
+                    u2 = (x2[0] - r2[0]) % q * q + (x2[1] - r2[1]) % q
+                    manual[u1, u2] += 1
+            assert np.array_equal(rotation_correlation(e, theta, phi).counts, manual)
 
 
 def test_correlation_transform_identity():
@@ -167,14 +170,22 @@ def test_residue_guard_raises(monkeypatch):
     f = _random_plane_pair_set(3, 35, 14)
     spectrum = pair_spectrum(e, f)
     self_spectrum = pair_spectrum(e, e)
-    # The package re-exports a function named pair_spectrum, so patch by module object.
-    monkeypatch.setattr(importlib.import_module("fqdist.pair_spectrum"), "CONVOLUTION_RESIDUE", -1.0)
+    monkeypatch.setattr("fqdist.pair_spectrum.CONVOLUTION_RESIDUE", -1.0)
     with pytest.raises(PrecisionError, match="^difference histogram residue"):
         energy_chain_check(e, f, spectrum)
     with pytest.raises(PrecisionError, match="^difference histogram residue"):
         energy_chain_check(e, e, self_spectrum)
     with pytest.raises(PrecisionError, match="^difference histogram residue"):
         pair_spectrum_fast(e, f)
+
+
+def test_rotation_correlation_size_guard(monkeypatch):
+    # The q^2 x q^2 difference table and the histogram are q^4 cells each.
+    e = _random_plane_pair_set(3, 10, 15)
+    theta, phi = enumerate_so2(e.field)[1:3]
+    monkeypatch.setattr(importlib.import_module("fqdist.geometry"), "MAX_ENUMERATION", 3**4 - 1)
+    with pytest.raises(SizeGuardError, match="enumeration limit"):
+        rotation_correlation(e, theta, phi)
 
 
 def test_rhs_route_size_guard(monkeypatch):
@@ -224,7 +235,7 @@ def test_circle_energy_quadruple_bruteforce_q3():
 
     from fqdist import enumerate_sphere
 
-    pts = enumerate_sphere(make_field(3), 2, 1).points
+    pts = enumerate_sphere(make_field(3), 2, 1).points()
     count = sum(
         1
         for u, v, up, vp in product(pts, repeat=4)
@@ -242,13 +253,12 @@ def test_sphere_restricted_mass_bound():
 
 
 def test_sphere_restricted_mass_transforms_once(monkeypatch):
-    module = importlib.import_module("fqdist.pair_spectrum")
     q = 7
     e = _random_plane_pair_set(q, 500, 9)
     fresh = forward_transform(indicator_table(e.as_point_set())).coeffs
     calls = []
-    real = module.forward_transform
-    monkeypatch.setattr(module, "forward_transform", lambda t: calls.append(t) or real(t))
+    real = spectrum_module.forward_transform
+    monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
     for a in range(1, q):
         circle = np.nonzero(all_norms(q, 2) == a)[0]
         expected = float(np.sum(np.abs(fresh[circle * q * q]) ** 2))
@@ -257,10 +267,9 @@ def test_sphere_restricted_mass_transforms_once(monkeypatch):
 
 
 def test_energy_checks_transform_each_set_once(monkeypatch):
-    module = importlib.import_module("fqdist.pair_spectrum")
     calls = []
-    real = module.forward_transform
-    monkeypatch.setattr(module, "forward_transform", lambda t: calls.append(t) or real(t))
+    real = spectrum_module.forward_transform
+    monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
     e = _random_plane_pair_set(7, 300, 10)
     f = _random_plane_pair_set(7, 200, 11)
     theta, phi = enumerate_so2(e.field)[1:3]
