@@ -12,7 +12,15 @@ import csv
 import sys
 
 from .errors import SizeGuardError
-from .experiments import GENERATORS, SUITES, ExperimentConfig, RunReport, run_suite
+from .experiments import (
+    GENERATORS,
+    SET_KNOBS,
+    SUITE_KNOBS,
+    SUITES,
+    ExperimentConfig,
+    RunReport,
+    run_suite,
+)
 from .pair_spectrum import SplitPointSet, load_split_point_set, write_spectrum_csv
 from .rotation_energy import write_circle_energy_csv
 
@@ -33,13 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dimension of the second block (default 2)")
     parser.add_argument("--suite", choices=SUITES, default="lemmas",
                         help="which suite of checks to run (default lemmas)")
-    parser.add_argument("--generator", choices=GENERATORS, default="bernoulli",
+    parser.add_argument("--generator", choices=GENERATORS, default=None,
                         help="how seeded instances draw their sets (default bernoulli)")
     parser.add_argument("--density", type=float, default=None,
                         help="fixed inclusion probability; omit to draw one per instance")
     parser.add_argument("--strip-len", type=int, default=None,
                         help="axis-strip length for strip constructions (default: scan 1..q)")
-    parser.add_argument("--budget", type=int, default=2000,
+    parser.add_argument("--budget", type=int, default=None,
                         help="candidate budget for the missing-distance search (default 2000)")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed; every instance derives from (seed, purpose, index)")
@@ -58,6 +66,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="what --out receives: the JSON report or a CSV artifact")
     return parser
+
+
+def _knobs(args) -> dict:
+    """The set-drawing flags given explicitly; one the run never reads is an error.
+
+    Otherwise the report's config would name, say, a generator that never ran.
+    """
+    read = SUITE_KNOBS[args.suite] if args.e_file is None else ()
+    knobs = {name: getattr(args, name) for name in SET_KNOBS if getattr(args, name) is not None}
+    for name in knobs:
+        if name not in read:
+            where = " on loaded sets" if name in SUITE_KNOBS[args.suite] else ""
+            raise ValueError(f"--{name.replace('_', '-')} is never read by the "
+                             f"{args.suite} suite{where}")
+    return knobs
 
 
 def _load_sets(args) -> tuple[SplitPointSet | None, SplitPointSet | None]:
@@ -96,11 +119,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig(
-            q=args.q, k=args.k, l=args.l, suite=args.suite,
-            generator=args.generator, density=args.density,
-            strip_len=args.strip_len, budget=args.budget, seed=args.seed,
+            q=args.q, k=args.k, l=args.l, suite=args.suite, seed=args.seed,
             constant_c=args.constant_c, instances=args.instances,
-            oracle_instances=args.oracle_instances,
+            oracle_instances=args.oracle_instances, **_knobs(args),
         )
         e_set, f_set = _load_sets(args)
         if e_set is not None and args.suite not in ("coverage", "energy"):

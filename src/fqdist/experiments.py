@@ -64,6 +64,15 @@ from .rotation_energy import (
 
 SUITES = ("lemmas", "coverage", "energy", "sharpness")
 GENERATORS = ("bernoulli", "full", "near-full", "circles", "product", "strip", "sharp-product")
+# The fields of ExperimentConfig that steer how sets are drawn, and those of
+# them that each suite reads.  A suite run on loaded sets draws nothing.
+SET_KNOBS = ("generator", "density", "strip_len", "budget")
+SUITE_KNOBS = {
+    "lemmas": (),
+    "coverage": SET_KNOBS,
+    "energy": (),
+    "sharpness": ("density", "strip_len", "budget"),
+}
 
 # Purpose tags for the counter-based generator; never reuse a value.
 _T_DENSITY = 1

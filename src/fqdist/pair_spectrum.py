@@ -22,7 +22,6 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .geometry import (
     _require_enumerable,
     all_norms,
     decode_codes,
-    encode_vectors,
     load_point_set,
     norm_fiber_sizes,
 )
@@ -98,16 +96,6 @@ class SplitPointSet:
 
     def as_point_set(self) -> PointSet:
         return PointSet(self.field, self.d, self.codes)
-
-    @classmethod
-    def from_vectors(cls, field: PrimeField, k: int, l: int, vectors) -> "SplitPointSet":
-        arr = np.asarray(list(vectors), dtype=np.int64)
-        if arr.size == 0:
-            return cls(field, k, l, np.empty(0, dtype=np.int64))
-        arr = arr % field.q
-        if arr.shape[1] != k + l:
-            raise ValueError(f"expected {k + l} coordinates per point, got {arr.shape[1]}")
-        return cls(field, k, l, encode_vectors(field.q, arr))
 
     @classmethod
     def from_point_set(cls, ps: PointSet, k: int, l: int) -> "SplitPointSet":

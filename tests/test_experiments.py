@@ -23,6 +23,7 @@ from fqdist import (
     search_missing_distance_set,
     substream,
 )
+from fqdist.cli import main as cli_main
 
 
 def _cli(*args):
@@ -327,6 +328,25 @@ def test_cli_rejects_out_of_range_flags(flags):
     p = _cli("--q", "7", "--instances", "1", "--oracle-instances", "1", *flags)
     assert p.returncode == 2, p.stdout[-500:]
     assert p.stdout == ""
+
+
+@pytest.mark.parametrize("flags, suite, named", [
+    (("--suite", "energy", "--generator", "bernoulli"), "energy", "--generator"),
+    (("--suite", "energy", "--density", "0.5"), "energy", "--density"),
+    (("--suite", "lemmas", "--strip-len", "3"), "lemmas", "--strip-len"),
+    (("--suite", "lemmas", "--budget", "2000"), "lemmas", "--budget"),
+    (("--suite", "sharpness", "--generator", "circles"), "sharpness", "--generator"),
+    (("--suite", "coverage", "--e-file", "unread.txt", "--generator", "full"),
+     "coverage suite on loaded sets", "--generator"),
+], ids=["energy-generator", "energy-density", "lemmas-strip-len", "lemmas-budget",
+        "sharpness-generator", "coverage-loaded-generator"])
+def test_cli_rejects_flags_the_suite_never_reads(capsys, flags, suite, named):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--q", "7", "--instances", "1", *flags])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{named} is never read by the {suite}" in err
 
 
 def test_cli_stdout_deterministic():

@@ -1,7 +1,5 @@
 """Prime-field arithmetic, characters, and the rotation group."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 
 from fqdist import (
     MAX_MODULUS,
-    PrimeField,
     Rotation,
     SizeGuardError,
     enumerate_so2,

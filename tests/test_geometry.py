@@ -1,6 +1,7 @@
 """Vector encoding, norms, spheres, and point-set containers."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -218,9 +219,15 @@ def test_load_rejects_malformed(tmp_path):
     ("1,2,7", r"not in \[0, 7\)"),
     ("-1,0,0", r"not in \[0, 7\)"),
     ("99999999999999999999,0,0", r"not in \[0, 7\)"),
+    ("10,0,0", r"not in \[0, 7\)"),
     ("0,1,2", "listed twice"),
     ("0,x,2", "non-integer"),
     ("0,1.5,2", "non-integer"),
+    ("+3,0,0", "non-integer"),
+    ("1_0,0,0", "non-integer"),
+    ("\u0663,0,0", "non-integer"),  # ARABIC-INDIC DIGIT THREE
+    ("0,1,2\r3,3,3", "non-integer"),  # a lone \r ends no line
+    ("3 3,0,0", "non-integer"),
 ])
 def test_load_rejects_noncanonical_points(tmp_path, point, reason):
     path = tmp_path / "bad.txt"
@@ -234,3 +241,84 @@ def test_load_reports_first_repeated_line(tmp_path):
     path.write_text("q=3 dims=2\n2,2\n1,1\n0,0\n1,1\n2,2\n")
     with pytest.raises(ValueError, match=r"line 5: point '1,1' is listed twice"):
         load_point_set(path)
+
+
+@pytest.mark.parametrize("newline, last", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")],
+                         ids=["crlf", "no-final-newline", "crlf-no-final-newline"])
+def test_load_line_endings(tmp_path, newline, last):
+    path = tmp_path / "p.txt"
+    path.write_bytes(newline.join(["q=7 dims=2", "# c", "1, 2", "0,6 "]).encode() + last.encode())
+    loaded, split = load_point_set(path)
+    assert split is None
+    assert loaded.points() == [(0, 6), (1, 2)]
+
+
+_BLANKS = " \t\r\v\f"
+_TOKEN = re.compile(f"[{_BLANKS}]*-?[0-9]+[{_BLANKS}]*")
+
+
+def _reference_load(path):
+    """The point-set grammar read literally, one line at a time.
+
+    Returns ("ok", codes, split) or ("error", line number, kind).
+    """
+    lines = path.read_bytes().decode().split("\n")
+    kept = [(number, line.strip(_BLANKS)) for number, line in enumerate(lines, 1)
+            if line.strip(_BLANKS) and not line.strip(_BLANKS).startswith("#")]
+    fields = dict(token.split("=") for token in kept[0][1].split())
+    q, d = int(fields["q"]), int(fields["dims"])
+    split = tuple(int(v) for v in fields["split"].split(",")) if "split" in fields else None
+    rows = []
+    for number, line in kept[1:]:
+        tokens = line.split(",")
+        if not all(_TOKEN.fullmatch(token) for token in tokens):
+            return "error", number, "non-integer"
+        if len(tokens) != d:
+            return "error", number, "coordinates"
+        rows.append((number, tuple(int(token) for token in tokens)))
+    for number, row in rows:
+        if not all(0 <= x < q for x in row):
+            return "error", number, "range"
+    seen = set()
+    for number, row in rows:
+        if row in seen:
+            return "error", number, "twice"
+        seen.add(row)
+    return "ok", sorted(int(encode_vectors(q, row)) for row in seen), split
+
+
+_KINDS = {"non-integer token": "non-integer", "does not have": "coordinates",
+          "are not in [0,": "range", "is listed twice": "twice"}
+
+
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "4", "5", "6", " 1", "2 ", "\t3", "-0", "05", "9", "-1", "10"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    header=st.sampled_from(["q=11 dims=2", "q=7 dims=1", " q=19 dims=3 split=1,2"]),
+    before=st.lists(st.sampled_from(["", "# note", " \t", "\t# 1,2"]), max_size=2),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    last=st.booleans(),
+    data=st.data(),
+)
+def test_load_matches_reference_parser(tmp_path_factory, header, before, newline, last, data):
+    d = int(header.split("dims=")[1][0])
+    body = data.draw(st.lists(st.one_of(
+        st.lists(_TOKENS, min_size=d, max_size=d).map(",".join),
+        st.lists(_TOKENS, min_size=1, max_size=3).map(",".join),
+        st.text(alphabet="0123456789,,,-  \t#x", max_size=9),
+    ), max_size=8))
+    path = tmp_path_factory.mktemp("fuzz") / "points.txt"
+    path.write_bytes((newline.join([*before, header, *body]) + (newline if last else "")).encode())
+    expected = _reference_load(path)
+    try:
+        loaded, split = load_point_set(path)
+    except ValueError as exc:
+        found = re.fullmatch(rf"{re.escape(str(path))}, line (\d+): (.*)", str(exc), re.S)
+        assert found, exc
+        kind = next(k for text, k in _KINDS.items() if text in found[2])
+        assert expected == ("error", int(found[1]), kind)
+    else:
+        assert expected == ("ok", loaded.codes.tolist(), split)

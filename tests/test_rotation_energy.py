@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import fqdist.pair_spectrum as spectrum_module
 from fqdist import (
-    PointSet,
     PrecisionError,
     Rotation,
     SizeGuardError,
