@@ -87,12 +87,10 @@ from .rotation_energy import (
     CoverageBoundReport,
     EnergyChainReport,
     SphereMassReport,
-    StripScanReport,
     circle_energy,
     correlation_transform_check,
     coverage_min_bound,
     energy_chain_check,
-    plane_strip_scan,
     rotation_correlation,
     sphere_restricted_mass,
     write_circle_energy_csv,
@@ -126,9 +124,8 @@ __all__ = [
     "write_spectrum_csv",
     "CircleEnergyReport", "CorrelationTable", "CorrelationTransformReport",
     "CoverageBoundReport", "EnergyChainReport", "SphereMassReport",
-    "StripScanReport", "circle_energy", "correlation_transform_check",
-    "coverage_min_bound", "energy_chain_check", "plane_strip_scan",
-    "rotation_correlation",
+    "circle_energy", "correlation_transform_check",
+    "coverage_min_bound", "energy_chain_check", "rotation_correlation",
     "sphere_restricted_mass", "write_circle_energy_csv",
     "__version__",
 ]

@@ -15,10 +15,10 @@ from .errors import SizeGuardError
 from .experiments import (
     GENERATORS,
     SET_KNOBS,
-    SUITE_KNOBS,
     SUITES,
     ExperimentConfig,
     RunReport,
+    knobs_read,
     run_suite,
 )
 from .pair_spectrum import SplitPointSet, load_split_point_set, write_spectrum_csv
@@ -73,11 +73,16 @@ def _knobs(args) -> dict:
 
     Otherwise the report's config would name, say, a generator that never ran.
     """
-    read = SUITE_KNOBS[args.suite] if args.e_file is None else ()
+    generator = args.generator or ExperimentConfig.generator
+    if args.e_file is not None:
+        read, where = set(), " on loaded sets"
+    else:
+        read = knobs_read(args.suite, args.q, args.k, args.l, generator)
+        where = {"coverage": f" with --generator {generator}",
+                 "sharpness": f" at q = {args.q}, k = {args.k}, l = {args.l}"}.get(args.suite, "")
     knobs = {name: getattr(args, name) for name in SET_KNOBS if getattr(args, name) is not None}
     for name in knobs:
         if name not in read:
-            where = " on loaded sets" if name in SUITE_KNOBS[args.suite] else ""
             raise ValueError(f"--{name.replace('_', '-')} is never read by the "
                              f"{args.suite} suite{where}")
     return knobs

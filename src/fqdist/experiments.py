@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -58,21 +60,22 @@ from .rotation_energy import (
     correlation_transform_check,
     coverage_min_bound,
     energy_chain_check,
-    plane_strip_scan,
     sphere_restricted_mass,
 )
 
 SUITES = ("lemmas", "coverage", "energy", "sharpness")
-GENERATORS = ("bernoulli", "full", "near-full", "circles", "product", "strip", "sharp-product")
-# The fields of ExperimentConfig that steer how sets are drawn, and those of
-# them that each suite reads.  A suite run on loaded sets draws nothing.
-SET_KNOBS = ("generator", "density", "strip_len", "budget")
-SUITE_KNOBS = {
-    "lemmas": (),
-    "coverage": SET_KNOBS,
-    "energy": (),
-    "sharpness": ("density", "strip_len", "budget"),
+# Each generator, and the set-drawing fields of ExperimentConfig it reads.
+GENERATOR_KNOBS = {
+    "bernoulli": ("density",),
+    "full": (),
+    "near-full": (),
+    "circles": (),
+    "product": ("density",),
+    "strip": ("strip_len",),
+    "sharp-product": ("budget",),
 }
+GENERATORS = tuple(GENERATOR_KNOBS)
+SET_KNOBS = ("generator", "density", "strip_len", "budget")
 
 # Purpose tags for the counter-based generator; never reuse a value.
 _T_DENSITY = 1
@@ -191,6 +194,7 @@ class SearchResult:
     candidates_tried: int
 
 
+@lru_cache(maxsize=8)
 def search_missing_distance_set(field: PrimeField, k: int, budget: int,
                                 seed: int) -> SearchResult:
     """Randomized greedy search for a large E1 in F_q^k avoiding one distance.
@@ -198,7 +202,7 @@ def search_missing_distance_set(field: PrimeField, k: int, budget: int,
     Draws random candidate points and keeps those that never realize the
     target distance against the current set.  Several restarts with different
     excluded distances; the best set wins.  Postcondition re-verified by an
-    independent pairwise scan.
+    independent pairwise scan.  Calls with the same field object share one search.
     """
     if k % 2 == 0:
         raise ValueError("the search targets odd k; even k has no such gap here")
@@ -242,39 +246,50 @@ def search_missing_distance_set(field: PrimeField, k: int, budget: int,
     return SearchResult(ps, best_missing, tried)
 
 
+def _factors(cfg: ExperimentConfig, field: PrimeField, instance: int
+             ) -> tuple[tuple[PointSet, PointSet], tuple[PointSet, PointSet]]:
+    """The factors ((A, B), (C, D)) of E = A x B and F = C x D for a product generator.
+
+    Only circles tell E from F; the others return one pair twice (E = F by identity).
+    """
+    q, k, l = field.q, cfg.k, cfg.l
+    if cfg.generator in ("circles", "strip") and (k, l) != (2, 2):
+        raise ValueError(f"the {cfg.generator} generator needs the plane-pair split k = l = 2")
+    if cfg.generator == "circles":
+        circle, origin = enumerate_sphere(field, 2, 1), PointSet(field, 2, [0])
+        return (circle, origin), (origin, circle)
+    if cfg.generator == "full":
+        pair = PointSet.full(field, k), PointSet.full(field, l)
+    elif cfg.generator == "strip":  # the plane times the axis strip (i, 0), i < length
+        length = cfg.strip_len if cfg.strip_len is not None else (q + 1) // 2
+        pair = PointSet.full(field, 2), PointSet(field, 2, np.arange(length) * q)
+    elif cfg.generator == "product":
+        pair = _product_first_factor(cfg, field, instance), PointSet.full(field, l)
+    elif cfg.generator == "sharp-product":
+        found = search_missing_distance_set(field, k, cfg.budget, cfg.seed)
+        pair = found.point_set, PointSet.full(field, l)
+    else:
+        raise AssertionError(f"{cfg.generator} is not a product generator")
+    return pair, pair
+
+
 def generate_set(cfg: ExperimentConfig, which: str, instance: int = 0) -> SplitPointSet:
     """Deterministic set for (config, E-or-F, instance index).
 
-    Generators full, near-full, product, strip, and sharp-product build E = F
-    by design and ignore which; bernoulli and circles distinguish the two.
+    bernoulli and near-full draw subsets of F_q^(k+l); every other generator
+    is the product of the factors from _factors.  Only bernoulli and circles
+    distinguish E from F.
     """
     which_bit = {"E": 0, "F": 1}.get(which.upper())
     if which_bit is None:
         raise ValueError(f"which must be 'E' or 'F', got {which!r}")
     field = make_field(cfg.q)
-    k, l = cfg.k, cfg.l
     if cfg.generator == "bernoulli":
-        return SplitPointSet(field, k, l, _bernoulli_codes(cfg, field, k + l, instance, which_bit))
-    if cfg.generator == "full":
-        return SplitPointSet.full(field, k, l)
+        codes = _bernoulli_codes(cfg, field, cfg.k + cfg.l, instance, which_bit)
+        return SplitPointSet(field, cfg.k, cfg.l, codes)
     if cfg.generator == "near-full":
-        return SplitPointSet(field, k, l, _near_full_codes(cfg, field, instance))
-    if cfg.generator == "circles":
-        if (k, l) != (2, 2):
-            raise ValueError("circles need the plane-pair split k = l = 2")
-        circle = enumerate_sphere(field, 2, 1).codes  # the unit circle, in E's or F's plane
-        return SplitPointSet(field, 2, 2, circle * field.q**2 if which_bit == 0 else circle)
-    if cfg.generator == "product":
-        first = _product_first_factor(cfg, field, instance)
-        return SplitPointSet.product(first, PointSet.full(field, l))
-    if cfg.generator == "strip":
-        length = cfg.strip_len if cfg.strip_len is not None else (field.q + 1) // 2
-        strip = PointSet.from_vectors(field, 2, [(i, 0) for i in range(length)])
-        return SplitPointSet.product(PointSet.full(field, 2), strip)
-    if cfg.generator == "sharp-product":
-        found = search_missing_distance_set(field, k, cfg.budget, cfg.seed)
-        return SplitPointSet.product(found.point_set, PointSet.full(field, l))
-    raise AssertionError(f"unhandled generator {cfg.generator}")
+        return SplitPointSet(field, cfg.k, cfg.l, _near_full_codes(cfg, field, instance))
+    return SplitPointSet.product(*_factors(cfg, field, instance)[which_bit])
 
 
 def _json_safe(obj):
@@ -747,86 +762,90 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
 # -------------------------------------------------------------- sharpness ---
 
 
+# The paper's sharpness constructions, each a product E = A x B, F = C x D from
+# _factors, checked against the law B(E, F) = Delta(A, C) x Delta(B, D).  Each
+# applies on the (q, k, l) its gate accepts, else is skipped with the reason in
+# needs, and reads the set-drawing fields of its generator.
+Construction = namedtuple("Construction", "check operation generator applies needs")
+SHARPNESS_CONSTRUCTIONS = (
+    Construction("orthogonal-circles", "achieved_pairs", "circles",
+                 lambda q, k, l: (k, l) == (2, 2), "needs the plane-pair split k = l = 2"),
+    Construction("product-law", "achieved_pairs", "product", lambda q, k, l: l >= 2,
+                 "needs l >= 2"),
+    Construction("plane-strip", "plane_strip_scan", "strip",
+                 lambda q, k, l: (k, l) == (2, 2) and q % 4 == 3,
+                 "needs k = l = 2 and q = 3 mod 4"),
+    Construction("missing-distance-product", "search_missing_distance_set", "sharp-product",
+                 lambda q, k, l: k % 2 == 1 and q**k <= MAX_SEARCH_SPACE,
+                 "needs odd k with q^k <= 1e5"),
+)
+
+
+def knobs_read(suite: str, q: int, k: int, l: int, generator: str) -> set[str]:
+    """The set-drawing fields of ExperimentConfig that a suite run on drawn sets reads."""
+    if suite == "coverage":
+        return {"generator", *GENERATOR_KNOBS[generator]}
+    if suite == "sharpness":
+        return {name for c in SHARPNESS_CONSTRUCTIONS if c.applies(q, k, l)
+                for name in GENERATOR_KNOBS[c.generator]}
+    return set()
+
+
+def _sweep(cfg: ExperimentConfig, generator: str) -> list[tuple[int, ExperimentConfig, int]]:
+    """(parameter, config, instance) per product; the parameter is the instance or strip length."""
+    run_cfg = replace(cfg, generator=generator)
+    if generator == "product":
+        return [(i, run_cfg, i) for i in range(cfg.instances)]
+    if generator == "strip":
+        lengths = [cfg.strip_len] if cfg.strip_len is not None else range(1, cfg.q + 1)
+        return [(n, replace(run_cfg, strip_len=n), 0) for n in lengths]
+    return [(0, run_cfg, 0)]
+
+
 def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[CheckResult], dict]:
-    q, k, l = field.q, cfg.k, cfg.l
+    q = field.q
     checks: list[CheckResult] = []
-    artifacts: dict = {}
     rows: list[list] = []
+    for con in SHARPNESS_CONSTRUCTIONS:
+        if not con.applies(q, cfg.k, cfg.l):
+            checks.append(_skip(con.check, con.operation, con.needs))
+            continue
+        failure = None
+        runs = []  # (parameter, A, |E|, |F|, achieved pairs)
+        for parameter, run_cfg, instance in _sweep(cfg, con.generator):
+            factors = _factors(run_cfg, field, instance)
+            (a, b), (c, d) = factors
+            e = SplitPointSet.product(a, b)
+            f = e if factors[1] is factors[0] else SplitPointSet.product(c, d)
+            pairs = achieved_pairs(pair_spectrum(e, f))
+            law = {(s, t) for s in distance_set(a, c) for t in distance_set(b, d)}
+            if failure is None and pairs != law:
+                failure = _failure(cfg, parameter, list(min(pairs ^ law)))
+            runs.append((parameter, a, len(e), len(f), pairs))
 
-    if (k, l) == (2, 2):
-        circles_cfg = replace(cfg, generator="circles")
-        e = generate_set(circles_cfg, "E")
-        f = generate_set(circles_cfg, "F")
-        spectrum = pair_spectrum(e, f)
-        pairs = achieved_pairs(spectrum)
-        expected = {(1 % q, 1 % q)}
-        ok = pairs == expected and spectrum.s[1 % q, 1 % q] == len(e) * len(f)
-        rows.append(["circles", 1, len(e), len(pairs)])
-        checks.append(CheckResult(
-            "orthogonal-circles", "achieved_pairs", ok,
-            {"size_e": len(e), "size_f": len(f), "coverage": len(pairs)},
-        ))
-    else:
-        checks.append(_skip("orthogonal-circles", "achieved_pairs",
-                            "needs the plane-pair split k = l = 2"))
-
-    if l >= 2:
-        prod_ok = True
-        for i in range(cfg.instances):
-            first = _product_first_factor(cfg, field, i)
-            e = SplitPointSet.product(first, PointSet.full(field, l))
-            spectrum = pair_spectrum(e, e)
-            pairs = achieved_pairs(spectrum)
-            delta = distance_set(first)
-            expected = {(a, b) for a in delta for b in range(q)}
-            prod_ok = prod_ok and pairs == expected
-            if i == 0:
-                rows.append(["product", len(first), len(e), len(pairs)])
-        checks.append(CheckResult(
-            "product-law", "achieved_pairs", prod_ok,
-            {"instances": cfg.instances, "k": k, "l": l},
-        ))
-    else:
-        checks.append(_skip("product-law", "achieved_pairs", "needs l >= 2"))
-
-    if (k, l) == (2, 2) and field.q_mod_4 == 3:
-        lengths = [cfg.strip_len] if cfg.strip_len is not None else list(range(1, q + 1))
-        strip_ok = True
-        for length in lengths:
-            rep = plane_strip_scan(field, length)
-            strip_ok = strip_ok and rep.matches
-            rows.append(["strip", length, rep.size, rep.coverage])
-        checks.append(CheckResult(
-            "plane-strip", "plane_strip_scan", strip_ok,
-            {"lengths": lengths},
-        ))
-    else:
-        checks.append(_skip("plane-strip", "plane_strip_scan",
-                            "needs k = l = 2 and q = 3 mod 4"))
-
-    if k % 2 == 1 and q**k <= MAX_SEARCH_SPACE:
-        found = search_missing_distance_set(field, k, cfg.budget, cfg.seed)
-        e = SplitPointSet.product(found.point_set, PointSet.full(field, l))
-        spectrum = pair_spectrum(e, e)
-        pairs = achieved_pairs(spectrum)
-        delta = distance_set(found.point_set)
-        expected = {(a, b) for a in delta for b in range(q)}
-        ok = (pairs == expected and len(pairs) < q * q
-              and found.missing_distance not in delta)
-        rows.append(["sharp-product", len(found.point_set), len(e), len(pairs)])
-        checks.append(CheckResult(
-            "missing-distance-product", "search_missing_distance_set", ok,
-            {"factor_size": len(found.point_set),
-             "missing_distance": found.missing_distance,
-             "coverage": len(pairs), "full_coverage": q * q,
-             "candidates_tried": found.candidates_tried},
-        ))
-    else:
-        checks.append(_skip("missing-distance-product", "search_missing_distance_set",
-                            "needs odd k with q^k <= 1e5"))
-
-    artifacts["sharpness_rows"] = rows
-    return checks, artifacts
+        parameter, a, size_e, size_f, pairs = runs[0]
+        ok = True
+        if con.generator == "circles":
+            payload = {"size_e": size_e, "size_f": size_f, "coverage": len(pairs)}
+            rows.append(["circles", 1, size_e, len(pairs)])
+        elif con.generator == "product":
+            payload = {"instances": cfg.instances, "k": cfg.k, "l": cfg.l}
+            rows.append(["product", len(a), size_e, len(pairs)])
+        elif con.generator == "strip":
+            payload = {"lengths": [run[0] for run in runs]}
+            rows.extend(["strip", n, size, len(p)] for n, _, size, _, p in runs)
+        else:
+            found = search_missing_distance_set(field, cfg.k, cfg.budget, cfg.seed)
+            ok = len(pairs) < q * q and found.missing_distance not in {s for s, _ in pairs}
+            payload = {"factor_size": len(a), "missing_distance": found.missing_distance,
+                       "coverage": len(pairs), "full_coverage": q * q,
+                       "candidates_tried": found.candidates_tried}
+            rows.append(["sharp-product", len(a), size_e, len(pairs)])
+        if failure is None and not ok:
+            failure = _failure(cfg, parameter, None)
+        checks.append(CheckResult(con.check, con.operation, failure is None,
+                                  _with_failure(payload, failure)))
+    return checks, {"sharpness_rows": rows}
 
 
 def run_suite(cfg: ExperimentConfig,

@@ -109,9 +109,12 @@ class SplitPointSet:
 
     @classmethod
     def product(cls, first: PointSet, second: PointSet) -> "SplitPointSet":
-        """Cartesian product of a k-dim set and an l-dim set."""
+        """Cartesian product of a k-dim set and an l-dim set (at most MAX_ENUMERATION points)."""
         if first.field.q != second.field.q:
             raise ValueError("factors live over different fields")
+        if len(first) * len(second) > geometry.MAX_ENUMERATION:
+            raise SizeGuardError(f"{len(first)} x {len(second)} product points exceed "
+                                 f"the enumeration limit {geometry.MAX_ENUMERATION}")
         q_l = first.field.q**second.d
         codes = (first.codes[:, None] * q_l + second.codes[None, :]).reshape(-1)
         return cls(first.field, first.d, second.d, codes)
@@ -143,17 +146,25 @@ def _pair_chunk(n_other: int) -> int:
     return max(1, int(4 * 10**6 // max(1, n_other)))
 
 
-def distance_set(ps: PointSet) -> set[int]:
-    """All norms |x - y| realized by pairs from a nonempty point set."""
-    if len(ps) == 0:
+def distance_set(ps: PointSet, other: PointSet | None = None) -> set[int]:
+    """All norms |x - y| with x in ps and y in other (default: ps), both nonempty.
+
+    If either set is all of F_q^d, so is x - y: the cached norm table answers, with no scan.
+    """
+    other = ps if other is None else other
+    if len(ps) == 0 or len(other) == 0:
         raise ValueError("distance set of an empty point set is undefined")
-    _require_scannable(len(ps), len(ps))
-    q = ps.field.q
-    coords = ps.coords()
+    q, d = ps.field.q, ps.d
+    if other.field.q != q or other.d != d:
+        raise ValueError("the two sets must share q and the dimension")
+    if q**d in (len(ps), len(other)):
+        return {int(t) for t in np.flatnonzero(norm_fiber_sizes(ps.field, d))}
+    _require_scannable(len(ps), len(other))
+    coords, other_coords = ps.coords(), other.coords()
     seen = np.zeros(q, dtype=bool)
-    chunk = _pair_chunk(len(ps))
+    chunk = _pair_chunk(len(other))
     for start in range(0, len(ps), chunk):
-        norms = _pairwise_norms(coords[start : start + chunk], coords, q)
+        norms = _pairwise_norms(coords[start : start + chunk], other_coords, q)
         seen[np.unique(norms)] = True
     return {int(t) for t in np.nonzero(seen)[0]}
 

@@ -44,16 +44,14 @@ from .field import (
     rotation_inverse,
 )
 from .fourier import DensityTable, forward_transform
-from .geometry import PointSet, _require_enumerable, enumerate_sphere
+from .geometry import _require_enumerable, enumerate_sphere
 from .pair_spectrum import (
     PairSpectrum,
     SplitPointSet,
     _pair_chunk,
     _require_scannable,
     _split_norm_classes,
-    achieved_pairs,
     difference_histogram,
-    distance_set,
     pair_spectrum,
     spectrum_energy,
 )
@@ -388,41 +386,6 @@ def coverage_min_bound(e: SplitPointSet, f: SplitPointSet, constant_c: float = 1
         branch_mass=branch_mass, branch_mixed=branch_mixed, branch_group=branch_group,
         min_bound=min_bound, achieved=achieved, empirical_c=empirical_c,
         c_dominates=constant_c >= empirical_c, holds=min_bound <= achieved,
-    )
-
-
-@dataclass(frozen=True)
-class StripScanReport:
-    """Coverage of (full plane) x (segment of the x-axis) against its product law."""
-
-    q: int
-    strip_len: int
-    size: int
-    coverage: int
-    strip_distances: tuple[int, ...]
-    expected_coverage: int
-    matches: bool
-    covers_everything: bool
-
-
-def plane_strip_scan(field: PrimeField, strip_len: int) -> StripScanReport:
-    """Check B(E, E) = F_q x Delta(L) for E = F_q^2 x L, L a strip of the axis."""
-    if field.q_mod_4 != 3:
-        raise ValueError(f"requires q = 3 mod 4, got q = {field.q}")
-    q = field.q
-    if not 1 <= strip_len <= q:
-        raise ValueError(f"strip length must be in [1, {q}], got {strip_len}")
-    strip = PointSet.from_vectors(field, 2, [(i, 0) for i in range(strip_len)])
-    e = SplitPointSet.product(PointSet.full(field, 2), strip)
-    spectrum = pair_spectrum(e, e)
-    coverage = achieved_pairs(spectrum)
-    strip_distances = distance_set(strip)
-    expected = {(t, dd) for t in range(q) for dd in strip_distances}
-    return StripScanReport(
-        q=q, strip_len=strip_len, size=len(e), coverage=len(coverage),
-        strip_distances=tuple(sorted(strip_distances)),
-        expected_coverage=len(expected), matches=coverage == expected,
-        covers_everything=len(coverage) == q * q,
     )
 
 

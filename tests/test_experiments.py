@@ -14,6 +14,7 @@ from fqdist import (
     PointSet,
     SizeGuardError,
     SplitPointSet,
+    achieved_pairs,
     distance_set,
     enumerate_so2,
     generate_set,
@@ -24,6 +25,8 @@ from fqdist import (
     substream,
 )
 from fqdist.cli import main as cli_main
+from fqdist.experiments import _factors
+from fqdist.pair_spectrum import pair_spectrum
 
 
 def _cli(*args):
@@ -89,6 +92,108 @@ def test_generate_strip_product_shape():
     cfg = ExperimentConfig(q=7, k=2, l=2, generator="strip", strip_len=3, seed=0)
     e = generate_set(cfg, "E")
     assert len(e) == 49 * 3
+
+
+def _strip_product_law(q, length):
+    """The strip generator's factors, its achieved pairs, and the product law for them."""
+    cfg = ExperimentConfig(q=q, generator="strip", strip_len=length)
+    (plane, strip), factors_f = _factors(cfg, make_field(q), 0)
+    assert factors_f == (plane, strip)
+    e = generate_set(cfg, "E")
+    assert np.array_equal(e.codes, SplitPointSet.product(plane, strip).codes)
+    assert strip.points() == [(i, 0) for i in range(length)]
+    pairs = achieved_pairs(pair_spectrum(e, e))
+    law = {(s, t) for s in distance_set(plane) for t in distance_set(strip)}
+    return distance_set(strip), pairs, law
+
+
+def test_strip_product_law_frozen():
+    for q, length, coverage in ((7, 1, 7), (7, 3, 21), (7, 7, 28), (11, 4, 44)):
+        strip_distances, pairs, law = _strip_product_law(q, length)
+        assert pairs == law
+        assert len(pairs) == coverage == q * len(strip_distances)
+
+
+def test_strip_full_width_still_misses_nonsquares():
+    # Axis differences have square norms only, so even the full-width strip
+    # realizes just (number of squares) * q pairs, never all q^2.
+    strip_distances, pairs, law = _strip_product_law(7, 7)
+    assert sorted(strip_distances) == [0, 1, 2, 4]
+    assert sorted(_strip_product_law(7, 3)[0]) == [0, 1, 4]
+    assert pairs == law and len(pairs) == 28 < 7 * 7
+    assert {b for _, b in pairs} == {0, 1, 2, 4}
+
+
+def test_strip_and_circles_need_the_plane_pair_split():
+    for generator in ("strip", "circles"):
+        for k, l in ((3, 3), (2, 3), (1, 2)):
+            cfg = ExperimentConfig(q=7, k=k, l=l, generator=generator)
+            with pytest.raises(ValueError, match="plane-pair split k = l = 2"):
+                generate_set(cfg, "E")
+    p = _cli("--q", "7", "--k", "3", "--l", "3", "--suite", "coverage", "--generator", "strip",
+             "--instances", "1", "--oracle-instances", "1", "--seed", "1")
+    assert p.returncode == 2
+    assert "strip generator needs the plane-pair split" in p.stderr and p.stdout == ""
+    with pytest.raises(ValueError, match="strip length"):
+        ExperimentConfig(q=7, generator="strip", strip_len=0)
+    # The sharpness suite checks the strip only at q = 3 mod 4.
+    checks = {c.name: c for c in run_suite(ExperimentConfig(q=5, suite="sharpness",
+                                                             instances=1)).checks}
+    assert checks["plane-strip"].payload == {
+        "skipped": True, "reason": "needs k = l = 2 and q = 3 mod 4"}
+
+
+def test_product_generators_build_e_and_f_from_their_factors():
+    field = make_field(7)
+    for generator in ("full", "circles", "product", "strip", "sharp-product"):
+        cfg = ExperimentConfig(q=7, k=3 if generator == "sharp-product" else 2, l=2,
+                               generator=generator, seed=3, budget=200)
+        factors_e, factors_f = _factors(cfg, field, 1)
+        assert (factors_f is factors_e) == (generator != "circles")
+        for which, factors in (("E", factors_e), ("F", factors_f)):
+            built = generate_set(cfg, which, 1)
+            assert np.array_equal(built.codes, SplitPointSet.product(*factors).codes)
+    full = generate_set(ExperimentConfig(q=7, generator="full"), "E")
+    assert np.array_equal(full.codes, SplitPointSet.full(field, 2, 2).codes)
+
+
+def test_sharpness_csv_rows_pinned(tmp_path):
+    out = tmp_path / "s7.csv"
+    code = cli_main(["--q", "7", "--suite", "sharpness", "--seed", "402", "--instances", "20",
+                     "--out", str(out), "--format", "csv"])
+    assert code == 0
+    strips = [f"strip,{n},{49 * n},{c}" for n, c in zip(range(1, 8), (7, 14, 21, 28, 28, 28, 28))]
+    assert out.read_text().splitlines() == [
+        "construction,parameter,set_size,coverage", "circles,1,8,1", "product,20,980,49",
+        *strips]
+
+
+def test_sharpness_failures_name_instance_seed_and_cell(monkeypatch):
+    plane = ExperimentConfig(q=7, suite="sharpness", instances=3, seed=5)
+    odd = ExperimentConfig(q=3, k=3, l=2, suite="sharpness", instances=2, seed=5, budget=200)
+    for cfg in (plane, odd):
+        rep = run_suite(cfg)
+        assert rep.all_pass
+        assert not any("first_failure" in c.payload for c in rep.checks)
+
+    module = importlib.import_module("fqdist.experiments")
+    real = module.distance_set
+    # Drop the largest distance: the law then expects too few pairs.
+    monkeypatch.setattr(module, "distance_set", lambda a, b=None: set(sorted(real(a, b))[:-1]))
+    checks = {c["name"]: c for c in run_suite(plane).to_json_dict()["checks"]}
+    expected = {
+        "orthogonal-circles": (0, [1, 1]),  # Delta(circle, origin) = {1}
+        "product-law": (0, [0, 6]),  # the factor F_7^2 loses distance 6
+        "plane-strip": (1, [0, 0]),  # the strip of length 1 loses its only distance 0
+    }
+    for name, (instance, cell) in expected.items():
+        assert not checks[name]["pass"], name
+        assert checks[name]["payload"]["first_failure"] == {
+            "instance": instance, "seed": 5, "cell": cell}, name
+    checks = {c["name"]: c for c in run_suite(odd).to_json_dict()["checks"]}
+    for name in ("product-law", "missing-distance-product"):
+        assert checks[name]["payload"]["first_failure"] == {
+            "instance": 0, "seed": 5, "cell": [0, 2]}, name
 
 
 def test_search_missing_distance_postcondition():
@@ -338,8 +443,20 @@ def test_cli_rejects_out_of_range_flags(flags):
     (("--suite", "sharpness", "--generator", "circles"), "sharpness", "--generator"),
     (("--suite", "coverage", "--e-file", "unread.txt", "--generator", "full"),
      "coverage suite on loaded sets", "--generator"),
+    (("--suite", "coverage", "--generator", "full", "--density", "0.3"),
+     "coverage suite with --generator full", "--density"),
+    (("--suite", "coverage", "--strip-len", "3"),
+     "coverage suite with --generator bernoulli", "--strip-len"),
+    (("--suite", "sharpness", "--k", "3", "--l", "3", "--strip-len", "3"),
+     "sharpness suite at q = 7, k = 3, l = 3", "--strip-len"),
+    (("--suite", "sharpness", "--budget", "2000"),
+     "sharpness suite at q = 7, k = 2, l = 2", "--budget"),
+    (("--suite", "sharpness", "--q", "13", "--strip-len", "3"),
+     "sharpness suite at q = 13, k = 2, l = 2", "--strip-len"),
 ], ids=["energy-generator", "energy-density", "lemmas-strip-len", "lemmas-budget",
-        "sharpness-generator", "coverage-loaded-generator"])
+        "sharpness-generator", "coverage-loaded-generator", "coverage-full-density",
+        "coverage-bernoulli-strip-len", "sharpness-k3-strip-len", "sharpness-even-k-budget",
+        "sharpness-q13-strip-len"])
 def test_cli_rejects_flags_the_suite_never_reads(capsys, flags, suite, named):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["--q", "7", "--instances", "1", *flags])

@@ -1,5 +1,6 @@
 """Two-block pair spectra: exact counting, dual routes, certificates."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import fqdist.pair_spectrum as spectrum_module
 from fqdist import (
     PointSet,
+    SizeGuardError,
     SplitPointSet,
     achieved_pairs,
     difference_histogram,
@@ -105,6 +107,75 @@ def test_distance_set_small():
     assert distance_set(ps) == {0, 1}
     axis = PointSet.from_vectors(f, 2, [(0, 0), (1, 0), (2, 0)])
     assert distance_set(axis) == {0, 1}  # differences 0, 1, 2 have norms 0, 1, 1
+
+
+def _literal_distances(a, b):
+    q = a.field.q
+    diffs = (a.coords()[:, None, :] - b.coords()[None, :, :]) % q
+    return {int(t) for t in np.unique((diffs * diffs).sum(axis=2) % q)}
+
+
+def test_distance_set_of_a_full_space_reads_the_norm_table(monkeypatch):
+    for q in (3, 5, 7):
+        field = make_field(q)
+        rng = np.random.default_rng(q)
+        for d in (1, 2, 3):
+            full = PointSet.full(field, d)
+            some = PointSet(field, d, rng.choice(q**d, size=min(5, q**d), replace=False))
+            literal = _literal_distances(full, full)
+            assert literal == _literal_distances(full, some) == _literal_distances(some, full)
+            assert distance_set(full) == distance_set(full, some) == distance_set(some, full)
+            assert distance_set(full) == literal
+            assert literal == (set(range(q)) if d >= 2 else {x * x % q for x in range(q)})
+    # No pair is scanned: a full factor of F_23^3 alone would be 1.48e8 pairs.
+    monkeypatch.setattr(spectrum_module, "MAX_PAIRS", 0)
+    big = PointSet.full(make_field(23), 3)
+    assert distance_set(big) == set(range(23))
+    with pytest.raises(SizeGuardError):
+        distance_set(PointSet(make_field(23), 3, [0, 1]))
+
+
+def test_distance_set_cross_and_refusals():
+    f = make_field(7)
+    a = PointSet.from_vectors(f, 2, [(0, 0), (1, 0)])
+    c = PointSet.from_vectors(f, 2, [(3, 0)])
+    assert distance_set(a, c) == {2, 4} == _literal_distances(a, c)  # 3^2 and 2^2
+    with pytest.raises(ValueError, match="empty"):
+        distance_set(a, PointSet(f, 2, []))
+    with pytest.raises(ValueError, match="dimension"):
+        distance_set(a, PointSet(f, 3, [0]))
+
+
+@st.composite
+def _factor_pairs(draw):
+    q = draw(st.sampled_from((3, 5, 7)))
+    k, l = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    field = make_field(q)
+
+    def factor(d):
+        codes = draw(st.sets(st.integers(0, q**d - 1), min_size=1, max_size=10))
+        return PointSet(field, d, sorted(codes))
+
+    return factor(k), factor(l), factor(k), factor(l)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_pairs())
+def test_product_law_both_routes(factors):
+    # B(A x B, C x D) = Delta(A, C) x Delta(B, D), on each route to the spectrum.
+    a, b, c, d = factors
+    e, f = SplitPointSet.product(a, b), SplitPointSet.product(c, d)
+    law = {(s, t) for s in distance_set(a, c) for t in distance_set(b, d)}
+    assert achieved_pairs(pair_spectrum_naive(e, f)) == law
+    assert achieved_pairs(pair_spectrum_fast(e, f)) == law
+
+
+def test_product_refuses_past_the_enumeration_limit(monkeypatch):
+    field = make_field(3)
+    monkeypatch.setattr(importlib.import_module("fqdist.geometry"), "MAX_ENUMERATION", 3**4 - 1)
+    with pytest.raises(SizeGuardError, match="9 x 9 product points exceed the enumeration limit 80"):
+        SplitPointSet.product(PointSet.full(field, 2), PointSet.full(field, 2))
+    assert len(SplitPointSet.product(PointSet.full(field, 2), PointSet(field, 2, [0, 1]))) == 18
 
 
 def test_full_space_spectrum_law():

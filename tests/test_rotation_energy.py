@@ -24,7 +24,6 @@ from fqdist import (
     indicator_table,
     make_field,
     pair_spectrum_fast,
-    plane_strip_scan,
     rotation_apply,
     rotation_code_permutation,
     rotation_correlation,
@@ -298,32 +297,6 @@ def test_coverage_min_bound_full_q3():
     for constant_c in (0.0, -3.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             coverage_min_bound(full, full, constant_c)
-
-
-def test_strip_scan_frozen():
-    rep = plane_strip_scan(make_field(7), 1)
-    assert rep.coverage == 7 and rep.matches
-    rep = plane_strip_scan(make_field(7), 3)
-    assert rep.coverage == 21 and rep.matches
-    assert rep.strip_distances == (0, 1, 4)
-    rep = plane_strip_scan(make_field(11), 4)
-    assert rep.coverage == 44 and rep.matches
-
-
-def test_strip_scan_full_width_still_misses_nonsquares():
-    # Axis differences have square norms only, so even the full-width strip
-    # realizes just (number of squares) * q pairs, never all q^2.
-    rep = plane_strip_scan(make_field(7), 7)
-    assert rep.strip_distances == (0, 1, 2, 4)
-    assert rep.coverage == 28
-    assert rep.matches and not rep.covers_everything
-
-
-def test_strip_scan_gates():
-    with pytest.raises(ValueError):
-        plane_strip_scan(make_field(5), 2)
-    with pytest.raises(ValueError):
-        plane_strip_scan(make_field(7), 0)
 
 
 def test_circle_energy_csv(tmp_path):
