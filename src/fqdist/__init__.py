@@ -74,11 +74,9 @@ from .pair_spectrum import (
     marginal_spectral_mass,
     pair_spectrum_fast,
     pair_spectrum_naive,
-    read_spectrum_csv,
     spectrum_energy,
     spectrum_energy_bruteforce,
     surjectivity_check,
-    write_spectrum_csv,
 )
 from .rotation_energy import (
     CircleEnergyReport,
@@ -93,7 +91,6 @@ from .rotation_energy import (
     energy_chain_check,
     rotation_correlation,
     sphere_restricted_mass,
-    write_circle_energy_csv,
 )
 
 __version__ = "0.1.0"
@@ -119,13 +116,12 @@ __all__ = [
     "SplitPointSet", "SurjectivityCheck", "achieved_pairs",
     "difference_histogram", "discrepancy_report", "distance_set",
     "load_split_point_set", "marginal_spectral_mass",
-    "pair_spectrum_fast", "pair_spectrum_naive", "read_spectrum_csv",
+    "pair_spectrum_fast", "pair_spectrum_naive",
     "spectrum_energy", "spectrum_energy_bruteforce", "surjectivity_check",
-    "write_spectrum_csv",
     "CircleEnergyReport", "CorrelationTable", "CorrelationTransformReport",
     "CoverageBoundReport", "EnergyChainReport", "SphereMassReport",
     "circle_energy", "correlation_transform_check",
     "coverage_min_bound", "energy_chain_check", "rotation_correlation",
-    "sphere_restricted_mass", "write_circle_energy_csv",
+    "sphere_restricted_mass",
     "__version__",
 ]

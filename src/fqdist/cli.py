@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every check passed, 1 when any check failed, 2 on usage or
 configuration errors.  The JSON report always goes to stdout; --out writes it
-(or a CSV artifact, with --format csv) to a file as well.
+(or, with --format csv, the run's one table) to a file as well.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from .experiments import (
     SET_KNOBS,
     SUITES,
     ExperimentConfig,
-    RunReport,
     knobs_read,
     run_suite,
 )
-from .pair_spectrum import SplitPointSet, load_split_point_set, write_spectrum_csv
-from .rotation_energy import write_circle_energy_csv
+from .pair_spectrum import SplitPointSet, load_split_point_set
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--f-file", type=str, default=None,
                         help="load F from a point-set file (defaults to the E file)")
     parser.add_argument("--out", type=str, default=None,
-                        help="also write the report (or CSV artifact) to this path")
+                        help="also write the report (or CSV table) to this path")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="what --out receives: the JSON report or a CSV artifact")
+                        help="what --out receives: the JSON report or the suite's CSV table")
     return parser
 
 
@@ -98,27 +96,6 @@ def _load_sets(args) -> tuple[SplitPointSet | None, SplitPointSet | None]:
     return e, f
 
 
-def _write_csv_artifact(path: str, report: RunReport) -> None:
-    suite = report.suite
-    if suite == "lemmas":
-        reports = report.artifacts.get("circle_energy_reports", [])
-        if not reports:
-            raise ValueError("no circle-energy rows to export (needs q = 3 mod 4)")
-        write_circle_energy_csv(path, reports)
-        return
-    if suite in ("coverage", "energy"):
-        spectrum = report.artifacts.get("spectrum")
-        if spectrum is None:
-            raise ValueError("no spectrum artifact to export")
-        write_spectrum_csv(path, spectrum)
-        return
-    rows = report.artifacts.get("sharpness_rows", [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["construction", "parameter", "set_size", "coverage"])
-        writer.writerows(rows)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -144,7 +121,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         try:
             if args.format == "csv":
-                _write_csv_artifact(args.out, report)
+                if not report.table:
+                    raise ValueError(f"this {args.suite} run has no CSV table to export")
+                with open(args.out, "w", newline="") as fh:
+                    csv.writer(fh).writerows(report.table)
             else:
                 with open(args.out, "w") as fh:
                     fh.write(text)

@@ -15,7 +15,6 @@ import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import lru_cache
-from fractions import Fraction
 
 import numpy as np
 
@@ -202,7 +201,7 @@ def search_missing_distance_set(field: PrimeField, k: int, budget: int,
     Draws random candidate points and keeps those that never realize the
     target distance against the current set.  Several restarts with different
     excluded distances; the best set wins.  Postcondition re-verified by an
-    independent pairwise scan.  Calls with the same field object share one search.
+    independent pairwise scan.  Calls with the same (q, k, budget, seed) share one search.
     """
     if k % 2 == 0:
         raise ValueError("the search targets odd k; even k has no such gap here")
@@ -292,25 +291,6 @@ def generate_set(cfg: ExperimentConfig, which: str, instance: int = 0) -> SplitP
     return SplitPointSet.product(*_factors(cfg, field, instance)[which_bit])
 
 
-def _json_safe(obj):
-    """Recursively coerce numpy scalars, tuples, and fractions to JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """One named pass/fail entry of a suite run."""
@@ -323,13 +303,17 @@ class CheckResult:
 
 @dataclass
 class RunReport:
-    """Everything one suite run produced, JSON-serializable and deterministic."""
+    """Everything one suite run produced, deterministic and printed as it stands.
+
+    Config and payloads hold plain JSON values only.  table is the run's one
+    CSV table (rows of ints and strings), empty when the run has none.
+    """
 
     suite: str
     config: dict
     checks: list[CheckResult]
     duration_ms: int
-    artifacts: dict = dc_field(default_factory=dict, repr=False)
+    table: list[list] = dc_field(default_factory=list, repr=False)
 
     @property
     def all_pass(self) -> bool:
@@ -339,10 +323,10 @@ class RunReport:
         return {
             "schema": 1,
             "suite": self.suite,
-            "config": _json_safe(self.config),
+            "config": self.config,
             "checks": [
                 {"name": c.name, "operation": c.operation, "pass": bool(c.passed),
-                 "payload": _json_safe(c.payload)}
+                 "payload": c.payload}
                 for c in self.checks
             ],
             "all_pass": bool(self.all_pass),
@@ -358,7 +342,11 @@ def _skip(name: str, operation: str, reason: str) -> CheckResult:
 
 
 def _failure(cfg: ExperimentConfig, instance: int, cell) -> dict:
-    """Where a seeded check first failed; the same flags with --instances instance+1 rerun it."""
+    """Where a seeded check first failed.
+
+    The same flags with --instances instance+1 rerun it (--oracle-instances
+    instance+1 for the oracle checks route-agreement and quadruple-count).
+    """
     return {"instance": instance, "seed": cfg.seed, "cell": cell}
 
 
@@ -372,10 +360,10 @@ def _with_failure(payload: dict, failure: dict | None) -> dict:
 # ----------------------------------------------------------------- lemmas ---
 
 
-def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[CheckResult], dict]:
+def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[CheckResult], list]:
     q = field.q
     checks: list[CheckResult] = []
-    artifacts: dict = {}
+    circle_table: list[list] = []  # the CSV table: circle-energy rows at q = 3 mod 4
     dims = [d for d in (2, 3, 4) if q**d <= 1_500_000]
     if not dims:
         raise ValueError(f"q = {q} is too large for the enumeration-based lemmas suite")
@@ -412,6 +400,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         ))
 
     for d in dims:
+        pl_failure = None
         worst_rel = 0.0
         for i in range(cfg.instances):
             gen = substream(cfg.seed, _T_PLANCHEREL, d, i)
@@ -422,10 +411,14 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
             if support == 0:
                 continue
             scale = support / q**d
-            worst_rel = max(worst_rel, plancherel_gap(table) / scale)
+            rel = plancherel_gap(table) / scale
+            if pl_failure is None and not rel <= 1e-9:
+                pl_failure = _failure(cfg, i, None)
+            worst_rel = max(worst_rel, rel)
         checks.append(CheckResult(
-            f"plancherel d={d}", "plancherel_gap", worst_rel <= 1e-9,
-            {"d": d, "instances": cfg.instances, "max_relative_gap": worst_rel},
+            f"plancherel d={d}", "plancherel_gap", pl_failure is None,
+            _with_failure({"d": d, "instances": cfg.instances, "max_relative_gap": worst_rel},
+                          pl_failure),
         ))
 
     # Round-trip and the defining-sum route, on the largest ambient that the
@@ -449,6 +442,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         ))
 
     # Exact phase histograms against the float coefficients.
+    phase_failure = None
     phase_worst = 0.0
     for i in range(min(cfg.instances, 20)):
         gen = substream(cfg.seed, _T_PHASE, i)
@@ -460,10 +454,13 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         m = [int(x) for x in gen.integers(0, q, size=d)]
         hist = exact_phase_histogram(ps, m)
         spec = forward_transform(indicator_table(ps))
-        phase_worst = max(phase_worst, abs(hist.coefficient() - spec.coeffs[encode_vectors(q, m)]))
+        gap = float(abs(hist.coefficient() - spec.coeffs[encode_vectors(q, m)]))
+        if phase_failure is None and not gap <= 1e-10:
+            phase_failure = _failure(cfg, i, m)
+        phase_worst = max(phase_worst, gap)
     checks.append(CheckResult(
-        "phase-histogram-agreement", "exact_phase_histogram",
-        phase_worst <= 1e-10, {"max_abs_disagreement": phase_worst},
+        "phase-histogram-agreement", "exact_phase_histogram", phase_failure is None,
+        _with_failure({"max_abs_disagreement": phase_worst}, phase_failure),
     ))
 
     if field.q_mod_4 == 3:
@@ -474,12 +471,10 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         ))
 
         rows = []
-        reports = []
         all_hold = True
         worst_ratio = 0.0
         for a in range(1, q):
             ce = circle_energy(field, a)
-            reports.append(ce)
             rows.append([q, a, ce.sphere_size, ce.energy, ce.bound])
             all_hold = all_hold and ce.holds
             worst_ratio = max(worst_ratio, ce.energy / ce.bound)
@@ -487,11 +482,10 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
             "circle-energy", "circle_energy", all_hold,
             {"radii": q - 1, "max_energy_over_bound": worst_ratio, "rows": rows},
         ))
-        artifacts["circle_energy_reports"] = reports
+        circle_table = [["q", "a", "sphere_size", "energy", "bound"], *rows]
     else:
         checks.append(_skip("so2-orbit", "so2_orbit_check", "needs q = 3 mod 4"))
         checks.append(_skip("circle-energy", "circle_energy", "needs q = 3 mod 4"))
-        artifacts["circle_energy_reports"] = []
 
     # Marginal mass lemma: random sets plus the saturating single fiber.
     k, l = cfg.k, cfg.l
@@ -542,7 +536,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         checks.append(_skip("sphere-restricted-mass", "sphere_restricted_mass",
                             "needs q = 3 mod 4"))
 
-    return checks, artifacts
+    return checks, circle_table
 
 
 # --------------------------------------------------------------- coverage ---
@@ -550,17 +544,16 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
 
 def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
                      loaded: tuple[SplitPointSet, SplitPointSet] | None
-                     ) -> tuple[list[CheckResult], dict]:
+                     ) -> tuple[list[CheckResult], list]:
     q, k, l = field.q, cfg.k, cfg.l
     checks: list[CheckResult] = []
-    artifacts: dict = {}
+    table: list[list] = []
     if not (l >= k >= 2):
         raise ValueError(f"coverage suite needs l >= k >= 2, got ({k}, {l})")
 
     if loaded is not None:
         e, f = loaded
         spectrum = pair_spectrum(e, f)
-        artifacts["spectrum"] = spectrum
         rep = discrepancy_report(e, f, spectrum)
         checks.append(CheckResult(
             "discrepancy (loaded sets)", "discrepancy_report", rep.all_ok,
@@ -572,11 +565,11 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
             {"threshold_met": sc.threshold_met, "coverage": sc.coverage,
              "surjective": sc.surjective},
         ))
-        return checks, artifacts
+        return checks, spectrum.s.tolist()
 
     # Discrepancy certificate on seeded instances.
     disc_failure = None
-    cons_ok = True
+    cons_failure = None
     max_ratio = 0.0
     for i in range(cfg.instances):
         e = generate_set(cfg, "E", i)
@@ -585,41 +578,43 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
             continue
         spectrum = pair_spectrum(e, f)
         if i == 0:
-            artifacts["spectrum"] = spectrum
+            table = spectrum.s.tolist()
         rep = discrepancy_report(e, f, spectrum)
         if disc_failure is None and not rep.all_ok:
             disc_failure = _failure(cfg, i, np.argwhere(~rep.cell_ok)[0].tolist())
         max_ratio = max(max_ratio, rep.max_ratio)
-        sc = surjectivity_check(e, f, spectrum)
-        cons_ok = cons_ok and sc.consistent
+        if cons_failure is None and not surjectivity_check(e, f, spectrum).consistent:
+            cons_failure = _failure(cfg, i, None)
     checks.append(CheckResult(
         "discrepancy", "discrepancy_report", disc_failure is None,
         _with_failure({"instances": cfg.instances, "generator": cfg.generator,
                        "max_error_over_budget": max_ratio}, disc_failure),
     ))
     checks.append(CheckResult(
-        "threshold-consistency", "surjectivity_check", cons_ok,
-        {"instances": cfg.instances},
+        "threshold-consistency", "surjectivity_check", cons_failure is None,
+        _with_failure({"instances": cfg.instances}, cons_failure),
     ))
 
     # Full space and seeded near-full deletions, where the threshold is live.
     ambient = q ** (k + l)
     threshold = _coverage_threshold(q, k, l)
     if ambient * ambient > threshold:
+        # The full space, checked in every run, fails as instance 0 with cell "full-space".
         full = SplitPointSet.full(field, k, l)
-        sc = surjectivity_check(full, full)
-        surj_ok = sc.threshold_met and sc.surjective
-        min_size = len(full)
         deletion_cfg = replace(cfg, generator="near-full")
-        for i in range(cfg.instances):
-            e = generate_set(deletion_cfg, "E", i)
+        surj_failure = None
+        min_size = len(full)
+        cases = [(0, "full-space")] + [(i, None) for i in range(cfg.instances)]
+        for i, cell in cases:
+            e = full if cell else generate_set(deletion_cfg, "E", i)
             min_size = min(min_size, len(e))
             sc = surjectivity_check(e, e)
-            surj_ok = surj_ok and sc.threshold_met and sc.surjective
+            if surj_failure is None and not (sc.threshold_met and sc.surjective):
+                surj_failure = _failure(cfg, i, cell)
         checks.append(CheckResult(
-            "surjectivity-above-threshold", "surjectivity_check", surj_ok,
-            {"instances": cfg.instances + 1, "min_size": min_size,
-             "threshold": threshold},
+            "surjectivity-above-threshold", "surjectivity_check", surj_failure is None,
+            _with_failure({"instances": cfg.instances + 1, "min_size": min_size,
+                           "threshold": threshold}, surj_failure),
         ))
     else:
         checks.append(_skip(
@@ -629,8 +624,8 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
     # Route agreement: the literal scan versus the transform route, and the
     # quadratic quadruple count on tiny instances.
     small_cap = min(300, ambient)
-    agree_ok = True
-    energy_ok = True
+    agree_failure = None
+    energy_failure = None
     energy_checked = 0
     for i in range(cfg.oracle_instances):
         gen = substream(cfg.seed, _T_ORACLE, i)
@@ -642,20 +637,22 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
         f = SplitPointSet(field, k, l, gen.choice(ambient, size=nf, replace=False))
         fast = pair_spectrum_fast(e, f)
         naive = pair_spectrum_naive(e, f)
-        agree_ok = agree_ok and bool(np.array_equal(fast.s, naive.s))
+        if agree_failure is None and not np.array_equal(fast.s, naive.s):
+            agree_failure = _failure(cfg, i, np.argwhere(fast.s != naive.s)[0].tolist())
         if len(e) <= 40 and len(f) <= 40:
             energy_checked += 1
-            energy_ok = energy_ok and (
-                spectrum_energy(fast) == spectrum_energy_bruteforce(e, f))
+            if energy_failure is None and (
+                    spectrum_energy(fast) != spectrum_energy_bruteforce(e, f)):
+                energy_failure = _failure(cfg, i, None)
     checks.append(CheckResult(
-        "route-agreement", "pair_spectrum_fast", agree_ok,
-        {"instances": cfg.oracle_instances},
+        "route-agreement", "pair_spectrum_fast", agree_failure is None,
+        _with_failure({"instances": cfg.oracle_instances}, agree_failure),
     ))
     checks.append(CheckResult(
-        "quadruple-count", "spectrum_energy", energy_ok,
-        {"instances": energy_checked},
+        "quadruple-count", "spectrum_energy", energy_failure is None,
+        _with_failure({"instances": energy_checked}, energy_failure),
     ))
-    return checks, artifacts
+    return checks, table
 
 
 # ----------------------------------------------------------------- energy ---
@@ -663,10 +660,9 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
 
 def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
                    loaded: tuple[SplitPointSet, SplitPointSet] | None
-                   ) -> tuple[list[CheckResult], dict]:
+                   ) -> tuple[list[CheckResult], list]:
     q = field.q
     checks: list[CheckResult] = []
-    artifacts: dict = {}
     if field.q_mod_4 != 3 or (cfg.k, cfg.l) != (2, 2):
         raise ValueError("energy suite needs q = 3 mod 4 and k = l = 2")
 
@@ -685,8 +681,6 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
 
     def run_instance(e: SplitPointSet, f: SplitPointSet, index: int) -> dict:
         spectrum = pair_spectrum(e, f)
-        if index == 0:
-            artifacts.setdefault("spectrum", spectrum)
         chain = energy_chain_check(e, f, spectrum)
         gen = substream(cfg.seed, _T_ROTSAMPLE, index)
         samples = []
@@ -697,6 +691,7 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
         max_dev, worst_cell = max(samples, key=lambda sample: sample[0])
         bound = coverage_min_bound(e, f, cfg.constant_c, spectrum)
         return {
+            "spectrum": spectrum,
             "chain": chain,
             "max_transform_dev": max_dev,
             "worst_cell": worst_cell,
@@ -716,12 +711,15 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
             f = SplitPointSet(field, 2, 2, sampler.choice(q**4, size=nf, replace=False))
             pairs.append((e, f))
 
+    table: list[list] = []
     failures: dict[str, dict] = {}  # check name -> its first failure
     max_split = 0.0
     max_dev = 0.0
     max_emp_c = 0.0
     for i, (e, f) in enumerate(pairs):
         out = run_instance(e, f, i)
+        if i == 0:
+            table = out["spectrum"].s.tolist()
         chain = out["chain"]
         bound = out["bound"]
         for name, ok, cell in (
@@ -756,7 +754,7 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
     ):
         checks.append(CheckResult(name, operation, name not in failures,
                                   _with_failure(payload, failures.get(name))))
-    return checks, artifacts
+    return checks, table
 
 
 # -------------------------------------------------------------- sharpness ---
@@ -802,7 +800,7 @@ def _sweep(cfg: ExperimentConfig, generator: str) -> list[tuple[int, ExperimentC
     return [(0, run_cfg, 0)]
 
 
-def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[CheckResult], dict]:
+def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[CheckResult], list]:
     q = field.q
     checks: list[CheckResult] = []
     rows: list[list] = []
@@ -845,7 +843,7 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
             failure = _failure(cfg, parameter, None)
         checks.append(CheckResult(con.check, con.operation, failure is None,
                                   _with_failure(payload, failure)))
-    return checks, {"sharpness_rows": rows}
+    return checks, [["construction", "parameter", "set_size", "coverage"], *rows]
 
 
 def run_suite(cfg: ExperimentConfig,
@@ -864,13 +862,12 @@ def run_suite(cfg: ExperimentConfig,
         loaded = (e_set, f_set if f_set is not None else e_set)
     start = time.perf_counter()
     if cfg.suite == "lemmas":
-        checks, artifacts = _lemmas_checks(cfg, field)
+        checks, table = _lemmas_checks(cfg, field)
     elif cfg.suite == "coverage":
-        checks, artifacts = _coverage_checks(cfg, field, loaded)
+        checks, table = _coverage_checks(cfg, field, loaded)
     elif cfg.suite == "energy":
-        checks, artifacts = _energy_checks(cfg, field, loaded)
+        checks, table = _energy_checks(cfg, field, loaded)
     else:
-        checks, artifacts = _sharpness_checks(cfg, field)
+        checks, table = _sharpness_checks(cfg, field)
     duration_ms = int((time.perf_counter() - start) * 1000)
-    config = asdict(cfg)
-    return RunReport(cfg.suite, config, checks, duration_ms, artifacts)
+    return RunReport(cfg.suite, asdict(cfg), checks, duration_ms, table)

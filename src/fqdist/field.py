@@ -35,6 +35,8 @@ class PrimeField:
     """The field of integers mod a prime q, with its additive character table.
 
     Immutable after construction; instances are safe to share across threads.
+    Fields with the same modulus are equal and hash alike, so a cache keyed on
+    a field serves every instance of it.
     """
 
     def __init__(self, q: int):
@@ -56,6 +58,12 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField(q={self.q})"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PrimeField) and other.q == self.q
+
+    def __hash__(self) -> int:
+        return hash(self.q)
 
     def chi(self, t):
         """Additive character chi(t), vectorized over integer arrays."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .field import PrimeField
-from .geometry import PointSet, _require_enumerable, all_norms, decode_codes
+from .geometry import PointSet, _require_enumerable, decode_codes, enumerate_sphere
 
 # Defining-sum (quadratic) routes are refused above this many phase evaluations.
 MAX_QUADRATIC = 6 * 10**7
@@ -167,19 +167,16 @@ class SphereDecayReport:
 def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     """Certify the Kloosterman-type sphere decay |S_t_hat(m)| <= 2 q^-(d+1)/2.
 
-    Scans every nonzero radius t and every nonzero frequency m exhaustively.
+    Scans every nonzero radius t and every nonzero frequency m exhaustively;
+    enumerate_sphere refuses an ambient past the enumeration limit.
     """
     q = field.q
-    n = q**d
-    norms = all_norms(q, d)  # refuses an ambient past the enumeration limit
     bound = 2.0 * float(q) ** (-(d + 1) / 2.0)
     max_ratio = 0.0
     worst_t = 0
     worst_m: tuple[int, ...] = (0,) * d
     for t in range(1, q):
-        values = np.zeros(n, dtype=np.complex128)
-        values[norms == t] = 1.0
-        coeffs = forward_transform(DensityTable(field, d, values)).coeffs
+        coeffs = forward_transform(indicator_table(enumerate_sphere(field, d, t))).coeffs
         moduli = np.abs(coeffs)
         moduli[0] = 0.0  # the zero frequency carries the sphere's mass, not decay
         m_idx = int(np.argmax(moduli))

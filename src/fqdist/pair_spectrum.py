@@ -18,7 +18,6 @@ transform-based check reads that cached array instead of transforming again.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -465,24 +464,3 @@ def marginal_spectral_mass(e: SplitPointSet) -> MarginalMassReport:
     return MarginalMassReport(q, k, l, len(e), exact, bound, exact <= bound,
                               exact == bound, float_value, agrees)
 
-
-def write_spectrum_csv(path, spectrum: PairSpectrum) -> None:
-    """q rows of q comma-separated counts; row a, column b."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in spectrum.s:
-            writer.writerow([int(v) for v in row])
-
-
-def read_spectrum_csv(path, field: PrimeField, k: int, l: int,
-                      size_e: int, size_f: int) -> PairSpectrum:
-    """Inverse of write_spectrum_csv given the context the file does not carry."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([int(v) for v in row])
-    s = np.asarray(rows, dtype=np.int64)
-    if s.shape != (field.q, field.q):
-        raise ValueError(f"expected a {field.q} x {field.q} table, got {s.shape}")
-    return PairSpectrum(field, k, l, size_e, size_f, s)

@@ -388,13 +388,3 @@ def coverage_min_bound(e: SplitPointSet, f: SplitPointSet, constant_c: float = 1
         c_dominates=constant_c >= empirical_c, holds=min_bound <= achieved,
     )
 
-
-def write_circle_energy_csv(path, reports: list[CircleEnergyReport]) -> None:
-    """Rows of q, a, sphere size, energy, bound."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "a", "sphere_size", "energy", "bound"])
-        for r in reports:
-            writer.writerow([r.q, r.a, r.sphere_size, r.energy, r.bound])

@@ -1,5 +1,6 @@
 """Suite orchestration: seeding, generators, reports, and the CLI contract."""
 
+import csv
 import dataclasses
 import importlib
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from fqdist import (
+    GENERATORS,
     ExperimentConfig,
     PointSet,
     SizeGuardError,
@@ -211,6 +213,18 @@ def test_search_gates():
         search_missing_distance_set(make_field(11), 5, 100, 0)
 
 
+def test_missing_distance_search_runs_once_per_key():
+    # generate_set builds a new field per call; equal fields share one search.
+    search_missing_distance_set.cache_clear()
+    cfg = ExperimentConfig(q=7, k=3, l=3, suite="coverage", generator="sharp-product",
+                           instances=5, oracle_instances=1)
+    assert run_suite(cfg).all_pass
+    info = search_missing_distance_set.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+    assert make_field(7) == make_field(7) != make_field(11)
+    assert hash(make_field(7)) == hash(make_field(7))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(q=7, suite="nope")
@@ -260,6 +274,44 @@ def test_report_json_is_serializable_for_all_suites():
             assert set(check) == {"name", "operation", "pass", "payload"}
 
 
+def _native_json_types(value, where="report"):
+    """Paths in value that hold anything but int, float, str, bool, None, list or dict."""
+    if type(value) is dict:
+        bad = [f"{where} key {key!r}" for key in value if type(key) is not str]
+        return bad + [path for key, item in value.items()
+                      for path in _native_json_types(item, f"{where}.{key}")]
+    if type(value) is list:
+        return [path for i, item in enumerate(value)
+                for path in _native_json_types(item, f"{where}[{i}]")]
+    if type(value) in (int, float, str, bool, type(None)):
+        return []
+    return [f"{where}: {type(value).__name__}"]
+
+
+def test_reports_hold_only_native_json_types():
+    # The report is printed as it stands, so nothing non-native may reach it:
+    # every suite, q = 1 and 3 mod 4, every generator, and loaded sets.
+    configs = [ExperimentConfig(q=q, suite="lemmas", instances=2) for q in (3, 5, 7)]
+    configs += [ExperimentConfig(q=q, suite="sharpness", instances=2) for q in (3, 5, 7)]
+    configs += [ExperimentConfig(q=3, k=3, l=2, suite="sharpness", instances=2, budget=200),
+                ExperimentConfig(q=7, k=2, l=1, suite="sharpness", instances=2),
+                ExperimentConfig(q=3, suite="energy", instances=2)]
+    for generator in GENERATORS:
+        q, k = {"near-full": (17, 2), "sharp-product": (3, 3)}.get(generator, (5, 2))
+        configs.append(ExperimentConfig(q=q, k=k, l=k, suite="coverage", generator=generator,
+                                        instances=2, oracle_instances=2 if q < 17 else 0))
+    runs = [(cfg, None, None) for cfg in configs]
+    field = make_field(7)
+    rng = np.random.default_rng(4)
+    e, f = (SplitPointSet(field, 2, 2, rng.choice(7**4, n, replace=False)) for n in (300, 200))
+    runs += [(ExperimentConfig(q=7, suite=suite, instances=1), e, f)
+             for suite in ("coverage", "energy")]
+    for cfg, e_set, f_set in runs:
+        report = run_suite(cfg, e_set, f_set)
+        assert _native_json_types(report.to_json_dict()) == [], cfg
+        assert all(type(v) in (int, str) for row in report.table for v in row), cfg
+
+
 def test_skipped_checks_count_as_passing():
     # q = 5 is 1 mod 4: rotation-dependent lemmas skip but the suite passes.
     cfg = ExperimentConfig(q=5, suite="lemmas", instances=3, seed=1)
@@ -305,6 +357,29 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
         return dataclasses.replace(report, cell_ok=cell_ok, all_ok=False)
 
     _fail_on_call(monkeypatch, "discrepancy_report", 2, bad_cell)
+    # plancherel_gap runs d = 2, 3, 4 in turn, three instances each: call 4 is d = 3, instance 1.
+    _fail_on_call(monkeypatch, "plancherel_gap", 4, lambda gap, table: 1.0)
+    frequencies = []
+
+    def shifted(hist, ps, m):
+        frequencies.append(m)
+        counts = hist.counts.copy()
+        counts[0] += 1  # moves the coefficient by q^-d
+        return dataclasses.replace(hist, counts=counts)
+
+    _fail_on_call(monkeypatch, "exact_phase_histogram", 1, shifted)
+    _fail_on_call(monkeypatch, "surjectivity_check", 1,
+                  lambda r, *args: dataclasses.replace(r, consistent=False))
+
+    def off_by_one(spectrum, e, f):
+        s = spectrum.s.copy()
+        s[1, 2] += 1
+        return dataclasses.replace(spectrum, s=s)
+
+    # The oracle checks index --oracle-instances; only oracle instance 1 draws
+    # both sets under 41 points, so it holds the first brute-force count.
+    _fail_on_call(monkeypatch, "pair_spectrum_naive", 1, off_by_one)
+    _fail_on_call(monkeypatch, "spectrum_energy_bruteforce", 0, lambda count, e, f: count + 1)
     checks = {c["name"]: c for c in run_suite(lemmas).to_json_dict()["checks"]}
     assert not checks["marginal-mass"]["pass"]
     assert checks["marginal-mass"]["payload"]["first_failure"] == {
@@ -312,10 +387,21 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
     assert not checks["sphere-restricted-mass"]["pass"]
     assert checks["sphere-restricted-mass"]["payload"]["first_failure"] == {
         "instance": 1, "seed": 5, "cell": 3}
+    assert checks["plancherel d=2"]["pass"] and checks["plancherel d=4"]["pass"]
+    for name, instance, cell in (("plancherel d=3", 1, None),
+                                 ("phase-histogram-agreement", 1, frequencies[0])):
+        assert not checks[name]["pass"], name
+        assert checks[name]["payload"]["first_failure"] == {
+            "instance": instance, "seed": 5, "cell": cell}, name
     checks = {c["name"]: c for c in run_suite(coverage).to_json_dict()["checks"]}
-    assert not checks["discrepancy"]["pass"]
-    assert checks["discrepancy"]["payload"]["first_failure"] == {
-        "instance": 2, "seed": 5, "cell": [2, 3]}
+    assert checks["quadruple-count"]["payload"]["instances"] == 1
+    for name, instance, cell in (("discrepancy", 2, [2, 3]),
+                                 ("threshold-consistency", 1, None),
+                                 ("route-agreement", 1, [1, 2]),
+                                 ("quadruple-count", 1, None)):
+        assert not checks[name]["pass"], name
+        assert checks[name]["payload"]["first_failure"] == {
+            "instance": instance, "seed": 5, "cell": cell}, name
 
 
 def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
@@ -364,6 +450,25 @@ def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
             "instance": instance, "seed": 5, "cell": cell}, name
     assert checks["single-point-identity"]["pass"]
     assert "first_failure" not in checks["single-point-identity"]["payload"]
+
+
+def test_surjectivity_failures_name_full_space_or_deletion(monkeypatch):
+    # q = 17 is the smallest q where the coverage threshold is reachable.
+    cfg = ExperimentConfig(q=17, suite="coverage", instances=2, oracle_instances=0, seed=5)
+
+    def not_surjective(report, *args):
+        return dataclasses.replace(report, surjective=False)
+
+    # surjectivity_check calls 0-1 are the seeded instances (threshold-consistency),
+    # call 2 the full space and calls 3-4 the near-full deletions.
+    for call, instance, cell in ((2, 0, "full-space"), (4, 1, None)):
+        monkeypatch.undo()
+        _fail_on_call(monkeypatch, "surjectivity_check", call, not_surjective)
+        checks = {c["name"]: c for c in run_suite(cfg).to_json_dict()["checks"]}
+        assert checks["threshold-consistency"]["pass"]
+        assert not checks["surjectivity-above-threshold"]["pass"]
+        assert checks["surjectivity-above-threshold"]["payload"]["first_failure"] == {
+            "instance": instance, "seed": 5, "cell": cell}
 
 
 def test_loaded_sets_override_generation():
@@ -490,6 +595,58 @@ def test_cli_out_file_and_csv(tmp_path):
     assert p.returncode == 0
     rows = [line.split(",") for line in out_csv.read_text().strip().splitlines()]
     assert len(rows) == 3 and all(len(r) == 3 for r in rows)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_cli_spectrum_csv_is_the_pair_spectrum(tmp_path):
+    field = make_field(7)
+    rng = np.random.default_rng(5)
+    e, f = (PointSet(field, 4, rng.choice(7**4, n, replace=False)) for n in (300, 120))
+    save_point_set(tmp_path / "e.txt", e, split=(2, 2))
+    save_point_set(tmp_path / "f.txt", f, split=(2, 2))
+    loaded = SplitPointSet.from_point_set(e, 2, 2), SplitPointSet.from_point_set(f, 2, 2)
+    seeded = ExperimentConfig(q=7, suite="coverage", seed=3, instances=2, oracle_instances=1)
+    instance0 = generate_set(seeded, "E", 0), generate_set(seeded, "F", 0)
+    for flags, pair in (
+        (("--suite", "coverage", "--e-file", str(tmp_path / "e.txt"),
+          "--f-file", str(tmp_path / "f.txt")), loaded),
+        (("--suite", "energy", "--e-file", str(tmp_path / "e.txt"),
+          "--f-file", str(tmp_path / "f.txt"), "--instances", "1"), loaded),
+        (("--suite", "coverage", "--seed", "3", "--instances", "2",
+          "--oracle-instances", "1"), instance0),
+    ):
+        out = tmp_path / "spectrum.csv"
+        assert cli_main(["--q", "7", *flags, "--out", str(out), "--format", "csv"]) == 0
+        table = np.array(_csv_rows(out), dtype=np.int64)
+        assert np.array_equal(table, pair_spectrum(*pair).s), flags
+
+
+def test_cli_lemmas_csv_is_header_plus_circle_rows(tmp_path, capsys):
+    out = tmp_path / "circle_energy.csv"
+    assert cli_main(["--q", "7", "--suite", "lemmas", "--instances", "1",
+                     "--out", str(out), "--format", "csv"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = next(c for c in report["checks"] if c["name"] == "circle-energy")["payload"]["rows"]
+    assert len(rows) == 6
+    assert _csv_rows(out) == [["q", "a", "sphere_size", "energy", "bound"],
+                              *([str(v) for v in row] for row in rows)]
+
+
+def test_cli_csv_of_an_empty_table_exits_2(tmp_path, capsys):
+    out = tmp_path / "none.csv"
+    with pytest.raises(SystemExit) as exit_info:  # q = 13 has no circle-energy rows
+        cli_main(["--q", "13", "--suite", "lemmas", "--instances", "1",
+                  "--out", str(out), "--format", "csv"])
+    assert exit_info.value.code == 2
+    assert "no CSV table" in capsys.readouterr().err and not out.exists()
+    # Sharpness always has its header, even with no construction applicable.
+    assert cli_main(["--q", "7", "--k", "2", "--l", "1", "--suite", "sharpness",
+                     "--out", str(out), "--format", "csv"]) == 0
+    assert out.read_bytes() == b"construction,parameter,set_size,coverage\r\n"
 
 
 def test_cli_csv_requires_out():

@@ -27,12 +27,10 @@ from fqdist import (
     norm_fiber_sizes,
     pair_spectrum_fast,
     pair_spectrum_naive,
-    read_spectrum_csv,
     save_point_set,
     spectrum_energy,
     spectrum_energy_bruteforce,
     surjectivity_check,
-    write_spectrum_csv,
 )
 from fqdist.pair_spectrum import pair_spectrum
 
@@ -346,13 +344,3 @@ def test_split_file_header_conflict(tmp_path):
     save_point_set(path, e.as_point_set(), split=(2, 2))
     with pytest.raises(ValueError):
         load_split_point_set(path, 3, 1)  # contradicts the stored split
-
-
-def test_spectrum_csv_roundtrip(tmp_path):
-    e = _random_split(5, 2, 2, 60, 11)
-    f = _random_split(5, 2, 2, 45, 12)
-    spec = pair_spectrum(e, f)
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(path, spec)
-    back = read_spectrum_csv(path, e.field, 2, 2, len(e), len(f))
-    assert np.array_equal(back.s, spec.s)

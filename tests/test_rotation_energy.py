@@ -29,7 +29,6 @@ from fqdist import (
     rotation_correlation,
     spectrum_energy,
     sphere_restricted_mass,
-    write_circle_energy_csv,
 )
 from fqdist.pair_spectrum import pair_spectrum
 
@@ -297,17 +296,6 @@ def test_coverage_min_bound_full_q3():
     for constant_c in (0.0, -3.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             coverage_min_bound(full, full, constant_c)
-
-
-def test_circle_energy_csv(tmp_path):
-    reports = [circle_energy(make_field(7), a) for a in range(1, 7)]
-    path = tmp_path / "ce.csv"
-    write_circle_energy_csv(path, reports)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "q,a,sphere_size,energy,bound"
-    assert len(lines) == 7
-    first = lines[1].split(",")
-    assert first[0] == "7" and first[1] == "1"
 
 
 @settings(max_examples=10, deadline=None)
