@@ -1,8 +1,8 @@
 """Command-line entry point: run a suite, emit a JSON report, exit by result.
 
 Exit codes: 0 when every check passed, 1 when any check failed, 2 on usage or
-configuration errors.  The JSON report always goes to stdout; --out writes it
-(or, with --format csv, the run's one table) to a file as well.
+configuration errors.  The JSON report goes to stdout unless the run exits 2;
+--out writes it (or, with --format csv, the run's one table) to a file as well.
 """
 
 from __future__ import annotations
@@ -33,28 +33,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--q", type=int, required=True,
                         help="prime field size (many checks need q = 3 mod 4)")
-    parser.add_argument("--k", type=int, default=2,
-                        help="dimension of the first block (default 2)")
-    parser.add_argument("--l", type=int, default=2,
-                        help="dimension of the second block (default 2)")
-    parser.add_argument("--suite", choices=SUITES, default="lemmas",
-                        help="which suite of checks to run (default lemmas)")
+    defaults = ExperimentConfig
+    parser.add_argument("--k", type=int, default=defaults.k,
+                        help="dimension of the first block (default %(default)s)")
+    parser.add_argument("--l", type=int, default=defaults.l,
+                        help="dimension of the second block (default %(default)s)")
+    parser.add_argument("--suite", choices=SUITES, default=defaults.suite,
+                        help="which suite of checks to run (default %(default)s)")
     parser.add_argument("--generator", choices=GENERATORS, default=None,
-                        help="how seeded instances draw their sets (default bernoulli)")
+                        help=f"how seeded instances draw their sets (default {defaults.generator})")
     parser.add_argument("--density", type=float, default=None,
                         help="fixed inclusion probability; omit to draw one per instance")
     parser.add_argument("--strip-len", type=int, default=None,
                         help="axis-strip length for strip constructions (default: scan 1..q)")
     parser.add_argument("--budget", type=int, default=None,
-                        help="candidate budget for the missing-distance search (default 2000)")
-    parser.add_argument("--seed", type=int, default=0,
+                        help="candidate budget for the missing-distance search "
+                             f"(default {defaults.budget})")
+    parser.add_argument("--seed", type=int, default=defaults.seed,
                         help="master seed; every instance derives from (seed, purpose, index)")
-    parser.add_argument("--constant-c", type=float, default=10.0,
-                        help="constant in the three-way coverage lower bound (default 10)")
-    parser.add_argument("--instances", type=int, default=20,
-                        help="seeded instances per randomized check (default 20)")
-    parser.add_argument("--oracle-instances", type=int, default=20,
-                        help="instances for the route-agreement checks (default 20)")
+    parser.add_argument("--constant-c", type=float, default=defaults.constant_c,
+                        help="constant in the three-way coverage lower bound (default %(default)s)")
+    parser.add_argument("--instances", type=int, default=defaults.instances,
+                        help="seeded instances per randomized check (default %(default)s)")
+    parser.add_argument("--oracle-instances", type=int, default=defaults.oracle_instances,
+                        help="instances for the route-agreement checks (default %(default)s)")
     parser.add_argument("--e-file", type=str, default=None,
                         help="load E from a point-set file instead of generating it")
     parser.add_argument("--f-file", type=str, default=None,
@@ -117,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         report.config["e_file"] = args.e_file
         report.config["f_file"] = args.f_file
     text = report.to_json_text()
-    sys.stdout.write(text)
+    # A request that exits 2 prints nothing, so --out is written before stdout.
     if args.out is not None:
         try:
             if args.format == "csv":
@@ -130,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                     fh.write(text)
         except (ValueError, OSError) as exc:
             parser.exit(2, f"fqdist: error: {exc}\n")
+    sys.stdout.write(text)
     return 0 if report.all_pass else 1
 
 

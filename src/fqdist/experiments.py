@@ -177,11 +177,13 @@ def _near_full_codes(cfg: ExperimentConfig, field: PrimeField, instance: int) ->
 
 def _product_first_factor(cfg: ExperimentConfig, field: PrimeField, instance: int) -> PointSet:
     """Nonempty seeded random subset of F_q^k for product constructions."""
-    for attempt in range(64):
+    draws = 64
+    for attempt in range(draws):
         codes = _bernoulli_codes(cfg, field, cfg.k, instance, 2 + attempt)
         if len(codes):
             return PointSet(field, cfg.k, codes)
-    raise RuntimeError("could not draw a nonempty factor; density too small")
+    raise ValueError(f"density {cfg.density} left the factor in F_{field.q}^{cfg.k} "
+                     f"empty in all {draws} draws; raise the density")
 
 
 @dataclass(frozen=True)
@@ -554,12 +556,12 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
     if loaded is not None:
         e, f = loaded
         spectrum = pair_spectrum(e, f)
-        rep = discrepancy_report(e, f, spectrum)
+        rep = discrepancy_report(spectrum)
         checks.append(CheckResult(
             "discrepancy (loaded sets)", "discrepancy_report", rep.all_ok,
             {"max_ratio": rep.max_ratio, "detail": rep.to_json_dict()},
         ))
-        sc = surjectivity_check(e, f, spectrum)
+        sc = surjectivity_check(spectrum)
         checks.append(CheckResult(
             "surjectivity (loaded sets)", "surjectivity_check", sc.consistent,
             {"threshold_met": sc.threshold_met, "coverage": sc.coverage,
@@ -579,11 +581,11 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
         spectrum = pair_spectrum(e, f)
         if i == 0:
             table = spectrum.s.tolist()
-        rep = discrepancy_report(e, f, spectrum)
+        rep = discrepancy_report(spectrum)
         if disc_failure is None and not rep.all_ok:
             disc_failure = _failure(cfg, i, np.argwhere(~rep.cell_ok)[0].tolist())
         max_ratio = max(max_ratio, rep.max_ratio)
-        if cons_failure is None and not surjectivity_check(e, f, spectrum).consistent:
+        if cons_failure is None and not surjectivity_check(spectrum).consistent:
             cons_failure = _failure(cfg, i, None)
     checks.append(CheckResult(
         "discrepancy", "discrepancy_report", disc_failure is None,
@@ -608,7 +610,7 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
         for i, cell in cases:
             e = full if cell else generate_set(deletion_cfg, "E", i)
             min_size = min(min_size, len(e))
-            sc = surjectivity_check(e, e)
+            sc = surjectivity_check(pair_spectrum(e, e))
             if surj_failure is None and not (sc.threshold_met and sc.surjective):
                 surj_failure = _failure(cfg, i, cell)
         checks.append(CheckResult(
@@ -668,7 +670,7 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
 
     # Single-point identity: lhs = 1, rhs = |SO2|^2 exactly.
     point = SplitPointSet(field, 2, 2, [0])
-    rep = energy_chain_check(point, point)
+    rep = energy_chain_check(point, point, pair_spectrum(point, point))
     so2_size = rep.so2_size
     checks.append(CheckResult(
         "single-point-identity", "energy_chain_check",
@@ -689,7 +691,7 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
             rep = correlation_transform_check(e, rotations[cell[0]], rotations[cell[1]])
             samples.append((rep.max_deviation, cell))
         max_dev, worst_cell = max(samples, key=lambda sample: sample[0])
-        bound = coverage_min_bound(e, f, cfg.constant_c, spectrum)
+        bound = coverage_min_bound(chain, spectrum, cfg.constant_c)
         return {
             "spectrum": spectrum,
             "chain": chain,

@@ -9,7 +9,8 @@ discrepancy certificates, energy identities) reads off this matrix, so two
 independent routes compute it: a literal pair scan and a convolution route
 that sums the exact difference histogram of E - F (difference_histogram,
 inverted from the character transforms with a hard-checked rounding) by norm
-class.
+class.  The certificates take the PairSpectrum they read as their input and
+never compute one; pair_spectrum picks the route for the suites.
 
 A SplitPointSet keeps its codes as geometry._canonical_codes leaves them and
 computes its indicator transform at most once (SplitPointSet.transform); every
@@ -313,12 +314,7 @@ class DiscrepancyReport:
     and the certificate is |error| <= budget up to a relative 1e-6.
     """
 
-    field: PrimeField
-    k: int
-    l: int
-    size_e: int
-    size_f: int
-    s: np.ndarray
+    spectrum: PairSpectrum
     main: list[list[Fraction]]
     error: list[list[Fraction]]
     budget: np.ndarray
@@ -327,14 +323,15 @@ class DiscrepancyReport:
     all_ok: bool
 
     def to_json_dict(self) -> dict:
-        q = self.field.q
+        spec = self.spectrum
+        q = spec.field.q
         cells = []
         for a in range(q):
             for b in range(q):
                 cells.append({
                     "a": a,
                     "b": b,
-                    "count": int(self.s[a, b]),
+                    "count": int(spec.s[a, b]),
                     "main": str(self.main[a][b]),
                     "error": str(self.error[a][b]),
                     "budget": float(self.budget[a, b]),
@@ -342,26 +339,23 @@ class DiscrepancyReport:
                 })
         return {
             "q": q,
-            "k": self.k,
-            "l": self.l,
-            "size_e": self.size_e,
-            "size_f": self.size_f,
+            "k": spec.k,
+            "l": spec.l,
+            "size_e": spec.size_e,
+            "size_f": spec.size_f,
             "max_ratio": self.max_ratio,
             "all_ok": self.all_ok,
             "cells": cells,
         }
 
 
-def discrepancy_report(e: SplitPointSet, f: SplitPointSet,
-                       spectrum: PairSpectrum | None = None) -> DiscrepancyReport:
-    """Certify the three-term error budget on every spectrum cell."""
-    if spectrum is None:
-        spectrum = pair_spectrum(e, f)
-    _check_compatible(e, f)
-    q, k, l = e.field.q, e.k, e.l
-    sphere_k = norm_fiber_sizes(e.field, k)
-    sphere_l = norm_fiber_sizes(e.field, l)
-    ne, nf = len(e), len(f)
+def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
+    """Certify the three-term error budget on every cell of the pair spectrum."""
+    field, k, l = spectrum.field, spectrum.k, spectrum.l
+    q = field.q
+    sphere_k = norm_fiber_sizes(field, k)
+    sphere_l = norm_fiber_sizes(field, l)
+    ne, nf = spectrum.size_e, spectrum.size_f
     root_ef = float(np.sqrt(float(ne) * float(nf)))
     term_cross = 4.0 * float(q) ** ((k + l) / 2.0 - 1.0) * root_ef
 
@@ -389,19 +383,14 @@ def discrepancy_report(e: SplitPointSet, f: SplitPointSet,
             cell_ok[a, b] = ok
         main.append(row_main)
         error.append(row_err)
-    return DiscrepancyReport(e.field, k, l, ne, nf, spectrum.s, main, error,
-                             budget, cell_ok, max_ratio, bool(cell_ok.all()))
+    return DiscrepancyReport(spectrum, main, error, budget, cell_ok, max_ratio,
+                             bool(cell_ok.all()))
 
 
 @dataclass(frozen=True)
 class SurjectivityCheck:
     """Threshold test: |E||F| > 16 q^(k+2l+1) forces full coverage."""
 
-    q: int
-    k: int
-    l: int
-    size_e: int
-    size_f: int
     threshold: Fraction
     threshold_met: bool
     coverage: int
@@ -409,25 +398,20 @@ class SurjectivityCheck:
     consistent: bool
 
 
-def surjectivity_check(e: SplitPointSet, f: SplitPointSet,
-                       spectrum: PairSpectrum | None = None) -> SurjectivityCheck:
-    """Test the coverage threshold on a concrete pair of sets.
+def surjectivity_check(spectrum: PairSpectrum) -> SurjectivityCheck:
+    """Test the coverage threshold on the pair spectrum of a concrete pair of sets.
 
     consistent is False exactly when the product size clears the threshold
     yet some (a, b) cell is empty, i.e. when the predicted implication fails.
     """
-    if not (e.l >= e.k >= 2):
-        raise ValueError(f"requires l >= k >= 2, got k={e.k}, l={e.l}")
-    if spectrum is None:
-        spectrum = pair_spectrum(e, f)
-    _check_compatible(e, f)
-    q, k, l = e.field.q, e.k, e.l
+    q, k, l = spectrum.field.q, spectrum.k, spectrum.l
+    if not (l >= k >= 2):
+        raise ValueError(f"requires l >= k >= 2, got k={k}, l={l}")
     threshold = Fraction(_coverage_threshold(q, k, l))
-    met = Fraction(len(e) * len(f)) > threshold
+    met = Fraction(spectrum.size_e * spectrum.size_f) > threshold
     coverage = int(np.count_nonzero(spectrum.s))
     surjective = coverage == q * q
-    return SurjectivityCheck(q, k, l, len(e), len(f), threshold, met,
-                             coverage, surjective, (not met) or surjective)
+    return SurjectivityCheck(threshold, met, coverage, surjective, (not met) or surjective)
 
 
 @dataclass(frozen=True)

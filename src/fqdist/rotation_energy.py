@@ -52,7 +52,6 @@ from .pair_spectrum import (
     _require_scannable,
     _split_norm_classes,
     difference_histogram,
-    pair_spectrum,
     spectrum_energy,
 )
 
@@ -232,12 +231,13 @@ class EnergyChainReport:
 
 
 def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
-                       spectrum: PairSpectrum | None = None) -> EnergyChainReport:
+                       spectrum: PairSpectrum) -> EnergyChainReport:
     """Certify lhs <= rhs with exact integers and cross-check the split.
 
-    lhs is the squared mass of the pair spectrum.  rhs is the rotation-summed
-    correlation energy, computed exactly from the difference histogram of
-    E - F (see _rotation_pair_energies).  The report also carries:
+    lhs is the squared mass of spectrum, the pair spectrum of E and F.  rhs
+    is the rotation-summed correlation energy, computed exactly from the
+    difference histogram of E - F (see _rotation_pair_energies).  The report
+    also carries:
       - the exact orbit-weight identity rhs - lhs = sum (w_a w_b - 1) s(a,b)^2
         with w_0 = |SO2| and w_t = 1 otherwise, a float-free cross-check;
       - the frequency-class split of rhs, whose zero class must equal
@@ -251,8 +251,6 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
     if len(e) == 0 or len(f) == 0:
         raise ValueError("energy comparison needs nonempty sets")
     q = e.field.q
-    if spectrum is None:
-        spectrum = pair_spectrum(e, f)
     lhs = spectrum_energy(spectrum)
     rotations = enumerate_so2(e.field)
     so2_size = len(rotations)
@@ -339,10 +337,6 @@ def sphere_restricted_mass(e: SplitPointSet, a: int) -> SphereMassReport:
 class CoverageBoundReport:
     """Three-branch lower bound for the number of achieved distance pairs."""
 
-    q: int
-    size_e: int
-    size_f: int
-    constant_c: float
     branch_mass: float
     branch_mixed: float
     branch_group: float
@@ -353,38 +347,30 @@ class CoverageBoundReport:
     holds: bool
 
 
-def coverage_min_bound(e: SplitPointSet, f: SplitPointSet, constant_c: float = 10.0,
-                       spectrum: PairSpectrum | None = None) -> CoverageBoundReport:
+def coverage_min_bound(chain: EnergyChainReport, spectrum: PairSpectrum,
+                       constant_c: float) -> CoverageBoundReport:
     """Evaluate min(|E||F|/(3q^4), (|E||F|)^(3/4)/(3Cq^3), q^4/(3|SO2|^2)).
 
-    The middle branch assumes the mixed spectral term is at most
-    C q^3 (|E||F|)^(5/4); the report carries the empirical constant
-    mixed / (q^3 (|E||F|)^(5/4)) so the assumption is visible.  holds compares
-    the bound with the achieved pair count; it is the meaningful certificate
-    whenever c_dominates is True.
+    chain is the energy chain of the same E and F, and spectrum their pair
+    spectrum: q, the set sizes, |SO2| and the mixed spectral term come from
+    chain, the achieved pair count from spectrum.  The middle branch assumes
+    the mixed term is at most C q^3 (|E||F|)^(5/4); the report carries the
+    empirical constant mixed / (q^3 (|E||F|)^(5/4)) so the assumption is
+    visible.  holds compares the bound with the achieved pair count; it is
+    the meaningful certificate whenever c_dominates is True.
     """
-    _require_plane_pair(e)
-    _require_plane_pair(f)
-    if len(e) == 0 or len(f) == 0:
-        raise ValueError("coverage bound needs nonempty sets")
     if not (np.isfinite(constant_c) and constant_c > 0):
         raise ValueError("constant_c must be finite and positive")
-    q = e.field.q
-    if spectrum is None:
-        spectrum = pair_spectrum(e, f)
+    q = chain.q
     achieved = int(np.count_nonzero(spectrum.s))
-    so2_size = len(enumerate_so2(e.field))
-    product = len(e) * len(f)
+    product = chain.size_e * chain.size_f
     branch_mass = product / (3.0 * q**4)
     branch_mixed = product**0.75 / (3.0 * constant_c * q**3)
-    branch_group = q**4 / (3.0 * so2_size**2)
+    branch_group = q**4 / (3.0 * chain.so2_size**2)
     min_bound = min(branch_mass, branch_mixed, branch_group)
-    split = _spectral_split(e, f, so2_size)
-    empirical_c = split.mixed / (q**3 * product**1.25)
+    empirical_c = chain.mixed_term / (q**3 * product**1.25)
     return CoverageBoundReport(
-        q=q, size_e=len(e), size_f=len(f), constant_c=constant_c,
         branch_mass=branch_mass, branch_mixed=branch_mixed, branch_group=branch_group,
         min_bound=min_bound, achieved=achieved, empirical_c=empirical_c,
         c_dominates=constant_c >= empirical_c, holds=min_bound <= achieved,
     )
-

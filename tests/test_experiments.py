@@ -1,17 +1,24 @@
 """Suite orchestration: seeding, generators, reports, and the CLI contract."""
 
+import contextlib
 import csv
 import dataclasses
 import importlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqdist import (
     GENERATORS,
+    SUITES,
     ExperimentConfig,
     PointSet,
     SizeGuardError,
@@ -27,7 +34,7 @@ from fqdist import (
     substream,
 )
 from fqdist.cli import main as cli_main
-from fqdist.experiments import _factors
+from fqdist.experiments import _factors, knobs_read
 from fqdist.pair_spectrum import pair_spectrum
 
 
@@ -351,7 +358,7 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
     _fail_on_call(monkeypatch, "sphere_restricted_mass", (q - 1) + 2,
                   lambda r, e, a: dataclasses.replace(r, holds=False))
 
-    def bad_cell(report, e, f, spectrum):
+    def bad_cell(report, spectrum):
         cell_ok = report.cell_ok.copy()
         cell_ok[2, 3] = False
         return dataclasses.replace(report, cell_ok=cell_ok, all_ok=False)
@@ -450,6 +457,17 @@ def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
             "instance": instance, "seed": 5, "cell": cell}, name
     assert checks["single-point-identity"]["pass"]
     assert "first_failure" not in checks["single-point-identity"]["payload"]
+
+
+def test_energy_suite_splits_each_pair_once(monkeypatch):
+    # One split for the single-point identity and one per instance: the
+    # coverage bound reads the mixed term from the instance's energy chain.
+    module = importlib.import_module("fqdist.rotation_energy")
+    real = module._spectral_split
+    calls = []
+    monkeypatch.setattr(module, "_spectral_split", lambda *args: calls.append(args) or real(*args))
+    assert run_suite(ExperimentConfig(q=7, suite="energy", instances=2)).all_pass
+    assert len(calls) == 3
 
 
 def test_surjectivity_failures_name_full_space_or_deletion(monkeypatch):
@@ -642,11 +660,78 @@ def test_cli_csv_of_an_empty_table_exits_2(tmp_path, capsys):
         cli_main(["--q", "13", "--suite", "lemmas", "--instances", "1",
                   "--out", str(out), "--format", "csv"])
     assert exit_info.value.code == 2
-    assert "no CSV table" in capsys.readouterr().err and not out.exists()
+    captured = capsys.readouterr()
+    assert "no CSV table" in captured.err and captured.out == "" and not out.exists()
     # Sharpness always has its header, even with no construction applicable.
     assert cli_main(["--q", "7", "--k", "2", "--l", "1", "--suite", "sharpness",
                      "--out", str(out), "--format", "csv"]) == 0
     assert out.read_bytes() == b"construction,parameter,set_size,coverage\r\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_out_into_a_missing_directory_exits_2(tmp_path, capsys, fmt):
+    out = tmp_path / "missing" / "report.out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--q", "3", "--suite", "lemmas", "--instances", "1",
+                  "--out", str(out), "--format", fmt])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "No such file or directory" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("q, density", [(3, 0.001), (2, 0.01)])
+def test_cli_density_that_leaves_a_factor_empty_exits_2(capsys, q, density):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--q", str(q), "--suite", "sharpness", "--density", str(density)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"density {density}" in captured.err and "64 draws" in captured.err
+    assert captured.out == ""
+
+
+# Values for the set-drawing fields, with densities down to near-empty sets.
+_KNOB_VALUES = {"density": st.sampled_from([0.001, 0.01, 0.5]),
+                "strip_len": st.integers(1, 7), "budget": st.integers(1, 64)}
+
+
+@st.composite
+def _cli_requests(draw):
+    """A flag set with only the set flags its suite reads; --out is None, "file" or "missing"."""
+    suite = draw(st.sampled_from(SUITES))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    generator = draw(st.sampled_from(GENERATORS))
+    flags = ["--suite", suite, "--q", str(q), "--k", str(k), "--l", str(l),
+             "--instances", str(draw(st.integers(1, 2))),
+             "--oracle-instances", str(draw(st.integers(0, 2))),
+             "--format", draw(st.sampled_from(["json", "csv"]))]
+    if suite == "coverage":
+        flags += ["--generator", generator]
+    for knob in sorted(knobs_read(suite, q, k, l, generator) - {"generator"}):
+        if draw(st.booleans()):
+            flags += [f"--{knob.replace('_', '-')}", str(draw(_KNOB_VALUES[knob]))]
+    return flags, draw(st.sampled_from([None, "file", "missing"]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_cli_requests())
+def test_cli_exit_contract_fuzz(drawn):
+    # 0 or 1 with one JSON report whose all_pass matches, or 2 with nothing on stdout.
+    flags, out = drawn
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if out is not None:
+            path = Path(tmp) / ("missing" if out == "missing" else "") / "report"
+            flags = [*flags, "--out", str(path)]
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(flags)
+        except SystemExit as exc:
+            assert exc.code == 2, flags
+            assert stdout.getvalue() == "", flags
+            return
+    assert code in (0, 1), flags
+    assert json.loads(stdout.getvalue())["all_pass"] == (code == 0), flags
 
 
 def test_cli_csv_requires_out():

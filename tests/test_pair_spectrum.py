@@ -257,7 +257,7 @@ def test_energy_matches_bruteforce():
 def test_full_space_discrepancy_is_zero():
     field = make_field(3)
     full = SplitPointSet.full(field, 2, 2)
-    rep = discrepancy_report(full, full)
+    rep = discrepancy_report(pair_spectrum(full, full))
     assert rep.all_ok
     assert rep.max_ratio == 0.0
     for a in range(3):
@@ -269,7 +269,7 @@ def test_discrepancy_random_sets_certified():
     for seed in range(3):
         e = _random_split(7, 2, 2, 300, seed)
         f = _random_split(7, 2, 2, 450, 10 + seed)
-        rep = discrepancy_report(e, f)
+        rep = discrepancy_report(pair_spectrum(e, f))
         assert rep.all_ok
         # Main terms are exact rationals with denominator dividing q^(k+l).
         assert rep.main[1][1] == Fraction(300 * 450 * 8 * 8, 7**4)
@@ -278,7 +278,7 @@ def test_discrepancy_random_sets_certified():
 def test_surjectivity_full_space_q3():
     field = make_field(3)
     full = SplitPointSet.full(field, 2, 2)
-    sc = surjectivity_check(full, full)
+    sc = surjectivity_check(pair_spectrum(full, full))
     assert sc.threshold == 16 * 3**7
     assert not sc.threshold_met  # 81^2 = 6561 pairs, below 16 * 3^7 = 34992
     assert sc.surjective and sc.coverage == 9
@@ -288,7 +288,7 @@ def test_surjectivity_full_space_q3():
 def test_surjectivity_threshold_met_q17():
     field = make_field(17)
     full = SplitPointSet.full(field, 2, 2)
-    sc = surjectivity_check(full, full)
+    sc = surjectivity_check(pair_spectrum(full, full))
     assert sc.threshold == 16 * 17**7
     assert sc.threshold_met  # 83521^2 > 16 * 17^7
     assert sc.surjective and sc.coverage == 289
@@ -298,7 +298,7 @@ def test_surjectivity_threshold_met_q17():
 def test_surjectivity_requires_block_dims():
     e = _random_split(3, 1, 2, 10, 3)
     with pytest.raises(ValueError):
-        surjectivity_check(e, e)
+        surjectivity_check(pair_spectrum(e, e))
 
 
 def test_marginal_mass_single_point():

@@ -33,6 +33,10 @@ from fqdist import (
 from fqdist.pair_spectrum import pair_spectrum
 
 
+def _chain(e, f):
+    return energy_chain_check(e, f, pair_spectrum(e, f))
+
+
 def _random_plane_pair_set(q, size, seed):
     field = make_field(q)
     rng = np.random.default_rng(seed)
@@ -96,7 +100,7 @@ def test_energy_chain_single_point_frozen():
     # rhs = (q+1)^2; the overcount identity accounts for the gap exactly.
     field = make_field(3)
     e = SplitPointSet(field, 2, 2, [0])
-    rep = energy_chain_check(e, e)
+    rep = _chain(e, e)
     assert rep.lhs == 1
     assert rep.rhs == 16
     assert rep.holds
@@ -110,7 +114,7 @@ def test_energy_chain_random_sets():
     for q, size, seed in [(3, 30, 5), (7, 250, 6)]:
         e = _random_plane_pair_set(q, size, seed)
         f = _random_plane_pair_set(q, size + 10, seed + 50)
-        rep = energy_chain_check(e, f)
+        rep = _chain(e, f)
         assert rep.holds
         assert rep.lhs == spectrum_energy(pair_spectrum(e, f))
         assert rep.overcount_matches  # rhs - lhs equals the orbit-weight sum exactly
@@ -146,20 +150,20 @@ def test_energy_chain_rhs_matches_literal_correlations(q, size_e, size_f, seed):
     for a, b in ((e, f), (e, same_size), (e, e), (point, point)):
         literal = _literal_pair_energies(a, b)
         assert np.array_equal(module._rotation_pair_energies(a, b, rots), literal)
-        assert energy_chain_check(a, b).rhs == int(literal.sum())
-    assert energy_chain_check(point, point).rhs == (q + 1) ** 2
+        assert _chain(a, b).rhs == int(literal.sum())
+    assert _chain(point, point).rhs == (q + 1) ** 2
     twin = SplitPointSet(e.field, 2, 2, e.codes.copy())
-    assert energy_chain_check(e, twin).rhs == energy_chain_check(e, e).rhs
+    assert _chain(e, twin).rhs == _chain(e, e).rhs
 
 
 def test_energy_chain_rhs_batches_phi(monkeypatch):
     # q = 7 has 8 rotations; batches of 3 phi leave a short last batch.
     e = _random_plane_pair_set(7, 150, 16)
     f = _random_plane_pair_set(7, 90, 17)
-    expected = energy_chain_check(e, f).rhs
+    expected = _chain(e, f).rhs
     monkeypatch.setattr(importlib.import_module("fqdist.rotation_energy"), "_pair_chunk",
                         lambda n_other: 3)
-    assert energy_chain_check(e, f).rhs == expected == _literal_rhs(e, f)
+    assert _chain(e, f).rhs == expected == _literal_rhs(e, f)
 
 
 def test_residue_guard_raises(monkeypatch):
@@ -196,10 +200,10 @@ def test_rhs_route_size_guard(monkeypatch):
 def test_energy_chain_gates():
     with pytest.raises(ValueError):
         e = SplitPointSet(make_field(5), 2, 2, [0])
-        energy_chain_check(e, e)
+        _chain(e, e)
     with pytest.raises(ValueError):
         e = SplitPointSet(make_field(3), 1, 3, [0])
-        energy_chain_check(e, e)
+        _chain(e, e)
 
 
 def test_circle_energy_frozen_q3():
@@ -270,8 +274,8 @@ def test_energy_checks_transform_each_set_once(monkeypatch):
     e = _random_plane_pair_set(7, 300, 10)
     f = _random_plane_pair_set(7, 200, 11)
     theta, phi = enumerate_so2(e.field)[1:3]
-    energy_chain_check(e, f)
-    coverage_min_bound(e, f)
+    spectrum = pair_spectrum(e, f)
+    coverage_min_bound(energy_chain_check(e, f, spectrum), spectrum, 10.0)
     assert correlation_transform_check(e, theta, phi).passed
     assert len(calls) == 2  # once for e, once for f
 
@@ -285,7 +289,9 @@ def test_sphere_restricted_mass_small_set():
 def test_coverage_min_bound_full_q3():
     field = make_field(3)
     full = SplitPointSet.full(field, 2, 2)
-    rep = coverage_min_bound(full, full)
+    spectrum = pair_spectrum(full, full)
+    chain = energy_chain_check(full, full, spectrum)
+    rep = coverage_min_bound(chain, spectrum, 10.0)
     assert rep.achieved == 9
     assert rep.holds
     # Branches: mass 6561/(3*81) = 27, mixed 729/810 = 0.9, group 81/48.
@@ -295,7 +301,7 @@ def test_coverage_min_bound_full_q3():
     assert rep.min_bound == pytest.approx(0.9)
     for constant_c in (0.0, -3.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
-            coverage_min_bound(full, full, constant_c)
+            coverage_min_bound(chain, spectrum, constant_c)
 
 
 @settings(max_examples=10, deadline=None)
@@ -303,5 +309,5 @@ def test_coverage_min_bound_full_q3():
 def test_energy_chain_property_q3(codes):
     field = make_field(3)
     e = SplitPointSet(field, 2, 2, sorted(codes))
-    rep = energy_chain_check(e, e)
+    rep = _chain(e, e)
     assert rep.holds and rep.overcount_matches and rep.split_ok
