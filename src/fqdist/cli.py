@@ -88,14 +88,14 @@ def _knobs(args) -> dict:
     return knobs
 
 
-def _load_sets(args) -> tuple[SplitPointSet | None, SplitPointSet | None]:
+def _load_sets(args) -> tuple[SplitPointSet, SplitPointSet] | None:
+    """The loaded pair (E, F), with F is E when no F file is given; None without files."""
     if args.e_file is None:
         if args.f_file is not None:
             raise ValueError("--f-file requires --e-file")
-        return None, None
+        return None
     e = load_split_point_set(args.e_file, args.k, args.l)
-    f = load_split_point_set(args.f_file, args.k, args.l) if args.f_file else None
-    return e, f
+    return e, load_split_point_set(args.f_file, args.k, args.l) if args.f_file else e
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,15 +107,15 @@ def main(argv: list[str] | None = None) -> int:
             constant_c=args.constant_c, instances=args.instances,
             oracle_instances=args.oracle_instances, **_knobs(args),
         )
-        e_set, f_set = _load_sets(args)
-        if e_set is not None and args.suite not in ("coverage", "energy"):
+        sets = _load_sets(args)
+        if sets is not None and args.suite not in ("coverage", "energy"):
             raise ValueError(f"suite {args.suite!r} does not accept loaded sets")
         if args.format == "csv" and args.out is None:
             raise ValueError("--format csv requires --out")
-        report = run_suite(cfg, e_set, f_set)
+        report = run_suite(cfg, sets)
     except (ValueError, SizeGuardError, OSError) as exc:
         parser.exit(2, f"fqdist: error: {exc}\n")
-    if e_set is not None:
+    if sets is not None:
         report.config["e_file"] = args.e_file
         report.config["f_file"] = args.f_file
     text = report.to_json_text()

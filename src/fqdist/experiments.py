@@ -75,6 +75,8 @@ GENERATOR_KNOBS = {
 }
 GENERATORS = tuple(GENERATOR_KNOBS)
 SET_KNOBS = ("generator", "density", "strip_len", "budget")
+# The sets (E, F) a suite runs on; F is E, the same object, when the two are one set.
+SetPair = tuple[SplitPointSet, SplitPointSet]
 
 # Purpose tags for the counter-based generator; never reuse a value.
 _T_DENSITY = 1
@@ -123,6 +125,8 @@ class ExperimentConfig:
     oracle_instances: int = 20
 
     def __post_init__(self):
+        if self.q % 2 == 0:
+            raise ValueError(f"q must be an odd prime (the paper's setting), got {self.q}")
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.generator not in GENERATORS:
@@ -274,23 +278,28 @@ def _factors(cfg: ExperimentConfig, field: PrimeField, instance: int
     return pair, pair
 
 
-def generate_set(cfg: ExperimentConfig, which: str, instance: int = 0) -> SplitPointSet:
-    """Deterministic set for (config, E-or-F, instance index).
+def _product_pair(first: tuple[PointSet, PointSet], second: tuple[PointSet, PointSet]
+                  ) -> SetPair:
+    """(A x B, C x D) for factor pairs (A, B), (C, D); F is E when the pairs are one object."""
+    e = SplitPointSet.product(*first)
+    return e, e if second is first else SplitPointSet.product(*second)
 
-    bernoulli and near-full draw subsets of F_q^(k+l); every other generator
-    is the product of the factors from _factors.  Only bernoulli and circles
-    distinguish E from F.
+
+def generate_set(cfg: ExperimentConfig, instance: int = 0) -> SetPair:
+    """The deterministic pair (E, F) for (config, instance index).
+
+    bernoulli draws E and F independently and circles builds two products.  Every
+    other generator builds one set and returns it as both (F is E): near-full deletes
+    seeded points from F_q^(k+l), and the rest multiply the factors from _factors.
     """
-    which_bit = {"E": 0, "F": 1}.get(which.upper())
-    if which_bit is None:
-        raise ValueError(f"which must be 'E' or 'F', got {which!r}")
     field = make_field(cfg.q)
     if cfg.generator == "bernoulli":
-        codes = _bernoulli_codes(cfg, field, cfg.k + cfg.l, instance, which_bit)
-        return SplitPointSet(field, cfg.k, cfg.l, codes)
+        return tuple(SplitPointSet(field, cfg.k, cfg.l, _bernoulli_codes(
+            cfg, field, cfg.k + cfg.l, instance, bit)) for bit in (0, 1))
     if cfg.generator == "near-full":
-        return SplitPointSet(field, cfg.k, cfg.l, _near_full_codes(cfg, field, instance))
-    return SplitPointSet.product(*_factors(cfg, field, instance)[which_bit])
+        e = SplitPointSet(field, cfg.k, cfg.l, _near_full_codes(cfg, field, instance))
+        return e, e
+    return _product_pair(*_factors(cfg, field, instance))
 
 
 @dataclass(frozen=True)
@@ -544,8 +553,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
 # --------------------------------------------------------------- coverage ---
 
 
-def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
-                     loaded: tuple[SplitPointSet, SplitPointSet] | None
+def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | None
                      ) -> tuple[list[CheckResult], list]:
     q, k, l = field.q, cfg.k, cfg.l
     checks: list[CheckResult] = []
@@ -553,9 +561,8 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
     if not (l >= k >= 2):
         raise ValueError(f"coverage suite needs l >= k >= 2, got ({k}, {l})")
 
-    if loaded is not None:
-        e, f = loaded
-        spectrum = pair_spectrum(e, f)
+    if sets is not None:
+        spectrum = pair_spectrum(*sets)
         rep = discrepancy_report(spectrum)
         checks.append(CheckResult(
             "discrepancy (loaded sets)", "discrepancy_report", rep.all_ok,
@@ -573,12 +580,12 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
     disc_failure = None
     cons_failure = None
     max_ratio = 0.0
+    spectra = {}  # instance -> its pair spectrum
     for i in range(cfg.instances):
-        e = generate_set(cfg, "E", i)
-        f = generate_set(cfg, "F", i)
+        e, f = generate_set(cfg, i)
         if len(e) == 0 or len(f) == 0:
             continue
-        spectrum = pair_spectrum(e, f)
+        spectrum = spectra[i] = pair_spectrum(e, f)
         if i == 0:
             table = spectrum.s.tolist()
         rep = discrepancy_report(spectrum)
@@ -601,18 +608,22 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
     ambient = q ** (k + l)
     threshold = _coverage_threshold(q, k, l)
     if ambient * ambient > threshold:
-        # The full space, checked in every run, fails as instance 0 with cell "full-space".
+        # The full space, checked in every run, fails as instance 0 with cell "full-space"
+        # unless it is covered and its spectrum is exactly q^(k+l) |S_a^k| |S_b^l|.
         full = SplitPointSet.full(field, k, l)
-        deletion_cfg = replace(cfg, generator="near-full")
-        surj_failure = None
+        spectrum = pair_spectrum(full, full)
+        exact = ambient * np.outer(norm_fiber_sizes(field, k), norm_fiber_sizes(field, l))
+        sc = surjectivity_check(spectrum)
+        ok = sc.threshold_met and sc.surjective and np.array_equal(spectrum.s, exact)
+        surj_failure = None if ok else _failure(cfg, 0, "full-space")
+        near = replace(cfg, generator="near-full")
         min_size = len(full)
-        cases = [(0, "full-space")] + [(i, None) for i in range(cfg.instances)]
-        for i, cell in cases:
-            e = full if cell else generate_set(deletion_cfg, "E", i)
-            min_size = min(min_size, len(e))
-            sc = surjectivity_check(pair_spectrum(e, e))
+        for i in range(cfg.instances):  # a near-full run has built these spectra already
+            spectrum = spectra[i] if near == cfg else pair_spectrum(*generate_set(near, i))
+            min_size = min(min_size, spectrum.size_e)
+            sc = surjectivity_check(spectrum)
             if surj_failure is None and not (sc.threshold_met and sc.surjective):
-                surj_failure = _failure(cfg, i, cell)
+                surj_failure = _failure(cfg, i, None)
         checks.append(CheckResult(
             "surjectivity-above-threshold", "surjectivity_check", surj_failure is None,
             _with_failure({"instances": cfg.instances + 1, "min_size": min_size,
@@ -660,8 +671,7 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField,
 # ----------------------------------------------------------------- energy ---
 
 
-def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
-                   loaded: tuple[SplitPointSet, SplitPointSet] | None
+def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | None
                    ) -> tuple[list[CheckResult], list]:
     q = field.q
     checks: list[CheckResult] = []
@@ -700,8 +710,8 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField,
             "bound": bound,
         }
 
-    if loaded is not None:
-        pairs = [loaded]
+    if sets is not None:
+        pairs = [sets]
     else:
         pairs = []
         for i in range(cfg.instances):
@@ -815,8 +825,7 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
         for parameter, run_cfg, instance in _sweep(cfg, con.generator):
             factors = _factors(run_cfg, field, instance)
             (a, b), (c, d) = factors
-            e = SplitPointSet.product(a, b)
-            f = e if factors[1] is factors[0] else SplitPointSet.product(c, d)
+            e, f = _product_pair(*factors)
             pairs = achieved_pairs(pair_spectrum(e, f))
             law = {(s, t) for s in distance_set(a, c) for t in distance_set(b, d)}
             if failure is None and pairs != law:
@@ -848,27 +857,25 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
     return checks, [["construction", "parameter", "set_size", "coverage"], *rows]
 
 
-def run_suite(cfg: ExperimentConfig,
-              e_set: SplitPointSet | None = None,
-              f_set: SplitPointSet | None = None) -> RunReport:
-    """Run the suite cfg.suite and collect its checks; never raises on failed checks."""
-    for name, s in (("E", e_set), ("F", f_set)):
-        if s is not None and (s.field.q, s.k, s.l) != (cfg.q, cfg.k, cfg.l):
+def run_suite(cfg: ExperimentConfig, sets: SetPair | None = None) -> RunReport:
+    """Run the suite cfg.suite and collect its checks; never raises on failed checks.
+
+    coverage and energy run on sets, a loaded (E, F) with F is E for one set, if given.
+    """
+    for name, s in zip("EF", sets or ()):
+        if (s.field.q, s.k, s.l) != (cfg.q, cfg.k, cfg.l):
             raise ValueError(
                 f"loaded set {name} has q = {s.field.q}, split ({s.k}, {s.l}), but the "
                 f"run asks for q = {cfg.q}, split ({cfg.k}, {cfg.l})"
             )
     field = make_field(cfg.q)
-    loaded = None
-    if e_set is not None:
-        loaded = (e_set, f_set if f_set is not None else e_set)
     start = time.perf_counter()
     if cfg.suite == "lemmas":
         checks, table = _lemmas_checks(cfg, field)
     elif cfg.suite == "coverage":
-        checks, table = _coverage_checks(cfg, field, loaded)
+        checks, table = _coverage_checks(cfg, field, sets)
     elif cfg.suite == "energy":
-        checks, table = _energy_checks(cfg, field, loaded)
+        checks, table = _energy_checks(cfg, field, sets)
     else:
         checks, table = _sharpness_checks(cfg, field)
     duration_ms = int((time.perf_counter() - start) * 1000)

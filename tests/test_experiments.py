@@ -57,12 +57,11 @@ def test_substream_reproducible_and_independent():
 
 def test_generate_set_deterministic():
     cfg = ExperimentConfig(q=7, k=2, l=2, seed=5)
-    e1 = generate_set(cfg, "E", 3)
-    e2 = generate_set(cfg, "E", 3)
-    assert np.array_equal(e1.codes, e2.codes)
+    e1, f1 = generate_set(cfg, 3)
+    e2, f2 = generate_set(cfg, 3)
+    assert np.array_equal(e1.codes, e2.codes) and np.array_equal(f1.codes, f2.codes)
     # E and F draws differ; different instances differ.
-    f1 = generate_set(cfg, "F", 3)
-    e4 = generate_set(cfg, "E", 4)
+    e4, _ = generate_set(cfg, 4)
     assert not np.array_equal(e1.codes, f1.codes)
     assert not np.array_equal(e1.codes, e4.codes)
 
@@ -70,18 +69,17 @@ def test_generate_set_deterministic():
 def test_generate_set_density_controls_size():
     lo = ExperimentConfig(q=7, seed=1, density=0.1)
     hi = ExperimentConfig(q=7, seed=1, density=0.9)
-    assert len(generate_set(hi, "E")) > len(generate_set(lo, "E"))
+    assert len(generate_set(hi)[0]) > len(generate_set(lo)[0])
 
 
 def test_generate_full_and_near_full():
     cfg = ExperimentConfig(q=17, k=2, l=2, generator="full", seed=2)
-    full = generate_set(cfg, "E")
+    full, _ = generate_set(cfg)
     assert len(full) == 17**4
     near = ExperimentConfig(q=17, k=2, l=2, generator="near-full", seed=2)
-    e = generate_set(near, "E", 0)
-    f = generate_set(near, "F", 0)
-    # Deletion sets ignore the E/F label: the pair is E = F by construction.
-    assert np.array_equal(e.codes, f.codes)
+    e, f = generate_set(near, 0)
+    # One deletion set is both halves of the pair: F is E by identity.
+    assert f is e
     deleted = 17**4 - len(e)
     assert 1 <= deleted <= 2400
     # Stay above the coverage threshold: |E|^2 > 16 * 17^7.
@@ -90,8 +88,7 @@ def test_generate_full_and_near_full():
 
 def test_generate_circles_occupy_opposite_planes():
     cfg = ExperimentConfig(q=7, k=2, l=2, generator="circles", seed=0)
-    e = generate_set(cfg, "E")
-    f = generate_set(cfg, "F")
+    e, f = generate_set(cfg)
     assert len(e) == len(f) == 8
     assert np.all(e.second_codes() == 0)
     assert np.all(f.first_codes() == 0)
@@ -99,7 +96,7 @@ def test_generate_circles_occupy_opposite_planes():
 
 def test_generate_strip_product_shape():
     cfg = ExperimentConfig(q=7, k=2, l=2, generator="strip", strip_len=3, seed=0)
-    e = generate_set(cfg, "E")
+    e, _ = generate_set(cfg)
     assert len(e) == 49 * 3
 
 
@@ -108,7 +105,7 @@ def _strip_product_law(q, length):
     cfg = ExperimentConfig(q=q, generator="strip", strip_len=length)
     (plane, strip), factors_f = _factors(cfg, make_field(q), 0)
     assert factors_f == (plane, strip)
-    e = generate_set(cfg, "E")
+    e, _ = generate_set(cfg)
     assert np.array_equal(e.codes, SplitPointSet.product(plane, strip).codes)
     assert strip.points() == [(i, 0) for i in range(length)]
     pairs = achieved_pairs(pair_spectrum(e, e))
@@ -138,7 +135,7 @@ def test_strip_and_circles_need_the_plane_pair_split():
         for k, l in ((3, 3), (2, 3), (1, 2)):
             cfg = ExperimentConfig(q=7, k=k, l=l, generator=generator)
             with pytest.raises(ValueError, match="plane-pair split k = l = 2"):
-                generate_set(cfg, "E")
+                generate_set(cfg)
     p = _cli("--q", "7", "--k", "3", "--l", "3", "--suite", "coverage", "--generator", "strip",
              "--instances", "1", "--oracle-instances", "1", "--seed", "1")
     assert p.returncode == 2
@@ -153,17 +150,21 @@ def test_strip_and_circles_need_the_plane_pair_split():
 
 
 def test_product_generators_build_e_and_f_from_their_factors():
-    field = make_field(7)
-    for generator in ("full", "circles", "product", "strip", "sharp-product"):
-        cfg = ExperimentConfig(q=7, k=3 if generator == "sharp-product" else 2, l=2,
+    for generator in GENERATORS:
+        # near-full needs q = 17, the smallest q whose coverage threshold is reachable.
+        cfg = ExperimentConfig(q=17 if generator == "near-full" else 7,
+                               k=3 if generator == "sharp-product" else 2, l=2,
                                generator=generator, seed=3, budget=200)
-        factors_e, factors_f = _factors(cfg, field, 1)
+        e, f = generate_set(cfg, 1)
+        assert (f is e) == (generator not in ("bernoulli", "circles")), generator
+        if generator in ("bernoulli", "near-full"):
+            continue
+        factors_e, factors_f = _factors(cfg, make_field(7), 1)
         assert (factors_f is factors_e) == (generator != "circles")
-        for which, factors in (("E", factors_e), ("F", factors_f)):
-            built = generate_set(cfg, which, 1)
+        for built, factors in ((e, factors_e), (f, factors_f)):
             assert np.array_equal(built.codes, SplitPointSet.product(*factors).codes)
-    full = generate_set(ExperimentConfig(q=7, generator="full"), "E")
-    assert np.array_equal(full.codes, SplitPointSet.full(field, 2, 2).codes)
+    full, _ = generate_set(ExperimentConfig(q=7, generator="full"))
+    assert np.array_equal(full.codes, SplitPointSet.full(make_field(7), 2, 2).codes)
 
 
 def test_sharpness_csv_rows_pinned(tmp_path):
@@ -221,13 +222,14 @@ def test_search_gates():
 
 
 def test_missing_distance_search_runs_once_per_key():
-    # generate_set builds a new field per call; equal fields share one search.
+    # generate_set builds a new field per call, once per instance; equal fields
+    # share one search.
     search_missing_distance_set.cache_clear()
     cfg = ExperimentConfig(q=7, k=3, l=3, suite="coverage", generator="sharp-product",
                            instances=5, oracle_instances=1)
     assert run_suite(cfg).all_pass
     info = search_missing_distance_set.cache_info()
-    assert (info.misses, info.hits) == (1, 9)
+    assert (info.misses, info.hits) == (1, 4)
     assert make_field(7) == make_field(7) != make_field(11)
     assert hash(make_field(7)) == hash(make_field(7))
 
@@ -307,14 +309,14 @@ def test_reports_hold_only_native_json_types():
         q, k = {"near-full": (17, 2), "sharp-product": (3, 3)}.get(generator, (5, 2))
         configs.append(ExperimentConfig(q=q, k=k, l=k, suite="coverage", generator=generator,
                                         instances=2, oracle_instances=2 if q < 17 else 0))
-    runs = [(cfg, None, None) for cfg in configs]
+    runs = [(cfg, None) for cfg in configs]
     field = make_field(7)
     rng = np.random.default_rng(4)
     e, f = (SplitPointSet(field, 2, 2, rng.choice(7**4, n, replace=False)) for n in (300, 200))
-    runs += [(ExperimentConfig(q=7, suite=suite, instances=1), e, f)
+    runs += [(ExperimentConfig(q=7, suite=suite, instances=1), (e, f))
              for suite in ("coverage", "energy")]
-    for cfg, e_set, f_set in runs:
-        report = run_suite(cfg, e_set, f_set)
+    for cfg, sets in runs:
+        report = run_suite(cfg, sets)
         assert _native_json_types(report.to_json_dict()) == [], cfg
         assert all(type(v) in (int, str) for row in report.table for v in row), cfg
 
@@ -477,11 +479,21 @@ def test_surjectivity_failures_name_full_space_or_deletion(monkeypatch):
     def not_surjective(report, *args):
         return dataclasses.replace(report, surjective=False)
 
-    # surjectivity_check calls 0-1 are the seeded instances (threshold-consistency),
-    # call 2 the full space and calls 3-4 the near-full deletions.
-    for call, instance, cell in ((2, 0, "full-space"), (4, 1, None)):
+    def balanced(spectrum, *args):
+        # +1 / -1 / -1 / +1 on a 2 x 2 block keeps the mass and the coverage.
+        s = spectrum.s.copy()
+        s[1:3, 1:3] += np.array([[1, -1], [-1, 1]])
+        return dataclasses.replace(spectrum, s=s)
+
+    # pair_spectrum and surjectivity_check calls 0-1 are the seeded instances
+    # (threshold-consistency), call 2 the full space and calls 3-4 the near-full
+    # deletions.  The full space must also match its closed form.
+    for name, call, fail, instance, cell in (
+            ("surjectivity_check", 2, not_surjective, 0, "full-space"),
+            ("surjectivity_check", 4, not_surjective, 1, None),
+            ("pair_spectrum", 2, balanced, 0, "full-space")):
         monkeypatch.undo()
-        _fail_on_call(monkeypatch, "surjectivity_check", call, not_surjective)
+        _fail_on_call(monkeypatch, name, call, fail)
         checks = {c["name"]: c for c in run_suite(cfg).to_json_dict()["checks"]}
         assert checks["threshold-consistency"]["pass"]
         assert not checks["surjectivity-above-threshold"]["pass"]
@@ -489,12 +501,29 @@ def test_surjectivity_failures_name_full_space_or_deletion(monkeypatch):
             "instance": instance, "seed": 5, "cell": cell}
 
 
+def test_near_full_coverage_transforms_each_set_once(monkeypatch):
+    # One forward transform and one inversion for the full space and for each
+    # distinct set: a near-full instance is one set (F is E), and the
+    # surjectivity check rereads the spectrum the discrepancy check built.
+    module = importlib.import_module("fqdist.pair_spectrum")
+    calls = {"forward_transform": 0, "inverse_transform": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    cfg = ExperimentConfig(q=17, suite="coverage", generator="near-full", instances=2,
+                           oracle_instances=0)
+    assert run_suite(cfg).all_pass
+    assert calls == {"forward_transform": 3, "inverse_transform": 3}
+
+
 def test_loaded_sets_override_generation():
     field = make_field(7)
     rng = np.random.default_rng(1)
     e = SplitPointSet(field, 2, 2, rng.choice(7**4, 400, replace=False))
     cfg = ExperimentConfig(q=7, suite="coverage", seed=1)
-    rep = run_suite(cfg, e_set=e)
+    rep = run_suite(cfg, (e, e))
     names = [c.name for c in rep.checks]
     assert "discrepancy (loaded sets)" in names
     assert rep.all_pass
@@ -508,9 +537,9 @@ def test_loaded_sets_must_match_config():
     other_split = SplitPointSet(field, 1, 3, e.codes)
     cfg = ExperimentConfig(q=7, suite="coverage", seed=1)
     with pytest.raises(ValueError, match=r"set E has q = 11.*asks for q = 7"):
-        run_suite(cfg, e_set=other_q)
+        run_suite(cfg, (other_q, other_q))
     with pytest.raises(ValueError, match=r"set F has q = 7, split \(1, 3\).*split \(2, 2\)"):
-        run_suite(ExperimentConfig(q=7, suite="energy"), e_set=e, f_set=other_split)
+        run_suite(ExperimentConfig(q=7, suite="energy"), (e, other_split))
 
 
 def test_energy_suite_runs_without_numpy_fft():
@@ -539,6 +568,10 @@ def test_cli_rejects_bad_modulus():
     p = _cli("--q", "9", "--suite", "lemmas")
     assert p.returncode == 2
     assert "prime" in p.stderr
+    # 2 is prime, but the paper's setting is odd q.
+    p = _cli("--q", "2", "--suite", "lemmas", "--instances", "1")
+    assert p.returncode == 2 and p.stdout == ""
+    assert "q must be an odd prime" in p.stderr
 
 
 def test_cli_rejects_wrong_suite_shape():
@@ -628,7 +661,7 @@ def test_cli_spectrum_csv_is_the_pair_spectrum(tmp_path):
     save_point_set(tmp_path / "f.txt", f, split=(2, 2))
     loaded = SplitPointSet.from_point_set(e, 2, 2), SplitPointSet.from_point_set(f, 2, 2)
     seeded = ExperimentConfig(q=7, suite="coverage", seed=3, instances=2, oracle_instances=1)
-    instance0 = generate_set(seeded, "E", 0), generate_set(seeded, "F", 0)
+    instance0 = generate_set(seeded, 0)
     for flags, pair in (
         (("--suite", "coverage", "--e-file", str(tmp_path / "e.txt"),
           "--f-file", str(tmp_path / "f.txt")), loaded),
@@ -679,7 +712,7 @@ def test_cli_out_into_a_missing_directory_exits_2(tmp_path, capsys, fmt):
     assert "No such file or directory" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("q, density", [(3, 0.001), (2, 0.01)])
+@pytest.mark.parametrize("q, density", [(3, 0.001), (5, 0.0001)])
 def test_cli_density_that_leaves_a_factor_empty_exits_2(capsys, q, density):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["--q", str(q), "--suite", "sharpness", "--density", str(density)])

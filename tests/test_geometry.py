@@ -116,7 +116,7 @@ def test_one_enumeration_limit_moves_every_guard(monkeypatch):
         lambda: SplitPointSet.full(field, 2, 2),
         lambda: indicator_table(e.as_point_set()),
         lambda: difference_histogram(e, e),
-        lambda: generate_set(ExperimentConfig(q=3, generator="bernoulli"), "E"),
+        lambda: generate_set(ExperimentConfig(q=3, generator="bernoulli")),
     ):
         with pytest.raises(SizeGuardError, match="enumeration limit 80$"):
             refused()
