@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .errors import SizeGuardError
@@ -89,13 +90,15 @@ def _knobs(args) -> dict:
 
 
 def _load_sets(args) -> tuple[SplitPointSet, SplitPointSet] | None:
-    """The loaded pair (E, F), with F is E when no F file is given; None without files."""
+    """The loaded pair (E, F), or None without files; F is E unless --f-file names another file."""
     if args.e_file is None:
         if args.f_file is not None:
             raise ValueError("--f-file requires --e-file")
         return None
     e = load_split_point_set(args.e_file, args.k, args.l)
-    return e, load_split_point_set(args.f_file, args.k, args.l) if args.f_file else e
+    if not args.f_file or os.path.samefile(args.f_file, args.e_file):
+        return e, e
+    return e, load_split_point_set(args.f_file, args.k, args.l)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -609,12 +609,12 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
     threshold = _coverage_threshold(q, k, l)
     if ambient * ambient > threshold:
         # The full space, checked in every run, fails as instance 0 with cell "full-space"
-        # unless it is covered and its spectrum is exactly q^(k+l) |S_a^k| |S_b^l|.
+        # unless it is covered and its spectrum equals the discrepancy main term exactly.
         full = SplitPointSet.full(field, k, l)
         spectrum = pair_spectrum(full, full)
-        exact = ambient * np.outer(norm_fiber_sizes(field, k), norm_fiber_sizes(field, l))
         sc = surjectivity_check(spectrum)
-        ok = sc.threshold_met and sc.surjective and np.array_equal(spectrum.s, exact)
+        ok = (sc.threshold_met and sc.surjective
+              and not discrepancy_report(spectrum).error.any())
         surj_failure = None if ok else _failure(cfg, 0, "full-space")
         near = replace(cfg, generator="near-full")
         min_size = len(full)

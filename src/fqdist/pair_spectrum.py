@@ -120,16 +120,12 @@ class SplitPointSet:
         return cls(first.field, first.d, second.d, codes)
 
 
-def load_split_point_set(path, k: int | None = None, l: int | None = None) -> SplitPointSet:
-    """Load a point-set file; the header split (or explicit k, l) fixes the split."""
+def load_split_point_set(path, k: int, l: int) -> SplitPointSet:
+    """Load a point-set file split as k + l; a split= header must agree."""
     ps, split = load_point_set(path)
-    if split is None:
-        if k is None or l is None:
-            raise ValueError(f"{path}: no split= header; pass k and l explicitly")
-        split = (k, l)
-    elif k is not None and l is not None and (k, l) != split:
+    if split is not None and split != (k, l):
         raise ValueError(f"{path}: header split {split} conflicts with requested ({k}, {l})")
-    return SplitPointSet.from_point_set(ps, *split)
+    return SplitPointSet.from_point_set(ps, k, l)
 
 
 def _pairwise_norms(block: np.ndarray, other: np.ndarray, q: int) -> np.ndarray:
@@ -305,18 +301,21 @@ def spectrum_energy_bruteforce(e: SplitPointSet, f: SplitPointSet) -> int:
 class DiscrepancyReport:
     """Cellwise comparison of s(a, b) against its main term and error budget.
 
-    For each (a, b):
-      main(a, b)  = |E| |F| |S_a^(k-1)| |S_b^(l-1)| / q^(k+l)      (exact)
-      error(a, b) = s(a, b) - main(a, b)                           (exact)
-      budget(a,b) = 2 q^((k-1)/2) sqrt(|E||F|) |S_b|
-                  + 2 q^((l-1)/2) sqrt(|E||F|) |S_a|
-                  + 4 q^((k+l)/2 - 1) sqrt(|E||F|)                  (float)
-    and the certificate is |error| <= budget up to a relative 1e-6.
+    With N = |E||F| and |S_a^k| the number of points of norm a in F_q^k, for each (a, b):
+      main(a, b)  = N |S_a^k| |S_b^l| / q^(k+l)                        (exact)
+      error(a, b) = s(a, b) - main(a, b)                               (exact)
+      budget(a,b) = 2 q^((k-1)/2) sqrt(N) |S_b^l|
+                  + 2 q^((l-1)/2) sqrt(N) |S_a^k|
+                  + 4 q^((k+l)/2 - 1) sqrt(N)                          (float)
+    main and error hold the integer numerators over q^(k+l), as Python ints in
+    object arrays (N |S_a^k| |S_b^l| passes 2^63 at desk scale); the JSON detail
+    prints each as a reduced fraction.  The certificate is |error| <= budget up
+    to a relative 1e-6.
     """
 
     spectrum: PairSpectrum
-    main: list[list[Fraction]]
-    error: list[list[Fraction]]
+    main: np.ndarray  # object ints, shape (q, q): numerators over q^(k+l)
+    error: np.ndarray  # object ints, shape (q, q): numerators over q^(k+l)
     budget: np.ndarray
     cell_ok: np.ndarray
     max_ratio: float
@@ -325,18 +324,13 @@ class DiscrepancyReport:
     def to_json_dict(self) -> dict:
         spec = self.spectrum
         q = spec.field.q
-        cells = []
-        for a in range(q):
-            for b in range(q):
-                cells.append({
-                    "a": a,
-                    "b": b,
-                    "count": int(spec.s[a, b]),
-                    "main": str(self.main[a][b]),
-                    "error": str(self.error[a][b]),
-                    "budget": float(self.budget[a, b]),
-                    "ok": bool(self.cell_ok[a, b]),
-                })
+        denom = q ** (spec.k + spec.l)
+        cells = [{"a": a, "b": b, "count": int(spec.s[a, b]),
+                  "main": str(Fraction(self.main[a, b], denom)),
+                  "error": str(Fraction(self.error[a, b], denom)),
+                  "budget": float(self.budget[a, b]),
+                  "ok": bool(self.cell_ok[a, b])}
+                 for a in range(q) for b in range(q)]
         return {
             "q": q,
             "k": spec.k,
@@ -353,37 +347,23 @@ def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
     """Certify the three-term error budget on every cell of the pair spectrum."""
     field, k, l = spectrum.field, spectrum.k, spectrum.l
     q = field.q
+    denom = q ** (k + l)
     sphere_k = norm_fiber_sizes(field, k)
     sphere_l = norm_fiber_sizes(field, l)
     ne, nf = spectrum.size_e, spectrum.size_f
+    main = ne * nf * np.outer(sphere_k.astype(object), sphere_l.astype(object))
+    error = spectrum.s.astype(object) * denom - main
+    # int / int is correctly rounded, so this is float(|error| as a Fraction).
+    abs_err = (np.abs(error) / denom).astype(np.float64)
     root_ef = float(np.sqrt(float(ne) * float(nf)))
     term_cross = 4.0 * float(q) ** ((k + l) / 2.0 - 1.0) * root_ef
-
-    main: list[list[Fraction]] = []
-    error: list[list[Fraction]] = []
-    budget = np.zeros((q, q), dtype=np.float64)
-    cell_ok = np.zeros((q, q), dtype=bool)
-    max_ratio = 0.0
-    denom = q ** (k + l)
-    for a in range(q):
-        row_main = []
-        row_err = []
-        for b in range(q):
-            m = Fraction(ne * nf * int(sphere_k[a]) * int(sphere_l[b]), denom)
-            err = Fraction(int(spectrum.s[a, b])) - m
-            bud = (2.0 * float(q) ** ((k - 1) / 2.0) * root_ef * float(sphere_l[b])
-                   + 2.0 * float(q) ** ((l - 1) / 2.0) * root_ef * float(sphere_k[a])
-                   + term_cross)
-            ok = abs(float(err)) <= bud * (1.0 + 1e-6)
-            ratio = abs(float(err)) / bud if bud > 0 else (0.0 if err == 0 else float("inf"))
-            max_ratio = max(max_ratio, ratio)
-            row_main.append(m)
-            row_err.append(err)
-            budget[a, b] = bud
-            cell_ok[a, b] = ok
-        main.append(row_main)
-        error.append(row_err)
-    return DiscrepancyReport(spectrum, main, error, budget, cell_ok, max_ratio,
+    budget = (2.0 * float(q) ** ((k - 1) / 2.0) * root_ef * sphere_l.astype(np.float64)[None, :]
+              + 2.0 * float(q) ** ((l - 1) / 2.0) * root_ef * sphere_k.astype(np.float64)[:, None]
+              + term_cross)
+    cell_ok = abs_err <= budget * (1.0 + 1e-6)
+    ratio = np.divide(abs_err, budget, out=np.where(abs_err == 0, 0.0, np.inf),
+                      where=budget > 0)
+    return DiscrepancyReport(spectrum, main, error, budget, cell_ok, float(ratio.max()),
                              bool(cell_ok.all()))
 
 
@@ -391,7 +371,7 @@ def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
 class SurjectivityCheck:
     """Threshold test: |E||F| > 16 q^(k+2l+1) forces full coverage."""
 
-    threshold: Fraction
+    threshold: int
     threshold_met: bool
     coverage: int
     surjective: bool
@@ -407,8 +387,8 @@ def surjectivity_check(spectrum: PairSpectrum) -> SurjectivityCheck:
     q, k, l = spectrum.field.q, spectrum.k, spectrum.l
     if not (l >= k >= 2):
         raise ValueError(f"requires l >= k >= 2, got k={k}, l={l}")
-    threshold = Fraction(_coverage_threshold(q, k, l))
-    met = Fraction(spectrum.size_e * spectrum.size_f) > threshold
+    threshold = _coverage_threshold(q, k, l)
+    met = spectrum.size_e * spectrum.size_f > threshold
     coverage = int(np.count_nonzero(spectrum.s))
     surjective = coverage == q * q
     return SurjectivityCheck(threshold, met, coverage, surjective, (not met) or surjective)

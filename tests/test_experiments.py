@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import importlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -729,30 +730,53 @@ _KNOB_VALUES = {"density": st.sampled_from([0.001, 0.01, 0.5]),
 
 @st.composite
 def _cli_requests(draw):
-    """A flag set with only the set flags its suite reads; --out is None, "file" or "missing"."""
-    suite = draw(st.sampled_from(SUITES))
+    """A flag set with only the set flags its suite reads, an --out choice and a file choice.
+
+    --out is None, "file" or "missing".  The loaded files are None, "valid" (a
+    small file for the drawn q, k, l), "malformed", "missing" or "same" (one
+    valid file as both --e-file and --f-file); a file request draws no --generator.
+    """
+    loaded = draw(st.sampled_from([None, None, "valid", "malformed", "missing", "same"]))
+    # Only coverage and energy read loaded sets, so a file request draws them twice as often.
+    suite = draw(st.sampled_from(SUITES if loaded is None else ("coverage", "energy", *SUITES)))
     q = draw(st.sampled_from([2, 3, 5, 7]))
     k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     generator = draw(st.sampled_from(GENERATORS))
     flags = ["--suite", suite, "--q", str(q), "--k", str(k), "--l", str(l),
+             "--seed", str(draw(st.integers(-2**64, 2**64))),
              "--instances", str(draw(st.integers(1, 2))),
              "--oracle-instances", str(draw(st.integers(0, 2))),
              "--format", draw(st.sampled_from(["json", "csv"]))]
-    if suite == "coverage":
+    if suite == "coverage" and loaded is None:
         flags += ["--generator", generator]
     for knob in sorted(knobs_read(suite, q, k, l, generator) - {"generator"}):
         if draw(st.booleans()):
             flags += [f"--{knob.replace('_', '-')}", str(draw(_KNOB_VALUES[knob]))]
-    return flags, draw(st.sampled_from([None, "file", "missing"]))
+    return flags, draw(st.sampled_from([None, "file", "missing"])), loaded
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+def _loaded_file_flags(tmp: Path, flags: list[str], loaded: str) -> list[str]:
+    """The --e-file (and for "same", --f-file) flags of a fuzzed request, writing the file."""
+    q, k, l = (int(flags[flags.index(f"--{name}") + 1]) for name in ("q", "k", "l"))
+    path = tmp / "e.txt"
+    if loaded == "malformed":
+        path.write_text(f"q={q} dims={k + l}\n" + ",".join(["x"] * (k + l)) + "\n")
+    elif loaded in ("valid", "same"):
+        points = itertools.islice(itertools.product(range(q), repeat=k + l), 0, 100, 5)
+        path.write_text(f"q={q} dims={k + l} split={k},{l}\n"
+                        + "".join(",".join(map(str, p)) + "\n" for p in points))
+    return ["--e-file", str(path), *(["--f-file", str(path)] if loaded == "same" else [])]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(_cli_requests())
 def test_cli_exit_contract_fuzz(drawn):
     # 0 or 1 with one JSON report whose all_pass matches, or 2 with nothing on stdout.
-    flags, out = drawn
+    flags, out, loaded = drawn
     stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        if loaded is not None:
+            flags = [*flags, *_loaded_file_flags(Path(tmp), flags, loaded)]
         if out is not None:
             path = Path(tmp) / ("missing" if out == "missing" else "") / "report"
             flags = [*flags, "--out", str(path)]
@@ -783,6 +807,32 @@ def test_cli_loaded_sets(tmp_path):
     report = json.loads(p.stdout)
     assert report["config"]["e_file"] == str(path)
     assert any(c["name"] == "surjectivity (loaded sets)" for c in report["checks"])
+
+
+def test_cli_f_file_naming_the_e_file_loads_and_transforms_once(tmp_path, monkeypatch, capsys):
+    # F is E when --f-file names the --e-file's file, here through a symlink:
+    # one forward transform, and the report of the --e-file-only run.
+    path = tmp_path / "e.txt"
+    _save_random_set(path, 7, 500, 2)
+    (tmp_path / "f.txt").symlink_to(path)
+    module = importlib.import_module("fqdist.pair_spectrum")
+    calls = []
+
+    def counted(*args, _real=module.forward_transform):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(module, "forward_transform", counted)
+    reports = []
+    for f_file in ([], ["--f-file", str(tmp_path / "f.txt")]):
+        calls.clear()
+        assert cli_main(["--q", "7", "--suite", "coverage", "--e-file", str(path), *f_file]) == 0
+        assert len(calls) == 1
+        report = json.loads(capsys.readouterr().out)
+        report.pop("duration_ms")
+        report["config"].pop("f_file")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def _save_random_set(path, q, size, seed):

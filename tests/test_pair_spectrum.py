@@ -1,6 +1,7 @@
 """Two-block pair spectra: exact counting, dual routes, certificates."""
 
 import importlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from fqdist import (
     spectrum_energy_bruteforce,
     surjectivity_check,
 )
-from fqdist.pair_spectrum import pair_spectrum
+from fqdist.pair_spectrum import PairSpectrum, pair_spectrum
 
 
 def _random_split(q, k, l, size, seed):
@@ -271,8 +272,54 @@ def test_discrepancy_random_sets_certified():
         f = _random_split(7, 2, 2, 450, 10 + seed)
         rep = discrepancy_report(pair_spectrum(e, f))
         assert rep.all_ok
-        # Main terms are exact rationals with denominator dividing q^(k+l).
-        assert rep.main[1][1] == Fraction(300 * 450 * 8 * 8, 7**4)
+        # Main terms are exact rationals: integer numerators over q^(k+l).
+        assert rep.main[1, 1] == 300 * 450 * 8 * 8
+        assert rep.to_json_dict()["cells"][7 + 1]["main"] == str(
+            Fraction(300 * 450 * 8 * 8, 7**4))
+
+
+def test_discrepancy_full_space_q97_needs_big_numerators():
+    # Synthetic: the full space of F_97^(2+2) has s = q^(k+l) |S_a^2| |S_b^2| exactly.
+    field = make_field(97)
+    n = 97**4
+    sphere = norm_fiber_sizes(field, 2)
+    spectrum = PairSpectrum(field, 2, 2, n, n, n * np.outer(sphere, sphere))
+    rep = discrepancy_report(spectrum)
+    assert not rep.error.any()
+    assert rep.all_ok and rep.max_ratio == 0.0
+    assert max(rep.main.flat) > np.iinfo(np.int64).max  # int64 numerators would wrap
+    for cell in rep.to_json_dict()["cells"]:
+        a, b = cell["a"], cell["b"]
+        assert cell["main"] == str(Fraction(n * n * int(sphere[a]) * int(sphere[b]), n))
+        assert cell["error"] == "0"
+
+
+def test_discrepancy_budget_edge_is_one_count_wide():
+    # Sizes of 10^9 put the budget near 10^11, so one count is far below 1e-7 of it.
+    field = make_field(7)
+    q, n = 7, 10**9
+    sphere = [int(v) for v in norm_fiber_sizes(field, 2)]
+    main = {(a, b): Fraction(n * n * sphere[a] * sphere[b], q**4)
+            for a in range(q) for b in range(q)}
+    s = np.array([[round(main[a, b]) for b in range(q)] for a in range(q)], dtype=np.int64)
+    a, b = 2, 3
+    root = math.sqrt(float(n) * float(n))
+    budget = (2.0 * float(q) ** 0.5 * root * float(sphere[b])
+              + 2.0 * float(q) ** 0.5 * root * float(sphere[a])
+              + 4.0 * float(q) ** 1.0 * root)
+    limit = budget * (1.0 + 1e-6)
+    assert 1 < 1e-7 * budget
+    inside = math.floor(main[a, b] + Fraction(limit))
+    for count, ok in ((inside, True), (inside + 1, False)):
+        # The per-cell rule the certificate states, in exact rationals.
+        assert (abs(float(count - main[a, b])) <= limit) == ok
+        cell_s = s.copy()
+        cell_s[a, b] = count
+        rep = discrepancy_report(PairSpectrum(field, 2, 2, n, n, cell_s))
+        assert rep.budget[a, b] == budget
+        assert rep.all_ok == ok and bool(rep.cell_ok[a, b]) == ok
+        assert rep.cell_ok.sum() == q * q - (not ok)
+        assert rep.error[a, b] == count * q**4 - n * n * sphere[a] * sphere[b]
 
 
 def test_surjectivity_full_space_q3():
@@ -333,7 +380,7 @@ def test_split_file_roundtrip(tmp_path):
     e = _random_split(7, 2, 2, 40, 9)
     path = tmp_path / "split.txt"
     save_point_set(path, e.as_point_set(), split=(2, 2))
-    loaded = load_split_point_set(path)
+    loaded = load_split_point_set(path, 2, 2)
     assert loaded.k == 2 and loaded.l == 2
     assert loaded.codes.tolist() == e.codes.tolist()
 
