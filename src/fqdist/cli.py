@@ -90,15 +90,25 @@ def _knobs(args) -> dict:
 
 
 def _load_sets(args) -> tuple[SplitPointSet, SplitPointSet] | None:
-    """The loaded pair (E, F), or None without files; F is E unless --f-file names another file."""
+    """The loaded pair (E, F), or None without files; F is E unless --f-file names another file.
+
+    A file with no points is refused: a run over an empty set would certify nothing.
+    """
     if args.e_file is None:
         if args.f_file is not None:
             raise ValueError("--f-file requires --e-file")
         return None
-    e = load_split_point_set(args.e_file, args.k, args.l)
-    if not args.f_file or os.path.samefile(args.f_file, args.e_file):
+
+    def load(path: str) -> SplitPointSet:
+        loaded = load_split_point_set(path, args.k, args.l)
+        if not len(loaded):
+            raise ValueError(f"{path} holds no points")
+        return loaded
+
+    e = load(args.e_file)
+    if args.f_file is None or os.path.samefile(args.f_file, args.e_file):
         return e, e
-    return e, load_split_point_set(args.f_file, args.k, args.l)
+    return e, load(args.f_file)
 
 
 def main(argv: list[str] | None = None) -> int:

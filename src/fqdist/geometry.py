@@ -7,10 +7,15 @@ The norm is the sum of squared coordinates mod q (no square root is taken).
 A point set stores its codes once, canonical (sorted, unique, in range) and
 read-only: _canonical_codes checks the order in O(n) and sorts only input that
 fails the check, so building a set from another set's codes copies nothing.
+
+load_point_set reads a file's data lines with np.loadtxt when they are plain
+(digits, commas, minus signs, blanks), and otherwise line by line.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,77 +178,89 @@ def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# Byte classes of the point-set file grammar: a digit's class is its value.
-# Only \n ends a line; \r is a blank, so \r\n files load.  The tables are
-# bytes built in plain Python: numpy calls at import raise every run's peak RSS.
-_MINUS, _COMMA, _NEWLINE, _BLANK, _HASH, _OTHER = range(10, 16)
-_DIGITS = range(10)
-_SYMBOLS = {ord("-"): _MINUS, ord(","): _COMMA, ord("\n"): _NEWLINE, ord("#"): _HASH,
-            **dict.fromkeys(b" \t\r\v\f", _BLANK)}
-_BYTE_CLASS = bytes(b - ord("0") if b in b"0123456789" else _SYMBOLS.get(b, _OTHER)
-                    for b in range(256))
-# With its blanks removed, a data line must read -?D+(,-?D+)* up to its
-# newline.  A machine whose state is the class of the last byte accepts that
-# language, so a line is well formed exactly when each class may follow the
-# one before it (the previous line's newline included), and no blank was
-# removed between two bytes that are each a digit or a minus.
-_FOLLOWS = {_NEWLINE: (*_DIGITS, _MINUS), _MINUS: _DIGITS, _COMMA: (*_DIGITS, _MINUS),
-            **dict.fromkeys(_DIGITS, (*_DIGITS, _COMMA, _NEWLINE))}
-_BAD_PAIR = bytes(c not in _FOLLOWS.get(p, ()) for p in range(16) for c in range(16))
+# The point-set grammar over bytes.  Only \n ends a line; blanks are space, \t, \r, \v, \f.
+_HEADER = re.compile(rb"^[ \t\r\v\f]*[^ \t\r\v\f\n#].*$", re.M)  # the first line not skipped
+_SKIPPED = re.compile(rb"\n[ \t\r\v\f]*(?:#.*)?(?=\n)")  # newline, blank or comment line
+_TOKEN = re.compile(rb"[ \t\r\v\f]*(-?[0-9]+)[ \t\r\v\f]*")
+# Lines of only these bytes mean to np.loadtxt what they mean to the grammar.
+_PLAIN = b"0123456789,- \t\n"
 
 
-def _lookup(table: bytes, index, dtype=np.uint8) -> np.ndarray:
-    """table[index] for a 256-byte table and one-byte indices, as dtype.
+def _read_plain(data: bytes, q: int, d: int) -> np.ndarray | None:
+    """The (n, d) points np.loadtxt reads from plain data, or None unless each is in [0, q)^d."""
+    if data.isspace() or data.translate(None, _PLAIN):
+        return None
+    try:
+        values = np.loadtxt(io.BytesIO(data), encoding="ascii", dtype=np.int64, delimiter=",",
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == d and values.min() >= 0 and values.max() < q else None
 
-    bytes.translate maps each byte through the table in one C pass, without
-    the 8-byte index array that numpy's take would build.
+
+def _coordinate(number: bytes, q: int) -> int:
+    """The value of a token -?[0-9]+, or q for any value outside [0, q)."""
+    digits = number.lstrip(b"-0")  # the sign, then leading zeros: -0 is 0
+    if digits and number.startswith(b"-") or len(digits) > len(str(q)):
+        return q
+    return min(int(digits or b"0"), q)
+
+
+def _read_lines(data: bytes, first: int, q: int, d: int, bad_line) -> tuple[np.ndarray, list]:
+    """(points, line numbers) of data, the file from the newline ending line first on.
+
+    Reads the grammar literally and raises its first error: on the first bad line
+    a bad token before a wrong count, then the first coordinate outside [0, q).
     """
-    return np.frombuffer(bytes(index).translate(table), dtype=dtype)
+    rows, numbers = [], []
+    for number, line in enumerate(_SKIPPED.sub(b"\n", data).split(b"\n"), first):
+        if not line:
+            continue
+        tokens = [_TOKEN.fullmatch(token) for token in line.split(b",")]
+        if not all(tokens):
+            raise bad_line(number, "non-integer token in ")
+        if len(tokens) != d:
+            raise bad_line(number, "point ", f" does not have {d} coordinates")
+        rows.append([_coordinate(token[1], q) for token in tokens])
+        numbers.append(number)
+    values = np.array(rows, dtype=np.int64).reshape(-1, d)
+    outside = (values == q).any(axis=1)
+    if outside.any():
+        raise bad_line(numbers[outside.argmax()], "coordinates of ", f" are not in [0, {q})")
+    return values, numbers
 
 
 def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
     """Read the format written by save_point_set; returns (set, split or None).
 
-    Lines end at \\n.  A line that is blank, or whose first non-blank byte is
-    #, is skipped; the first other line is the header, and every later line
-    holds exactly dims comma-separated tokens ``blank* -? [0-9]+ blank*``
-    (blanks: space, \\t, \\r, \\v, \\f).  The points must be canonical: every
-    coordinate in [0, q), no point twice.  Anything else is a ValueError
-    naming the path and the 1-based line.  The first bad line decides, and on
-    it a bad token beats a bad count; range and repeat errors come only once
-    every line has parsed.
+    Lines end at \\n.  Blank lines, and lines whose first non-blank byte is #,
+    are skipped.  The first other line is the header; it needs dims >= 1 and
+    q^dims <= 2^63, so that every code fits in int64.  Every later line holds
+    exactly dims comma-separated tokens ``blank* -? [0-9]+ blank*`` (blanks:
+    space, \\t, \\r, \\v, \\f): a point with every coordinate in [0, q),
+    listed once.  Anything else is a ValueError naming the path and the
+    1-based line.  The first bad line decides, and on it a bad token beats a
+    bad count; range and repeat errors come only once every line has parsed.
 
-    The file is checked and converted by numpy masks over its bytes; the
-    text of a line is decoded only to name it in an error.
+    np.loadtxt reads the data if it holds only digits, commas, minus signs,
+    spaces, tabs and newlines, as it is or with the skipped lines emptied and
+    each \\r\\n made \\n; other data is read line by line as the grammar says.
     """
     raw = Path(path).read_bytes()
     if not raw.endswith(b"\n"):
         raw += b"\n"
 
-    def line_text(number: int) -> str:
-        return raw.split(b"\n", number)[number - 1].decode(errors="replace").strip()
+    def bad_line(number: int, before: str, after: str = "") -> ValueError:
+        """The error naming line number, with its text between before and after."""
+        text = raw.split(b"\n", number)[number - 1].decode(errors="replace").strip()
+        return ValueError(f"{path}, line {number}: {before}{text!r}{after}")
 
-    def bad_line(number: int, problem: str) -> ValueError:
-        return ValueError(f"{path}, line {number}: {problem}")
-
-    # Drop the blanks, noting which kept bytes followed one.  Newlines stay,
-    # so every line keeps its number and ends in one.
-    cls = _lookup(_BYTE_CLASS, raw)
-    kept = cls != _BLANK
-    after_blank = np.zeros_like(kept)
-    after_blank[1:] = ~kept[:-1]
-    cls, after_blank = cls[kept], after_blank[kept]
-    del kept
-    newlines = np.flatnonzero(cls == _NEWLINE)
-    first = cls.take(np.concatenate(([0], newlines[:-1] + 1)))
-    content = np.flatnonzero((first != _NEWLINE) & (first != _HASH))
-    if not len(content):
+    found = _HEADER.search(raw)
+    if found is None:
         raise ValueError(f"{path}: no header line found")
-
-    header_number = int(content[0]) + 1
-    header = line_text(header_number)
+    header_number = raw.count(b"\n", 0, found.start()) + 1
     fields = {}
-    for token in header.split():
+    for token in found[0].decode(errors="replace").split():
         if "=" not in token:
             raise ValueError(f"{path}: malformed header token {token!r}")
         key, _, val = token.partition("=")
@@ -255,77 +272,28 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
         d = int(fields["dims"])
         split = tuple(int(v) for v in fields["split"].split(",")) if "split" in fields else None
     except ValueError:
-        raise bad_line(header_number, f"header {header!r} has a non-integer value") from None
+        raise bad_line(header_number, "header ", " has a non-integer value") from None
     if split is not None and (len(split) != 2 or split[0] + split[1] != d):
-        raise bad_line(header_number, f"header {header!r} needs split=<k>,<l> with k + l = dims")
+        raise bad_line(header_number, "header ", " needs split=<k>,<l> with k + l = dims")
     field = make_field(q)
-    line_numbers = content[1:] + 1
-    if not len(line_numbers):
-        return PointSet(field, d, []), split
+    # q >= 2, so dims > 63 alone puts q^dims past 2^63.
+    if not 1 <= d <= 63 or q**d > 2**63:
+        raise bad_line(header_number, "header ", " needs dims >= 1 and q^dims <= 2^63")
 
-    # Keep the data lines alone and find the first bad one.
-    is_data = np.zeros(len(newlines), dtype=bool)
-    is_data[content[1:]] = True
-    is_data = np.repeat(is_data, np.diff(newlines, prepend=-1))
-    cls, after_blank = cls[is_data], after_blank[is_data]
-    del is_data, newlines, content
-    prev = np.empty_like(cls)
-    prev[0] = _NEWLINE
-    prev[1:] = cls[:-1]
-    bad = _lookup(_BAD_PAIR, prev * 16 + cls, bool)
-    bad = bad | (after_blank & (prev <= _MINUS) & (cls <= _MINUS))
-    del prev, after_blank
-    at = int(bad.argmax())
-    first_bad = int(np.count_nonzero(cls[:at] == _NEWLINE)) if bad[at] else len(line_numbers)
-    del bad
-    # Lines before the first bad one each end in a token, so the tokens that a
-    # newline follows split the token list into those lines.
-    digit = cls < 10
-    ends = np.flatnonzero(digit[:-1] & ~digit[1:])  # the last digit of each token
-    counts = np.diff(np.flatnonzero(cls.take(ends + 1) == _NEWLINE), prepend=-1)
-    short = np.flatnonzero(counts != d)
-    first_short = int(short[0]) if len(short) else len(line_numbers)
-    if min(first_bad, first_short) < len(line_numbers):
-        number = int(line_numbers[min(first_bad, first_short)])
-        if first_short < first_bad:
-            raise bad_line(number, f"point {line_text(number)!r} does not have {d} coordinates")
-        raise bad_line(number, f"non-integer token in {line_text(number)!r}")
-
-    # Every line is now d tokens -?D+, and a token is a maximal run of digits.
-    # value[i] is Horner's value of the last len(str(q)) digits of the run up
-    # to byte i, in the narrowest dtype that holds 10 q; at bytes that are no
-    # digit it is garbage that is never read.  A token with a nonzero digit
-    # before those has more significant digits than q, so it is out of range
-    # without being evaluated, and nothing overflows.
-    width = len(str(q))
-    digit_value = cls.astype(np.min_scalar_type(10**width), copy=False)
-    value = digit_value.copy()
-    run = digit.copy()  # run[i]: bytes i - back .. i are all digits
-    for back in range(1, width + 1):
-        run[back:] &= digit[:-back]
-        run[:back] = False
-        if back < width:
-            value[back:] += digit_value[:-back] * run[back:] * 10**back
-    values = value.take(ends)
-    outside = values >= q
-    # A nonzero digit followed by width more digits makes its token too long.
-    # A byte's token is the first one to end at or after it.
-    too_long = np.flatnonzero((cls[:-width] > 0) & run[width:])
-    outside[np.searchsorted(ends, too_long)] = True
-    negative = np.searchsorted(ends, np.flatnonzero(cls == _MINUS))
-    outside[negative] |= values[negative] != 0  # -0 is 0
-    del cls, digit, ends, digit_value, value, run, too_long, negative
-    if outside.any():
-        number = int(line_numbers[outside.argmax() // d])
-        raise bad_line(number, f"coordinates of {line_text(number)!r} are not in [0, {q})")
-    codes = encode_vectors(q, values.reshape(-1, d))
-    if len(codes) > 1 and not np.all(codes[1:] > codes[:-1]):
+    data = raw[found.end():]  # from the header's newline on
+    values = _read_plain(data, q, d)
+    if values is None:
+        values = _read_plain(_SKIPPED.sub(b"\n", data).replace(b"\r\n", b"\n"), q, d)
+    if values is None:
+        values = _read_lines(data, header_number, q, d, bad_line)[0]
+    codes = values @ q ** np.arange(d - 1, -1, -1)  # base q, first coordinate first
+    if not np.all(codes[1:] > codes[:-1]):
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
         repeats = np.flatnonzero(codes[1:] == codes[:-1])
         if len(repeats):
             # The sort is stable, so the smallest index is the earliest repeat.
-            number = int(line_numbers[order[repeats + 1].min()])
-            raise bad_line(number, f"point {line_text(number)!r} is listed twice")
+            numbers = _read_lines(data, header_number, q, d, bad_line)[1]
+            raise bad_line(numbers[order[repeats + 1].min()], "point ", " is listed twice")
     codes.setflags(write=False)  # nobody else holds it, so the set need not copy it
     return PointSet(field, d, codes), split

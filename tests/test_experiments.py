@@ -855,6 +855,33 @@ def test_cli_rejects_q_mismatch_with_loaded_file(tmp_path, suite):
     assert p.stdout == ""
 
 
+def test_cli_empty_f_file_path_exits_2(tmp_path, capsys):
+    # An empty --f-file is a path that names no file, not a missing flag.
+    path = tmp_path / "e.txt"
+    _save_random_set(path, 7, 60, 3)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--q", "7", "--suite", "coverage", "--e-file", str(path), "--f-file", ""])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "No such file or directory" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["coverage", "energy"])
+@pytest.mark.parametrize("flag", ["--e-file", "--f-file"])
+def test_cli_refuses_a_loaded_set_with_no_points(tmp_path, capsys, suite, flag):
+    # A header-only file would let the run certify nothing and still exit 0.
+    full, empty = tmp_path / "full.txt", tmp_path / "empty.txt"
+    _save_random_set(full, 7, 60, 3)
+    empty.write_text("q=7 dims=4 split=2,2\n")
+    e_file, f_file = (empty, full) if flag == "--e-file" else (full, empty)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--q", "7", "--suite", suite, "--instances", "1",
+                  "--e-file", str(e_file), "--f-file", str(f_file)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{empty} holds no points" in captured.err and captured.out == ""
+
+
 def test_cli_rejects_noncanonical_point_file(tmp_path):
     path = tmp_path / "e.txt"
     path.write_text("q=7 dims=4 split=2,2\n0,0,0,0\n1,2,3,9\n")

@@ -291,14 +291,17 @@ _KINDS = {"non-integer token": "non-integer", "does not have": "coordinates",
           "are not in [0,": "range", "is listed twice": "twice"}
 
 
-_TOKENS = st.sampled_from(
+# Tokens of plain data, which np.loadtxt reads, and tokens that only the line reader takes.
+_PLAIN_TOKENS = st.sampled_from(
     ["0", "1", "2", "3", "4", "5", "6", " 1", "2 ", "\t3", "-0", "05", "9", "-1", "10"])
+_TOKENS = st.one_of(_PLAIN_TOKENS, st.sampled_from(["\r4", "5\v", "\f6", "+1"]))
+_SKIPPED_LINES = st.sampled_from(["", "# note", " \t", "\t# 1,2", "\v", "\f# 1"])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     header=st.sampled_from(["q=11 dims=2", "q=7 dims=1", " q=19 dims=3 split=1,2"]),
-    before=st.lists(st.sampled_from(["", "# note", " \t", "\t# 1,2"]), max_size=2),
+    before=st.lists(_SKIPPED_LINES, max_size=2),
     newline=st.sampled_from(["\n", "\r\n"]),
     last=st.booleans(),
     data=st.data(),
@@ -306,9 +309,12 @@ _TOKENS = st.sampled_from(
 def test_load_matches_reference_parser(tmp_path_factory, header, before, newline, last, data):
     d = int(header.split("dims=")[1][0])
     body = data.draw(st.lists(st.one_of(
+        st.lists(_PLAIN_TOKENS, min_size=d, max_size=d).map(",".join),
         st.lists(_TOKENS, min_size=d, max_size=d).map(",".join),
         st.lists(_TOKENS, min_size=1, max_size=3).map(",".join),
-        st.text(alphabet="0123456789,,,-  \t#x", max_size=9),
+        st.lists(_PLAIN_TOKENS, min_size=d, max_size=d).map(lambda t: ",".join(t) + " # c"),
+        _SKIPPED_LINES,
+        st.text(alphabet="0123456789,,,-  \t\r\v\f#+x", max_size=9),
     ), max_size=8))
     path = tmp_path_factory.mktemp("fuzz") / "points.txt"
     path.write_bytes((newline.join([*before, header, *body]) + (newline if last else "")).encode())
@@ -322,3 +328,51 @@ def test_load_matches_reference_parser(tmp_path_factory, header, before, newline
         assert expected == ("error", int(found[1]), kind)
     else:
         assert expected == ("ok", loaded.codes.tolist(), split)
+
+
+@pytest.mark.parametrize("text, plain_reads, reads_lines", [
+    ("6,0,1\n0,0,0\n3,5,2\n", 1, False),
+    ("# comment\n6,0,1\n \t\n0,0,0\n3,5,2\n", 2, False),
+    ("6,0,1\r\n0,0,0\r\n3,5,2\r\n", 2, False),
+    ("6\r,0,1\n0,0,0\n3,5,2\n", 2, True),
+], ids=["plain", "skipped-lines", "crlf", "carriage-return"])
+def test_load_reads_plain_data_without_the_line_reader(tmp_path, monkeypatch, text, plain_reads,
+                                                        reads_lines):
+    # np.loadtxt reads plain data at once, and blank and comment lines or \r\n
+    # on its second try; only the lone \r goes through the per-line reader.
+    # All four give the same codes.
+    geometry = importlib.import_module("fqdist.geometry")
+    calls = []
+
+    def read_plain(*args, _real=geometry._read_plain):
+        calls.append("plain")
+        return _real(*args)
+
+    def read_lines(*args, _real=geometry._read_lines):
+        calls.append("lines")
+        assert reads_lines, "the per-line reader ran on data np.loadtxt reads"
+        return _real(*args)
+
+    monkeypatch.setattr(geometry, "_read_plain", read_plain)
+    monkeypatch.setattr(geometry, "_read_lines", read_lines)
+    path = tmp_path / "p.txt"
+    path.write_text("q=7 dims=3\n" + text)
+    loaded, _ = load_point_set(path)
+    assert loaded.codes.tolist() == sorted(encode_vectors(7, [(6, 0, 1), (0, 0, 0), (3, 5, 2)]))
+    assert calls == ["plain"] * plain_reads + ["lines"] * reads_lines
+
+
+@pytest.mark.parametrize("text", [
+    "q=101 dims=10\n85,64,51,27,31,4,7,1,17,82\n",  # 101^10 > 2^63: its code would wrap
+    "q=7 dims=3000000\n",  # refused before 7^3000000 is computed
+    "q=7 dims=0\n",
+])
+def test_load_refuses_dims_whose_codes_do_not_fit_int64(tmp_path, text):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"p\.txt, line 1: header .* needs dims >= 1 "
+                                         r"and q\^dims <= 2\^63"):
+        load_point_set(path)
+    # 2^63 points is the most a header may declare; the last code is 2^63 - 1.
+    path.write_text("q=2 dims=63\n" + ",".join(["1"] * 63) + "\n")
+    assert load_point_set(path)[0].codes.tolist() == [2**63 - 1]
