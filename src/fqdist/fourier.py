@@ -6,9 +6,17 @@ and inversion carries no normalization:
     f(x) = sum_m chi(x.m) f_hat(m).
 Plancherel then reads sum_m |f_hat(m)|^2 = q^-d * sum_x |f(x)|^2.
 
-The workhorse is a separable axis-at-a-time transform (d matrix products with
-the q x q character kernel).  A defining-sum implementation is kept alongside
-as an independent route for self-tests; it is quadratic in q^d and guarded.
+The workhorse is a separable axis-at-a-time transform: d passes, each one
+matrix product of the q x q character kernel with the table's leading axis and
+one copy that moves that axis last, so after d passes the axes are back in
+order.  A defining-sum implementation is kept alongside as an independent
+route for self-tests; it is quadratic in q^d and guarded.
+
+The sphere decay certificate transforms real indicators, whose spectra obey
+f_hat(-m) = conj(f_hat(m)).  Every nonzero m is +- a frequency with
+m_1 <= (q-1)/2 of the same modulus, so the certificate computes only those
+(q+1)/2 leading rows (_real_half_transform) and its scan stays exhaustive.
+Every other caller gets the full spectrum.
 """
 
 from __future__ import annotations
@@ -39,11 +47,38 @@ def _kernel(q: int) -> np.ndarray:
     return k
 
 
-def _axis_transform(values: np.ndarray, q: int, d: int, kernel: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).reshape((q,) * d)
-    for axis in range(d):
-        arr = np.moveaxis(np.tensordot(kernel, arr, axes=([1], [axis])), 0, axis)
+def _contract_axes(arr: np.ndarray, q: int, kernel: np.ndarray, axes: int) -> np.ndarray:
+    """Contract the leading axis of a C-ordered complex table with kernel and
+    move it last, `axes` times: one matrix product into a buffer and one copy
+    back per axis.  arr is overwritten and returned flat."""
+    product = np.empty((q, arr.size // q), dtype=np.complex128)
+    for _ in range(axes):
+        np.matmul(kernel, arr.reshape(q, -1), out=product)
+        arr.reshape(-1, q)[...] = product.T
     return arr.reshape(-1)
+
+
+def _axis_transform(values: np.ndarray, q: int, d: int, kernel: np.ndarray) -> np.ndarray:
+    """sum_x K[m_1, x_1] ... K[m_d, x_d] values(x); d passes bring the axes back in order."""
+    return _contract_axes(np.array(values, dtype=np.complex128), q, kernel, d)
+
+
+def _real_half_transform(values: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Unnormalised forward transform of a real table at the frequencies with
+    m_1 <= (q-1)/2, the first ((q+1)/2) q^(d-1) codes.
+
+    The first axis contracts the float64 table with the real and imaginary
+    parts of the kernel's first (q+1)/2 rows, so the input is never promoted
+    to complex; the other d-1 axes take the complex loop of _contract_axes.
+    For real values f_hat(-m) = conj(f_hat(m)), so these rows determine the rest.
+    """
+    kernel = _kernel(q)
+    h = (q + 1) // 2
+    flat = np.asarray(values, dtype=np.float64).reshape(q, -1)
+    arr = np.empty((flat.shape[1], h), dtype=np.complex128)
+    arr.real = (kernel.real[:h] @ flat).T
+    arr.imag = (kernel.imag[:h] @ flat).T
+    return _contract_axes(arr, q, kernel, d - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +203,9 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     """Certify the Kloosterman-type sphere decay |S_t_hat(m)| <= 2 q^-(d+1)/2.
 
     Scans every nonzero radius t and every nonzero frequency m exhaustively;
-    enumerate_sphere refuses an ambient past the enumeration limit.
+    enumerate_sphere refuses an ambient past the enumeration limit.  The
+    indicator is real, so |S_t_hat(-m)| = |S_t_hat(m)|, and every nonzero m is
+    +- a frequency with m_1 <= (q-1)/2: only those rows are computed.
     """
     q = field.q
     bound = 2.0 * float(q) ** (-(d + 1) / 2.0)
@@ -176,7 +213,9 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     worst_t = 0
     worst_m: tuple[int, ...] = (0,) * d
     for t in range(1, q):
-        coeffs = forward_transform(indicator_table(enumerate_sphere(field, d, t))).coeffs
+        values = np.zeros(q**d)
+        values[enumerate_sphere(field, d, t).codes] = 1.0
+        coeffs = _real_half_transform(values, q, d) * (float(q) ** -d)
         moduli = np.abs(coeffs)
         moduli[0] = 0.0  # the zero frequency carries the sphere's mass, not decay
         m_idx = int(np.argmax(moduli))

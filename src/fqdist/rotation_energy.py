@@ -85,7 +85,10 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> Co
 
     Every one of the |E|^2 pairs is visited, with no transform: each half of
     a pair is one gather from the plane-difference table
-    pdiff[c_x, c_z] = code(x - z), which has q^2 x q^2 cells.
+    pdiff[c_x, c_z] = code(x - z), which has q^2 x q^2 cells, taken as the
+    rows of a chunk of x and then the columns of every rotated z.  The table
+    and the joint codes are int32, since every code is below
+    q^4 <= MAX_ENUMERATION < 2^31; the counts accumulate in int64.
     """
     _require_plane_pair(e)
     q = e.field.q
@@ -94,7 +97,7 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> Co
     cells = _require_enumerable(q, 4)  # the table and the histogram are both q^4 cells
     plane = q * q
     axis = np.arange(q)
-    diff = (axis[:, None] - axis[None, :]) % q
+    diff = ((axis[:, None] - axis[None, :]) % q).astype(np.int32)
     pdiff = (diff[:, None, :, None] * q + diff[None, :, None, :]).reshape(plane, plane)
     first, second = e.first_codes(), e.second_codes()
     rotated_first = rotation_code_permutation(e.field, theta)[first]
@@ -103,8 +106,9 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> Co
     chunk = _pair_chunk(max(n, 1))
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
-        joint = (pdiff[first[rows, None], rotated_first[None, :]] * plane
-                 + pdiff[second[rows, None], rotated_second[None, :]])
+        joint = pdiff[first[rows]][:, rotated_first]
+        joint *= plane
+        joint += pdiff[second[rows]][:, rotated_second]
         flat += np.bincount(joint.reshape(-1), minlength=cells)
     return CorrelationTable(e.field, theta, phi, n, flat.reshape(plane, plane))
 

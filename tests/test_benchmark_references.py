@@ -1,0 +1,42 @@
+"""The benchmark's seed-0 requests still print their committed reference reports.
+
+perfbench compares every report it times against
+perfbench/references/<workload>-seed0.json, floats to a relative 1e-9.  These
+tests make the same CLI request for each workload that BENCHMARK.json declares,
+through the benchmark's own child process and thread settings, so a float that
+drifts past the reference tolerance fails here first.  They read the
+references and change nothing under perfbench/.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+DECLARED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/run.py as a module; it imports its sibling spans.py by name."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)  # its dataclasses look it up there
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_seed0_request_matches_reference(bench, name, tmp_path):
+    reference = bench.reference_report(name, 0)
+    assert reference is not None, f"no committed reference for {name} at seed 0"
+    args = bench.cli_arguments(name, 0, tmp_path)
+    record = bench.invoke(args, "plain", tmp_path, bench.child_env())
+    assert record["returncode"] == 0, record["stderr"]
+    assert bench.report_diffs(reference, record["report"]) == 0

@@ -19,6 +19,8 @@ from fqdist import (
     plancherel_gap,
     sphere_decay_check,
 )
+from fqdist.fourier import _real_half_transform
+from fqdist.geometry import encode_vectors, enumerate_sphere
 
 
 def _random_table(q, d, seed):
@@ -97,6 +99,38 @@ def test_sphere_decay_certificate():
             rep = sphere_decay_check(make_field(q), d)
             assert rep.passed
             assert rep.max_ratio <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_real_half_transform_is_leading_rows_of_forward(q, d):
+    # Rows m_1 <= (q-1)/2 of the unnormalised spectrum, for q = 1 and 3 mod 4.
+    values = np.random.default_rng(q * 10 + d).normal(size=q**d)
+    full = forward_transform(DensityTable(make_field(q), d, values)).coeffs * float(q) ** d
+    half = _real_half_transform(values, q, d)
+    rows = (q + 1) // 2 * q ** (d - 1)
+    assert half.shape == (rows,)
+    assert np.max(np.abs(half - full[:rows])) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_decay_half_scan_matches_full_scan(q, d):
+    # Scanning rows m_1 <= (q-1)/2 finds the extremum of the whole spectrum.
+    field = make_field(q)
+    rep = sphere_decay_check(field, d)
+    full_max, full_t = 0.0, 0
+    moduli_at_worst = None
+    for t in range(1, q):
+        moduli = np.abs(forward_transform(indicator_table(enumerate_sphere(field, d, t))).coeffs)
+        moduli[0] = 0.0
+        if moduli.max() > full_max:
+            full_max, full_t = float(moduli.max()), t
+        if t == rep.worst_t:
+            moduli_at_worst = moduli
+    assert rep.max_ratio == pytest.approx(full_max / rep.bound, rel=1e-12)
+    assert rep.worst_t == full_t
+    assert moduli_at_worst[int(encode_vectors(q, rep.worst_m))] == pytest.approx(full_max, rel=1e-12)
 
 
 def test_sphere_decay_frozen_extremum():

@@ -82,6 +82,27 @@ def test_correlation_identity_rotation_counts_differences():
             assert np.array_equal(rotation_correlation(e, theta, phi).counts, manual)
 
 
+def test_correlation_counts_match_int64_coordinate_count():
+    # The int32 table and joint codes count the same pairs as int64 coordinate
+    # arithmetic, at the size of the energy benchmark's sets.
+    q = 11
+    e = _random_plane_pair_set(q, 1200, 23)
+    rots = enumerate_so2(e.field)
+    theta, phi = rots[1], rots[3]
+    x = e.coords().astype(np.int64)
+    rotated = np.stack([
+        theta.a * x[:, 0] - theta.b * x[:, 1], theta.b * x[:, 0] + theta.a * x[:, 1],
+        phi.a * x[:, 2] - phi.b * x[:, 3], phi.b * x[:, 2] + phi.a * x[:, 3],
+    ], axis=1) % q
+    codes = np.zeros((len(e), len(e)), dtype=np.int64)
+    for i in range(4):
+        codes = codes * q + (x[:, None, i] - rotated[None, :, i]) % q
+    manual = np.bincount(codes.reshape(-1), minlength=q**4).reshape(q * q, q * q)
+    counts = rotation_correlation(e, theta, phi).counts
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, manual)
+
+
 def test_correlation_transform_identity():
     for q, size, seed in [(3, 25, 3), (7, 300, 4)]:
         e = _random_plane_pair_set(q, size, seed)
