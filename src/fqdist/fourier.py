@@ -14,9 +14,10 @@ route for self-tests; it is quadratic in q^d and guarded.
 
 The sphere decay certificate transforms real indicators, whose spectra obey
 f_hat(-m) = conj(f_hat(m)).  Every nonzero m is +- a frequency with
-m_1 <= (q-1)/2 of the same modulus, so the certificate computes only those
-(q+1)/2 leading rows (_real_half_transform) and its scan stays exhaustive.
-Every other caller gets the full spectrum.
+m_1 <= q/2 of the same modulus (m_1 = -m_1 at q = 2, so there every m_1 is
+kept), so the certificate computes only those q//2 + 1 leading rows
+(_real_half_transform) and its scan stays exhaustive.  Every other caller
+gets the full spectrum.
 """
 
 from __future__ import annotations
@@ -65,15 +66,16 @@ def _axis_transform(values: np.ndarray, q: int, d: int, kernel: np.ndarray) -> n
 
 def _real_half_transform(values: np.ndarray, q: int, d: int) -> np.ndarray:
     """Unnormalised forward transform of a real table at the frequencies with
-    m_1 <= (q-1)/2, the first ((q+1)/2) q^(d-1) codes.
+    m_1 <= q/2, the first (q//2 + 1) q^(d-1) codes.
 
     The first axis contracts the float64 table with the real and imaginary
-    parts of the kernel's first (q+1)/2 rows, so the input is never promoted
+    parts of the kernel's first q//2 + 1 rows, so the input is never promoted
     to complex; the other d-1 axes take the complex loop of _contract_axes.
-    For real values f_hat(-m) = conj(f_hat(m)), so these rows determine the rest.
+    For real values f_hat(-m) = conj(f_hat(m)), so these rows determine the
+    rest: at odd q they are m_1 <= (q-1)/2, and at q = 2 all of them.
     """
     kernel = _kernel(q)
-    h = (q + 1) // 2
+    h = q // 2 + 1
     flat = np.asarray(values, dtype=np.float64).reshape(q, -1)
     arr = np.empty((flat.shape[1], h), dtype=np.complex128)
     arr.real = (kernel.real[:h] @ flat).T
@@ -105,8 +107,8 @@ class SpectralTable:
 
 
 def indicator_table(ps: PointSet) -> DensityTable:
-    """0/1 table of a point set."""
-    values = np.zeros(_require_enumerable(ps.field.q, ps.d), dtype=np.complex128)
+    """0/1 table of a point set, as float64."""
+    values = np.zeros(_require_enumerable(ps.field.q, ps.d))
     values[ps.codes] = 1.0
     return DensityTable(ps.field, ps.d, values)
 
@@ -205,7 +207,7 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     Scans every nonzero radius t and every nonzero frequency m exhaustively;
     enumerate_sphere refuses an ambient past the enumeration limit.  The
     indicator is real, so |S_t_hat(-m)| = |S_t_hat(m)|, and every nonzero m is
-    +- a frequency with m_1 <= (q-1)/2: only those rows are computed.
+    +- a frequency with m_1 <= q/2: only those rows are computed.
     """
     q = field.q
     bound = 2.0 * float(q) ** (-(d + 1) / 2.0)
@@ -213,8 +215,7 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     worst_t = 0
     worst_m: tuple[int, ...] = (0,) * d
     for t in range(1, q):
-        values = np.zeros(q**d)
-        values[enumerate_sphere(field, d, t).codes] = 1.0
+        values = indicator_table(enumerate_sphere(field, d, t)).values
         coeffs = _real_half_transform(values, q, d) * (float(q) ** -d)
         moduli = np.abs(coeffs)
         moduli[0] = 0.0  # the zero frequency carries the sphere's mass, not decay

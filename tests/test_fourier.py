@@ -101,22 +101,22 @@ def test_sphere_decay_certificate():
             assert rep.max_ratio <= 1 + 1e-9
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 13])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_real_half_transform_is_leading_rows_of_forward(q, d):
-    # Rows m_1 <= (q-1)/2 of the unnormalised spectrum, for q = 1 and 3 mod 4.
+    # Rows m_1 <= q/2 of the unnormalised spectrum, for q = 1 and 3 mod 4,
+    # and every row at q = 2.
     values = np.random.default_rng(q * 10 + d).normal(size=q**d)
     full = forward_transform(DensityTable(make_field(q), d, values)).coeffs * float(q) ** d
     half = _real_half_transform(values, q, d)
-    rows = (q + 1) // 2 * q ** (d - 1)
+    rows = (q // 2 + 1) * q ** (d - 1)
     assert half.shape == (rows,)
     assert np.max(np.abs(half - full[:rows])) <= 1e-12 * np.max(np.abs(full))
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 11])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (2, 3), (2, 4), *((q, d) for q in (3, 5, 7, 11) for d in (2, 3))])
 def test_sphere_decay_half_scan_matches_full_scan(q, d):
-    # Scanning rows m_1 <= (q-1)/2 finds the extremum of the whole spectrum.
+    # Scanning rows m_1 <= q/2 finds the extremum of the whole spectrum.
     field = make_field(q)
     rep = sphere_decay_check(field, d)
     full_max, full_t = 0.0, 0

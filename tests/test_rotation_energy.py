@@ -83,17 +83,18 @@ def test_correlation_identity_rotation_counts_differences():
 
 
 def test_correlation_counts_match_int64_coordinate_count():
-    # The int32 table and joint codes count the same pairs as int64 coordinate
-    # arithmetic, at the size of the energy benchmark's sets.
+    # At the size of the energy benchmark's sets, the int32 table gathers
+    # count the same pairs as int64 coordinate differences.  The rotated
+    # points come from rotation_code_permutation, which the test above pins
+    # to rotation_apply.
     q = 11
     e = _random_plane_pair_set(q, 1200, 23)
     rots = enumerate_so2(e.field)
     theta, phi = rots[1], rots[3]
     x = e.coords().astype(np.int64)
-    rotated = np.stack([
-        theta.a * x[:, 0] - theta.b * x[:, 1], theta.b * x[:, 0] + theta.a * x[:, 1],
-        phi.a * x[:, 2] - phi.b * x[:, 3], phi.b * x[:, 2] + phi.a * x[:, 3],
-    ], axis=1) % q
+    rotated_codes = (rotation_code_permutation(e.field, theta)[e.first_codes()] * q * q
+                     + rotation_code_permutation(e.field, phi)[e.second_codes()])
+    rotated = np.stack([rotated_codes // q ** p % q for p in (3, 2, 1, 0)], axis=1)
     codes = np.zeros((len(e), len(e)), dtype=np.int64)
     for i in range(4):
         codes = codes * q + (x[:, None, i] - rotated[None, :, i]) % q
