@@ -184,6 +184,8 @@ _SKIPPED = re.compile(rb"\n[ \t\r\v\f]*(?:#.*)?(?=\n)")  # newline, blank or com
 _TOKEN = re.compile(rb"[ \t\r\v\f]*(-?[0-9]+)[ \t\r\v\f]*")
 # Lines of only these bytes mean to np.loadtxt what they mean to the grammar.
 _PLAIN = b"0123456789,- \t\n"
+# 1 for a byte that is a line's content to np.loadtxt and the grammar, 0 for a blank or \n.
+_CONTENT = bytes(int(b not in b" \t\r\v\f\n") for b in range(256))
 
 
 def _read_plain(data: bytes, q: int, d: int) -> np.ndarray | None:
@@ -196,6 +198,14 @@ def _read_plain(data: bytes, q: int, d: int) -> np.ndarray | None:
     except ValueError:
         return None
     return values if values.shape[1] == d and values.min() >= 0 and values.max() < q else None
+
+
+def _row_lines(plain: bytes, first: int) -> np.ndarray:
+    """The line number of each row np.loadtxt read from plain, which starts at
+    the newline ending line first: the lines that hold a byte other than a blank."""
+    ends = np.frombuffer(plain, dtype=np.uint8) == ord("\n")
+    filled = np.cumsum(np.frombuffer(plain.translate(_CONTENT), dtype=np.uint8))[ends]
+    return first + 1 + np.flatnonzero(np.diff(filled))
 
 
 def _coordinate(number: bytes, q: int) -> int:
@@ -281,19 +291,23 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
         raise bad_line(header_number, "header ", " needs dims >= 1 and q^dims <= 2^63")
 
     data = raw[found.end():]  # from the header's newline on
-    values = _read_plain(data, q, d)
+    plain, numbers = data, None  # the bytes np.loadtxt read; line numbers of the rows
+    values = _read_plain(plain, q, d)
     if values is None:
-        values = _read_plain(_SKIPPED.sub(b"\n", data).replace(b"\r\n", b"\n"), q, d)
+        # Emptying skipped lines and dropping \r before \n keeps every line in its place.
+        plain = _SKIPPED.sub(b"\n", data).replace(b"\r\n", b"\n")
+        values = _read_plain(plain, q, d)
     if values is None:
-        values = _read_lines(data, header_number, q, d, bad_line)[0]
+        values, numbers = _read_lines(data, header_number, q, d, bad_line)
     codes = values @ q ** np.arange(d - 1, -1, -1)  # base q, first coordinate first
     if not np.all(codes[1:] > codes[:-1]):
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
         repeats = np.flatnonzero(codes[1:] == codes[:-1])
         if len(repeats):
+            if numbers is None:
+                numbers = _row_lines(plain, header_number)
             # The sort is stable, so the smallest index is the earliest repeat.
-            numbers = _read_lines(data, header_number, q, d, bad_line)[1]
             raise bad_line(numbers[order[repeats + 1].min()], "point ", " is listed twice")
     codes.setflags(write=False)  # nobody else holds it, so the set need not copy it
     return PointSet(field, d, codes), split

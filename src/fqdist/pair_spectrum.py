@@ -6,29 +6,38 @@ matrix
     s(a, b) = #{(x, y) in E x F : |x' - y'| = a and |x'' - y''| = b},
 where |.| is the sum-of-squares norm.  Everything downstream (coverage sets,
 discrepancy certificates, energy identities) reads off this matrix, so two
-independent routes compute it: a literal pair scan and a convolution route
-that sums the exact difference histogram of E - F (difference_histogram,
-inverted from the character transforms with a hard-checked rounding) by norm
-class.  The certificates take the PairSpectrum they read as their input and
-never compute one; pair_spectrum picks the route for the suites.
+independent routes compute it: a literal pair scan and, at odd q, a transform
+route that sums the cross spectrum q^d E_hat conj(F_hat) by the norm classes
+of its two frequency blocks and maps the class sums to s through the sphere
+transforms (pair_spectrum_fast), snapped to integers with a hard-checked
+rounding.  The certificates take the PairSpectrum they read as their input
+and never compute one; pair_spectrum picks the route for the suites.
 
 A SplitPointSet keeps its codes as geometry._canonical_codes leaves them and
-computes its indicator transform at most once (SplitPointSet.transform); every
-transform-based check reads that cached array instead of transforming again.
+computes its full indicator transform at most once (SplitPointSet.transform),
+for the checks that read all of it: the difference histogram of the energy
+chain, the marginal mass and the rotation-energy checks.  The pair spectrum
+reads only half of each set's real spectrum and leaves that cache alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import geometry
 from .errors import PrecisionError, SizeGuardError
 from .field import PrimeField
-from .fourier import SpectralTable, forward_transform, indicator_table, inverse_transform
+from .fourier import (
+    SpectralTable,
+    _real_half_transform,
+    forward_transform,
+    indicator_table,
+    inverse_transform,
+)
 from .geometry import (
     PointSet,
     _canonical_codes,
@@ -42,7 +51,7 @@ from .geometry import (
 # Literal pair scans are refused above this many pairs.
 MAX_PAIRS = 10**8
 
-# Largest rounding residue tolerated when the convolution route snaps to ints.
+# Largest rounding residue tolerated when a transform route snaps to ints.
 CONVOLUTION_RESIDUE = 1e-3
 
 
@@ -180,14 +189,6 @@ class PairSpectrum:
         return int(self.s.sum())
 
 
-def _split_norm_classes(field: PrimeField, k: int, l: int) -> np.ndarray:
-    """class[c] = q * |first half of c| + |second half of c| over all codes."""
-    q = field.q
-    nk = all_norms(q, k)
-    nl = all_norms(q, l)
-    return (nk[:, None] * q + nl[None, :]).reshape(-1)
-
-
 def pair_spectrum_naive(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
     """Literal scan over all |E| x |F| pairs (guarded); the reference route."""
     _check_compatible(e, f)
@@ -214,8 +215,9 @@ def difference_histogram(e: SplitPointSet, f: SplitPointSet) -> np.ndarray:
 
     D has transform q^d E_hat conj(F_hat), so it is one inversion of the two
     cached set transforms, snapped to integers with a hard failure if any
-    residue exceeds CONVOLUTION_RESIDUE.  The pair spectrum and the
-    rotation-energy right side both read D from here.
+    residue exceeds CONVOLUTION_RESIDUE.  The rotation-energy right side reads
+    D from here; the pair spectrum does not, so the energy chain's orbit-weight
+    identity compares D's class sums with a spectrum counted without D.
     """
     _check_compatible(e, f)
     q, d = e.field.q, e.d
@@ -231,21 +233,87 @@ def difference_histogram(e: SplitPointSet, f: SplitPointSet) -> np.ndarray:
     return snapped.astype(np.int64)
 
 
+def _norm_classes(q: int, d: int) -> np.ndarray:
+    """cls[c] = 0 for the zero code and 1 + |c| for every other code of F_q^d."""
+    classes = all_norms(q, d) + 1
+    classes[0] = 0
+    return classes
+
+
+@lru_cache(maxsize=32)
+def _sphere_characters(q: int, d: int) -> np.ndarray:
+    """G[a, c] = sum over |v| = a of cos(2 pi v.m_c / q), one column per norm class (read-only).
+
+    m_c is the least code of class c (see _norm_classes).  The sum is real,
+    since the sphere S_a is symmetric under v -> -v, and at odd q Witt's
+    theorem makes it the same at every m of the class: the orthogonal group
+    moves m to any other nonzero m of its norm and keeps S_a.  An empty class
+    (no nonzero isotropic m when d = 1, or d = 2 and q = 3 mod 4; no m of
+    nonsquare norm when d = 1) gets a zero column.  Each column is a literal character sum
+    over all q^d points v, with v.m_c built one coordinate at a time as
+    all_norms builds the norms, so no coordinate array is formed.
+    """
+    norms = all_norms(q, d)  # refuses an ambient past the enumeration limit
+    cosines = np.cos(2.0 * np.pi * np.arange(q) / q)
+    present, firsts = np.unique(_norm_classes(q, d), return_index=True)
+    table = np.zeros((q, q + 1))
+    axis = np.arange(q)
+    for c, rep in zip(present, decode_codes(q, d, firsts)):
+        phases = np.zeros(1, dtype=np.int64)
+        for m_j in rep:
+            phases = ((phases[:, None] + m_j * axis[None, :]) % q).reshape(-1)
+        table[:, c] = np.bincount(norms, weights=cosines[phases], minlength=q)
+    table.setflags(write=False)
+    return table
+
+
+def _half_spectrum(e: SplitPointSet) -> np.ndarray:
+    """sum_x chi(-x.m) 1_E(x) at the frequencies with m_1 <= q/2 (fourier._real_half_transform)."""
+    return _real_half_transform(indicator_table(e.as_point_set()).values, e.field.q, e.d)
+
+
 def pair_spectrum_fast(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
-    """Transform route: the difference histogram of E - F summed by half-norm class."""
-    q = e.field.q
-    s_flat = np.zeros(q * q, dtype=np.int64)
-    np.add.at(s_flat, _split_norm_classes(e.field, e.k, e.l), difference_histogram(e, f))
-    spectrum = PairSpectrum(e.field, e.k, e.l, len(e), len(f), s_flat.reshape(q, q))
+    """Transform route at odd q: s = q^-d G_k M G_l^T over norm classes.
+
+    With P = q^d E_hat conj(F_hat), the transform of the difference histogram,
+    s(a, b) = sum_m P(m) G_k[a, cls(m')] G_l[b, cls(m'')] (see
+    _sphere_characters), so s needs only M[c1, c2], the sum of P over the
+    frequencies whose blocks fall in classes (c1, c2): no inversion.  P(-m) =
+    conj(P(m)) and cls(-m) = cls(m), so M is real and is a bincount of
+    Re(P) over the half spectrum m_1 <= q/2 of each set, with weight 2 on the
+    rows m_1 != 0, which stand for their mirrors too.  Each distinct set is
+    half-transformed once per call (F is E: once).  The result is snapped
+    to integers; a residue above CONVOLUTION_RESIDUE raises PrecisionError.
+    At q = 2 the norm is linear and the class identity fails: ValueError.
+    """
+    _check_compatible(e, f)
+    q, k, l = e.field.q, e.k, e.l
+    if q % 2 == 0:
+        raise ValueError(f"the transform route needs odd q, got q = {q}")
+    half_e = _half_spectrum(e)
+    half_f = half_e if f is e else _half_spectrum(f)
+    cross = (half_e.real * half_f.real + half_e.imag * half_f.imag).reshape(q // 2 + 1, -1)
+    cross[1:] *= 2.0
+    rows = _norm_classes(q, k)[: (q // 2 + 1) * q ** (k - 1)]
+    joint = rows[:, None] * (q + 1) + _norm_classes(q, l)[None, :]
+    m = np.bincount(joint.reshape(-1), weights=cross.reshape(-1), minlength=(q + 1) ** 2)
+    s = _sphere_characters(q, k) @ m.reshape(q + 1, q + 1) @ _sphere_characters(q, l).T
+    s *= float(q) ** -(k + l)
+    snapped = np.rint(s)
+    residue = float(np.max(np.abs(s - snapped)))
+    if residue > CONVOLUTION_RESIDUE:
+        raise PrecisionError(f"pair spectrum residue {residue:.3e} exceeds {CONVOLUTION_RESIDUE}")
+    spectrum = PairSpectrum(e.field, k, l, len(e), len(f), snapped.astype(np.int64))
     _check_mass(spectrum)
     return spectrum
 
 
 def pair_spectrum(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
-    """Route selection: literal scan for small pair counts, transforms otherwise."""
+    """Route selection: literal scan for small pair counts and at even q, transforms otherwise."""
     pairs = len(e) * len(f)
     ambient = e.field.q**e.d
-    if pairs <= min(10**6, ambient) or ambient > geometry.MAX_ENUMERATION:
+    if (e.field.q % 2 == 0 or pairs <= min(10**6, ambient)
+            or ambient > geometry.MAX_ENUMERATION):
         return pair_spectrum_naive(e, f)
     return pair_spectrum_fast(e, f)
 

@@ -8,9 +8,9 @@ where r_{theta,phi}^E(u', u'') counts pairs (x, z) in E^2 with x' - theta z'
 = u' and x'' - phi z'' = u''.  The left side is exact integer counting from
 the pair spectrum.  The right side is exact too: for each rotation pair
 R = (theta, phi) it counts quadruples with x - y = R(z - w), which is
-sum_v D(v) D(R v) over the difference histogram D of E - F.  D is
-pair_spectrum.difference_histogram, the same exact integer array whose
-norm-class sums are the pair spectrum.  Three cross-checks:
+sum_v D(v) D(R v) over the difference histogram D of E - F
+(pair_spectrum.difference_histogram), an exact integer array whose
+norm-class sums must be the pair spectrum.  Three cross-checks:
   - the literal pair count rotation_correlation, which visits all |E|^2
     pairs and reads each half of x - R z from one q^2 x q^2 plane-difference
     table, with no transform.  The energy suite compares it with the
@@ -20,9 +20,11 @@ norm-class sums are the pair spectrum.  Three cross-checks:
     classes through the character transform, which must agree to a relative
     tolerance;
   - the exact orbit-weight identity rhs - lhs = sum (w_a w_b - 1) s(a,b)^2,
-    in integers against the pair spectrum.  It holds for any D, so it checks
-    the rotation gathers, and D itself whenever the spectrum took the
-    literal pair scan.
+    in integers against the pair spectrum.  rhs depends on D only through
+    its sums over the rotation orbits, which here are the classes
+    (|v'|, |v''|), and neither route of the pair spectrum reads D, so the
+    identity checks the rotation gathers and D's class sums against a
+    spectrum counted without D.
 The transform-based checks here read each set's cached indicator transform
 (SplitPointSet.transform), so a set is transformed at most once however many
 checks and radii look at it.
@@ -44,13 +46,12 @@ from .field import (
     rotation_inverse,
 )
 from .fourier import DensityTable, forward_transform
-from .geometry import _require_enumerable, enumerate_sphere
+from .geometry import _require_enumerable, all_norms, enumerate_sphere
 from .pair_spectrum import (
     PairSpectrum,
     SplitPointSet,
     _pair_chunk,
     _require_scannable,
-    _split_norm_classes,
     difference_histogram,
     spectrum_energy,
 )
@@ -170,7 +171,8 @@ class SpectralSplit:
 def _spectral_split(e: SplitPointSet, f: SplitPointSet, so2_size: int) -> SpectralSplit:
     q = e.field.q
     g = e.transform * np.conj(f.transform)
-    classes = _split_norm_classes(e.field, 2, 2)
+    plane = all_norms(q, 2)
+    classes = (plane[:, None] * q + plane[None, :]).reshape(-1)  # q |m'| + |m''|
     z_real = np.bincount(classes, weights=g.real, minlength=q * q)
     z_imag = np.bincount(classes, weights=g.imag, minlength=q * q)
     z_sq = (z_real**2 + z_imag**2).reshape(q, q)
@@ -247,7 +249,9 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
     difference histogram of E - F (see _rotation_pair_energies).  The report
     also carries:
       - the exact orbit-weight identity rhs - lhs = sum (w_a w_b - 1) s(a,b)^2
-        with w_0 = |SO2| and w_t = 1 otherwise, a float-free cross-check;
+        with w_0 = |SO2| and w_t = 1 otherwise, a float-free cross-check of
+        the difference histogram against the spectrum, which is counted
+        without it;
       - the frequency-class split of rhs, whose zero class must equal
         |SO2|^2 |E|^2 |F|^2 / q^4 and whose total must match rhs to a
         relative 1e-6.

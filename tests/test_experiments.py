@@ -503,11 +503,11 @@ def test_surjectivity_failures_name_full_space_or_deletion(monkeypatch):
 
 
 def test_near_full_coverage_transforms_each_set_once(monkeypatch):
-    # One forward transform and one inversion for the full space and for each
-    # distinct set: a near-full instance is one set (F is E), and the
-    # surjectivity check rereads the spectrum the discrepancy check built.
+    # One half transform for the full space and for each distinct set, and no
+    # full transform or inversion: a near-full instance is one set (F is E),
+    # and the surjectivity check rereads the spectrum the discrepancy check built.
     module = importlib.import_module("fqdist.pair_spectrum")
-    calls = {"forward_transform": 0, "inverse_transform": 0}
+    calls = {"_real_half_transform": 0, "forward_transform": 0, "inverse_transform": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
@@ -516,7 +516,7 @@ def test_near_full_coverage_transforms_each_set_once(monkeypatch):
     cfg = ExperimentConfig(q=17, suite="coverage", generator="near-full", instances=2,
                            oracle_instances=0)
     assert run_suite(cfg).all_pass
-    assert calls == {"forward_transform": 3, "inverse_transform": 3}
+    assert calls == {"_real_half_transform": 3, "forward_transform": 0, "inverse_transform": 0}
 
 
 def test_loaded_sets_override_generation():
@@ -811,18 +811,18 @@ def test_cli_loaded_sets(tmp_path):
 
 def test_cli_f_file_naming_the_e_file_loads_and_transforms_once(tmp_path, monkeypatch, capsys):
     # F is E when --f-file names the --e-file's file, here through a symlink:
-    # one forward transform, and the report of the --e-file-only run.
+    # one half transform, and the report of the --e-file-only run.
     path = tmp_path / "e.txt"
     _save_random_set(path, 7, 500, 2)
     (tmp_path / "f.txt").symlink_to(path)
     module = importlib.import_module("fqdist.pair_spectrum")
     calls = []
 
-    def counted(*args, _real=module.forward_transform):
+    def counted(*args, _real=module._real_half_transform):
         calls.append(args)
         return _real(*args)
 
-    monkeypatch.setattr(module, "forward_transform", counted)
+    monkeypatch.setattr(module, "_real_half_transform", counted)
     reports = []
     for f_file in ([], ["--f-file", str(tmp_path / "f.txt")]):
         calls.clear()

@@ -243,6 +243,24 @@ def test_load_reports_first_repeated_line(tmp_path):
         load_point_set(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("2,2\n\n1,1\n\n0,0\n1,1\n", 8),  # np.loadtxt reads the data as it is
+    ("2,2\n# c\n1,1\n\n \t\n#\n0,0\n1,1\n", 10),  # and these once skipped lines are emptied
+    ("2,2\r\n\r\n1,1\r\n # c\r\n0,0\r\n1,1\r\n", 8),
+], ids=["blank-lines", "comment-lines", "crlf"])
+def test_load_numbers_a_repeat_without_the_line_reader(tmp_path, monkeypatch, text, line):
+    # A repeat in data np.loadtxt read is numbered from the newlines of the
+    # bytes it read; the per-line reader never runs.
+    def read_lines(*args):
+        raise AssertionError("the per-line reader ran on data np.loadtxt reads")
+
+    monkeypatch.setattr(importlib.import_module("fqdist.geometry"), "_read_lines", read_lines)
+    path = tmp_path / "dup.txt"
+    path.write_bytes(("# lead\nq=3 dims=2\n" + text).encode())
+    with pytest.raises(ValueError, match=rf"line {line}: point '1,1' is listed twice"):
+        load_point_set(path)
+
+
 @pytest.mark.parametrize("newline, last", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")],
                          ids=["crlf", "no-final-newline", "crlf-no-final-newline"])
 def test_load_line_endings(tmp_path, newline, last):

@@ -64,14 +64,22 @@ def test_split_set_transform_cached_and_bit_identical(monkeypatch):
     e = _random_split(7, 2, 2, 300, 11)
     f = _random_split(7, 2, 2, 200, 12)
     fresh = forward_transform(indicator_table(e.as_point_set())).coeffs
-    calls = []
+    calls, halves = [], []
     real = spectrum_module.forward_transform
+    real_half = spectrum_module._real_half_transform
     monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
-    assert np.array_equal(e.transform, fresh)
-    assert not e.transform.flags.writeable
+    monkeypatch.setattr(spectrum_module, "_real_half_transform",
+                        lambda *args: halves.append(args) or real_half(*args))
     pair_spectrum_fast(e, f)
     pair_spectrum_fast(f, e)
+    pair_spectrum_fast(e, e)
+    assert len(halves) == 5  # once per distinct set per call
+    assert calls == []
+    assert "transform" not in vars(e) and "transform" not in vars(f)  # left uncomputed
+    assert np.array_equal(e.transform, fresh)
+    assert not e.transform.flags.writeable
     marginal_spectral_mass(e)
+    difference_histogram(e, f)
     assert len(calls) == 2  # once for e, once for f
 
 
@@ -214,6 +222,42 @@ def test_fast_equals_naive_property(codes_e, codes_f):
     naive = pair_spectrum_naive(e, f)
     assert np.array_equal(fast.s, naive.s)
     assert fast.total() == len(e) * len(f)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])  # 5 and 13 are 1 mod 4, the others 3 mod 4
+@pytest.mark.parametrize("k, l", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
+def test_class_route_equals_literal_scan(q, k, l):
+    ambient = q ** (k + l)
+    e = _random_split(q, k, l, min(150, ambient // 2), q + 10 * k + l)
+    f = _random_split(q, k, l, min(90, ambient // 3), q + 10 * k + l + 1)
+    twin = SplitPointSet(e.field, k, l, e.codes.copy())
+    point = SplitPointSet(e.field, k, l, [ambient - 1])
+    for a, b in ((e, f), (f, e), (e, e), (e, twin), (point, point), (point, f)):
+        assert np.array_equal(pair_spectrum_fast(a, b).s, pair_spectrum_naive(a, b).s)
+
+
+def test_sphere_characters_cached_with_a_column_per_norm_class():
+    g = spectrum_module._sphere_characters(7, 2)
+    assert g is spectrum_module._sphere_characters(7, 2)
+    assert not g.flags.writeable
+    assert g.shape == (7, 8)
+    assert np.array_equal(g[:, 0], norm_fiber_sizes(make_field(7), 2))  # m = 0
+    assert not g[:, 1].any()  # q = 3 mod 4: no nonzero isotropic m in the plane
+    assert np.allclose(g[:, 1:].sum(axis=0), 0.0)  # sum over all v of chi(v.m), m != 0
+
+
+def test_even_q_takes_the_literal_scan(monkeypatch):
+    # At q = 2 the norm is linear, so a sphere transform is not constant on a norm class.
+    e = _random_split(2, 2, 3, 20, 5)
+    f = _random_split(2, 2, 3, 30, 6)
+    with pytest.raises(ValueError, match="needs odd q"):
+        pair_spectrum_fast(e, f)
+
+    def refuse(*args):
+        raise AssertionError("pair_spectrum took the transform route at q = 2")
+
+    monkeypatch.setattr(spectrum_module, "pair_spectrum_fast", refuse)
+    assert np.array_equal(pair_spectrum(e, f).s, pair_spectrum_naive(e, f).s)
 
 
 def test_spectrum_transpose_symmetry():

@@ -198,8 +198,38 @@ def test_residue_guard_raises(monkeypatch):
         energy_chain_check(e, f, spectrum)
     with pytest.raises(PrecisionError, match="^difference histogram residue"):
         energy_chain_check(e, e, self_spectrum)
-    with pytest.raises(PrecisionError, match="^difference histogram residue"):
+    with pytest.raises(PrecisionError, match="^pair spectrum residue"):
         pair_spectrum_fast(e, f)
+    with pytest.raises(PrecisionError, match="^pair spectrum residue"):
+        pair_spectrum_fast(e, e)
+
+
+def test_orbit_weight_identity_sees_a_moved_count_of_d(monkeypatch):
+    # The transform route counts the spectrum without D, so the identity
+    # rhs - lhs = overcount compares D's rotation sums with it.  One count of D
+    # moved to a cell of another norm class (mass kept) changes
+    # rhs by 2 (s(a', b') - s(a, b) + 1) when both classes have weight 1.
+    q = 7
+    e = _random_plane_pair_set(q, 300, 20)
+    f = _random_plane_pair_set(q, 200, 21)
+    assert len(e) * len(f) > q**4  # pair_spectrum takes the transform route
+    assert energy_chain_check(e, f, pair_spectrum(e, f)).overcount_matches
+    hist = spectrum_module.difference_histogram(e, f)
+    s = pair_spectrum_fast(e, f).s
+    plane = all_norms(q, 2)
+    cls = [(int(plane[v // (q * q)]), int(plane[v % (q * q)])) for v in range(q**4)]
+    source = next(v for v in np.flatnonzero(hist) if 0 not in cls[v])
+    a, b = cls[source]
+    target = next(v for v in range(q**4)
+                  if 0 not in cls[v] and cls[v] != (a, b) and s[cls[v]] != s[a, b] - 1)
+    moved = hist.copy()
+    moved[source] -= 1
+    moved[target] += 1
+    for module in (spectrum_module, importlib.import_module("fqdist.rotation_energy")):
+        monkeypatch.setattr(module, "difference_histogram", lambda *args: moved)
+    rep = energy_chain_check(e, f, pair_spectrum(e, f))
+    assert not rep.overcount_matches
+    assert rep.rhs - rep.lhs - rep.overcount == 2 * (s[cls[target]] - s[a, b] + 1)
 
 
 def test_rotation_correlation_size_guard(monkeypatch):
