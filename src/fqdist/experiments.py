@@ -134,7 +134,7 @@ class ExperimentConfig:
         if self.density is not None and not 0.0 < self.density <= 1.0:
             raise ValueError("density must be in (0, 1]")
         if self.instances < 1 or self.oracle_instances < 0:
-            raise ValueError("instance counts must be positive")
+            raise ValueError("instances must be >= 1 and oracle instances >= 0")
         if self.budget < 1:
             raise ValueError("budget must be positive")
         if self.strip_len is not None and not 1 <= self.strip_len <= self.q:
@@ -352,20 +352,27 @@ def _skip(name: str, operation: str, reason: str) -> CheckResult:
     return CheckResult(name, operation, True, {"skipped": True, "reason": reason})
 
 
-def _failure(cfg: ExperimentConfig, instance: int, cell) -> dict:
-    """Where a seeded check first failed.
+class _Check:
+    """A seeded check that keeps where it first failed: instance, seed and cell.
 
-    The same flags with --instances instance+1 rerun it (--oracle-instances
+    The same flags with --instances instance+1 rerun that failure (--oracle-instances
     instance+1 for the oracle checks route-agreement and quadruple-count).
     """
-    return {"instance": instance, "seed": cfg.seed, "cell": cell}
 
+    def __init__(self, cfg: ExperimentConfig, name: str, operation: str):
+        self.cfg, self.name, self.operation = cfg, name, operation
+        self.first_failure: dict | None = None
 
-def _with_failure(payload: dict, failure: dict | None) -> dict:
-    """The payload, plus first_failure only when there was one."""
-    if failure is not None:
-        payload["first_failure"] = failure
-    return payload
+    def record(self, ok: bool, instance: int, cell=None) -> None:
+        """Note one instance's outcome; only the first failure is kept."""
+        if not ok and self.first_failure is None:
+            self.first_failure = {"instance": instance, "seed": self.cfg.seed, "cell": cell}
+
+    def result(self, payload: dict, ok: bool = True) -> CheckResult:
+        """Pass iff no instance failed and ok holds; the payload gains first_failure if one did."""
+        if self.first_failure is not None:
+            payload["first_failure"] = self.first_failure
+        return CheckResult(self.name, self.operation, ok and self.first_failure is None, payload)
 
 
 # ----------------------------------------------------------------- lemmas ---
@@ -411,7 +418,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         ))
 
     for d in dims:
-        pl_failure = None
+        check = _Check(cfg, f"plancherel d={d}", "plancherel_gap")
         worst_rel = 0.0
         for i in range(cfg.instances):
             gen = substream(cfg.seed, _T_PLANCHEREL, d, i)
@@ -423,14 +430,10 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
                 continue
             scale = support / q**d
             rel = plancherel_gap(table) / scale
-            if pl_failure is None and not rel <= 1e-9:
-                pl_failure = _failure(cfg, i, None)
+            check.record(rel <= 1e-9, i)
             worst_rel = max(worst_rel, rel)
-        checks.append(CheckResult(
-            f"plancherel d={d}", "plancherel_gap", pl_failure is None,
-            _with_failure({"d": d, "instances": cfg.instances, "max_relative_gap": worst_rel},
-                          pl_failure),
-        ))
+        checks.append(check.result(
+            {"d": d, "instances": cfg.instances, "max_relative_gap": worst_rel}))
 
     # Round-trip and the defining-sum route, on the largest ambient that the
     # quadratic route still allows.
@@ -453,7 +456,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         ))
 
     # Exact phase histograms against the float coefficients.
-    phase_failure = None
+    check = _Check(cfg, "phase-histogram-agreement", "exact_phase_histogram")
     phase_worst = 0.0
     for i in range(min(cfg.instances, 20)):
         gen = substream(cfg.seed, _T_PHASE, i)
@@ -466,13 +469,9 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         hist = exact_phase_histogram(ps, m)
         spec = forward_transform(indicator_table(ps))
         gap = float(abs(hist.coefficient() - spec.coeffs[encode_vectors(q, m)]))
-        if phase_failure is None and not gap <= 1e-10:
-            phase_failure = _failure(cfg, i, m)
+        check.record(gap <= 1e-10, i, m)
         phase_worst = max(phase_worst, gap)
-    checks.append(CheckResult(
-        "phase-histogram-agreement", "exact_phase_histogram", phase_failure is None,
-        _with_failure({"max_abs_disagreement": phase_worst}, phase_failure),
-    ))
+    checks.append(check.result({"max_abs_disagreement": phase_worst}))
 
     if field.q_mod_4 == 3:
         rep = so2_orbit_check(field)
@@ -500,7 +499,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
 
     # Marginal mass lemma: random sets plus the saturating single fiber.
     k, l = cfg.k, cfg.l
-    mm_failure = None
+    check = _Check(cfg, "marginal-mass", "marginal_spectral_mass")
     mm_float_worst = 0.0
     for i in range(cfg.instances):
         gen = substream(cfg.seed, _T_MASS, i)
@@ -508,22 +507,18 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         codes = np.nonzero(gen.random(q ** (k + l)) < density)[0]
         e = SplitPointSet(field, k, l, codes)
         rep = marginal_spectral_mass(e)
-        if mm_failure is None and not (rep.holds and rep.float_agrees):
-            mm_failure = _failure(cfg, i, None)
+        check.record(rep.holds and rep.float_agrees, i)
         mm_float_worst = max(mm_float_worst, abs(rep.float_value - float(rep.exact)))
     fiber = SplitPointSet.product(
         PointSet(field, k, [min(1, q**k - 1)]), PointSet.full(field, l))
     sat = marginal_spectral_mass(fiber)
-    checks.append(CheckResult(
-        "marginal-mass", "marginal_spectral_mass",
-        mm_failure is None and sat.holds and sat.saturated,
-        _with_failure({"instances": cfg.instances, "max_float_gap": mm_float_worst,
-                       "saturating_fiber_exact": str(sat.exact),
-                       "saturated": sat.saturated}, mm_failure),
-    ))
+    checks.append(check.result(
+        {"instances": cfg.instances, "max_float_gap": mm_float_worst,
+         "saturating_fiber_exact": str(sat.exact), "saturated": sat.saturated},
+        ok=sat.holds and sat.saturated))
 
     if field.q_mod_4 == 3:
-        sm_failure = None
+        check = _Check(cfg, "sphere-restricted-mass", "sphere_restricted_mass")
         sm_worst = 0.0
         for i in range(cfg.instances):
             gen = substream(cfg.seed, _T_MASS, 1000 + i)
@@ -534,15 +529,10 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
                 continue
             for a in range(1, q):
                 rep = sphere_restricted_mass(e, a)
-                if sm_failure is None and not rep.holds:
-                    sm_failure = _failure(cfg, i, a)
+                check.record(rep.holds, i, a)
                 if rep.bound > 0:
                     sm_worst = max(sm_worst, rep.value / rep.bound)
-        checks.append(CheckResult(
-            "sphere-restricted-mass", "sphere_restricted_mass", sm_failure is None,
-            _with_failure({"instances": cfg.instances, "max_value_over_bound": sm_worst},
-                          sm_failure),
-        ))
+        checks.append(check.result({"instances": cfg.instances, "max_value_over_bound": sm_worst}))
     else:
         checks.append(_skip("sphere-restricted-mass", "sphere_restricted_mass",
                             "needs q = 3 mod 4"))
@@ -577,8 +567,8 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
         return checks, spectrum.s.tolist()
 
     # Discrepancy certificate on seeded instances.
-    disc_failure = None
-    cons_failure = None
+    disc = _Check(cfg, "discrepancy", "discrepancy_report")
+    consistency = _Check(cfg, "threshold-consistency", "surjectivity_check")
     max_ratio = 0.0
     spectra = {}  # instance -> its pair spectrum
     for i in range(cfg.instances):
@@ -589,20 +579,13 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
         if i == 0:
             table = spectrum.s.tolist()
         rep = discrepancy_report(spectrum)
-        if disc_failure is None and not rep.all_ok:
-            disc_failure = _failure(cfg, i, np.argwhere(~rep.cell_ok)[0].tolist())
+        if not rep.all_ok:
+            disc.record(False, i, np.argwhere(~rep.cell_ok)[0].tolist())
         max_ratio = max(max_ratio, rep.max_ratio)
-        if cons_failure is None and not surjectivity_check(spectrum).consistent:
-            cons_failure = _failure(cfg, i, None)
-    checks.append(CheckResult(
-        "discrepancy", "discrepancy_report", disc_failure is None,
-        _with_failure({"instances": cfg.instances, "generator": cfg.generator,
-                       "max_error_over_budget": max_ratio}, disc_failure),
-    ))
-    checks.append(CheckResult(
-        "threshold-consistency", "surjectivity_check", cons_failure is None,
-        _with_failure({"instances": cfg.instances}, cons_failure),
-    ))
+        consistency.record(surjectivity_check(spectrum).consistent, i)
+    checks.append(disc.result({"instances": cfg.instances, "generator": cfg.generator,
+                               "max_error_over_budget": max_ratio}))
+    checks.append(consistency.result({"instances": cfg.instances}))
 
     # Full space and seeded near-full deletions, where the threshold is live.
     ambient = q ** (k + l)
@@ -613,22 +596,18 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
         full = SplitPointSet.full(field, k, l)
         spectrum = pair_spectrum(full, full)
         sc = surjectivity_check(spectrum)
-        ok = (sc.threshold_met and sc.surjective
-              and not discrepancy_report(spectrum).error.any())
-        surj_failure = None if ok else _failure(cfg, 0, "full-space")
+        check = _Check(cfg, "surjectivity-above-threshold", "surjectivity_check")
+        check.record(sc.threshold_met and sc.surjective
+                     and not discrepancy_report(spectrum).error.any(), 0, "full-space")
         near = replace(cfg, generator="near-full")
         min_size = len(full)
         for i in range(cfg.instances):  # a near-full run has built these spectra already
             spectrum = spectra[i] if near == cfg else pair_spectrum(*generate_set(near, i))
             min_size = min(min_size, spectrum.size_e)
             sc = surjectivity_check(spectrum)
-            if surj_failure is None and not (sc.threshold_met and sc.surjective):
-                surj_failure = _failure(cfg, i, None)
-        checks.append(CheckResult(
-            "surjectivity-above-threshold", "surjectivity_check", surj_failure is None,
-            _with_failure({"instances": cfg.instances + 1, "min_size": min_size,
-                           "threshold": threshold}, surj_failure),
-        ))
+            check.record(sc.threshold_met and sc.surjective, i)
+        checks.append(check.result({"instances": cfg.instances + 1, "min_size": min_size,
+                                    "threshold": threshold}))
     else:
         checks.append(_skip(
             "surjectivity-above-threshold", "surjectivity_check",
@@ -637,8 +616,8 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
     # Route agreement: the literal scan versus the transform route, and the
     # quadratic quadruple count on tiny instances.
     small_cap = min(300, ambient)
-    agree_failure = None
-    energy_failure = None
+    agree = _Check(cfg, "route-agreement", "pair_spectrum_fast")
+    quadruple = _Check(cfg, "quadruple-count", "spectrum_energy")
     energy_checked = 0
     for i in range(cfg.oracle_instances):
         gen = substream(cfg.seed, _T_ORACLE, i)
@@ -650,21 +629,13 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
         f = SplitPointSet(field, k, l, gen.choice(ambient, size=nf, replace=False))
         fast = pair_spectrum_fast(e, f)
         naive = pair_spectrum_naive(e, f)
-        if agree_failure is None and not np.array_equal(fast.s, naive.s):
-            agree_failure = _failure(cfg, i, np.argwhere(fast.s != naive.s)[0].tolist())
+        if not np.array_equal(fast.s, naive.s):
+            agree.record(False, i, np.argwhere(fast.s != naive.s)[0].tolist())
         if len(e) <= 40 and len(f) <= 40:
             energy_checked += 1
-            if energy_failure is None and (
-                    spectrum_energy(fast) != spectrum_energy_bruteforce(e, f)):
-                energy_failure = _failure(cfg, i, None)
-    checks.append(CheckResult(
-        "route-agreement", "pair_spectrum_fast", agree_failure is None,
-        _with_failure({"instances": cfg.oracle_instances}, agree_failure),
-    ))
-    checks.append(CheckResult(
-        "quadruple-count", "spectrum_energy", energy_failure is None,
-        _with_failure({"instances": energy_checked}, energy_failure),
-    ))
+            quadruple.record(spectrum_energy(fast) == spectrum_energy_bruteforce(e, f), i)
+    checks.append(agree.result({"instances": cfg.oracle_instances}))
+    checks.append(quadruple.result({"instances": energy_checked}))
     return checks, table
 
 
@@ -690,26 +661,6 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
 
     rotations = enumerate_so2(field)
     cap = min(2000, q**4)
-
-    def run_instance(e: SplitPointSet, f: SplitPointSet, index: int) -> dict:
-        spectrum = pair_spectrum(e, f)
-        chain = energy_chain_check(e, f, spectrum)
-        gen = substream(cfg.seed, _T_ROTSAMPLE, index)
-        samples = []
-        for _ in range(2):
-            cell = [int(gen.integers(0, len(rotations))), int(gen.integers(0, len(rotations)))]
-            rep = correlation_transform_check(e, rotations[cell[0]], rotations[cell[1]])
-            samples.append((rep.max_deviation, cell))
-        max_dev, worst_cell = max(samples, key=lambda sample: sample[0])
-        bound = coverage_min_bound(chain, spectrum, cfg.constant_c)
-        return {
-            "spectrum": spectrum,
-            "chain": chain,
-            "max_transform_dev": max_dev,
-            "worst_cell": worst_cell,
-            "bound": bound,
-        }
-
     if sets is not None:
         pairs = [sets]
     else:
@@ -724,48 +675,47 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
             pairs.append((e, f))
 
     table: list[list] = []
-    failures: dict[str, dict] = {}  # check name -> its first failure
+    energy_chain, zero, split, orbit = (_Check(cfg, name, "energy_chain_check") for name in (
+        "energy-chain", "zero-frequency-term", "frequency-split", "orbit-weight-identity"))
+    correlation = _Check(cfg, "correlation-transform", "correlation_transform_check")
+    min_bound = _Check(cfg, "coverage-min-bound", "coverage_min_bound")
     max_split = 0.0
     max_dev = 0.0
     max_emp_c = 0.0
     for i, (e, f) in enumerate(pairs):
-        out = run_instance(e, f, i)
+        spectrum = pair_spectrum(e, f)
         if i == 0:
-            table = out["spectrum"].s.tolist()
-        chain = out["chain"]
-        bound = out["bound"]
-        for name, ok, cell in (
-            ("energy-chain", chain.holds, None),
-            ("zero-frequency-term", chain.zero_agrees, None),
-            ("frequency-split", chain.split_ok, None),
-            ("orbit-weight-identity", chain.overcount_matches, None),
-            ("correlation-transform",
-             out["max_transform_dev"] <= rotation_energy.CORRELATION_TOLERANCE, out["worst_cell"]),
-            ("coverage-min-bound", bound.holds or not bound.c_dominates, None),
-        ):
-            if not ok and name not in failures:
-                failures[name] = _failure(cfg, i, cell)
+            table = spectrum.s.tolist()
+        chain = energy_chain_check(e, f, spectrum)
+        gen = substream(cfg.seed, _T_ROTSAMPLE, i)
+        samples = []
+        for _ in range(2):
+            cell = [int(gen.integers(0, len(rotations))), int(gen.integers(0, len(rotations)))]
+            rep = correlation_transform_check(e, rotations[cell[0]], rotations[cell[1]])
+            samples.append((rep.max_deviation, cell))
+        dev, worst_cell = max(samples, key=lambda sample: sample[0])
+        bound = coverage_min_bound(chain, spectrum, cfg.constant_c)
+        energy_chain.record(chain.holds, i)
+        zero.record(chain.zero_agrees, i)
+        split.record(chain.split_ok, i)
+        orbit.record(chain.overcount_matches, i)
+        correlation.record(dev <= rotation_energy.CORRELATION_TOLERANCE, i, worst_cell)
+        min_bound.record(bound.holds or not bound.c_dominates, i)
         max_split = max(max_split, chain.split_residual)
-        max_dev = max(max_dev, out["max_transform_dev"])
+        max_dev = max(max_dev, dev)
         max_emp_c = max(max_emp_c, bound.empirical_c)
 
     n_instances = len(pairs)
-    for name, operation, payload in (
-        ("energy-chain", "energy_chain_check", {"instances": n_instances, "size_cap": cap}),
-        ("zero-frequency-term", "energy_chain_check",
-         {"instances": n_instances,
-          "formula": "|SO2|^2 |E|^2 |F|^2 / q^4", "so2_size": so2_size}),
-        ("frequency-split", "energy_chain_check",
-         {"instances": n_instances, "max_relative_residual": max_split}),
-        ("orbit-weight-identity", "energy_chain_check", {"instances": n_instances}),
-        ("correlation-transform", "correlation_transform_check",
-         {"instances": n_instances, "max_deviation": max_dev}),
-        ("coverage-min-bound", "coverage_min_bound",
-         {"instances": n_instances, "constant_c": cfg.constant_c,
-          "max_empirical_c": max_emp_c}),
-    ):
-        checks.append(CheckResult(name, operation, name not in failures,
-                                  _with_failure(payload, failures.get(name))))
+    checks += [
+        energy_chain.result({"instances": n_instances, "size_cap": cap}),
+        zero.result({"instances": n_instances, "formula": "|SO2|^2 |E|^2 |F|^2 / q^4",
+                     "so2_size": so2_size}),
+        split.result({"instances": n_instances, "max_relative_residual": max_split}),
+        orbit.result({"instances": n_instances}),
+        correlation.result({"instances": n_instances, "max_deviation": max_dev}),
+        min_bound.result({"instances": n_instances, "constant_c": cfg.constant_c,
+                          "max_empirical_c": max_emp_c}),
+    ]
     return checks, table
 
 
@@ -820,7 +770,7 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
         if not con.applies(q, cfg.k, cfg.l):
             checks.append(_skip(con.check, con.operation, con.needs))
             continue
-        failure = None
+        check = _Check(cfg, con.check, con.operation)
         runs = []  # (parameter, A, |E|, |F|, achieved pairs)
         for parameter, run_cfg, instance in _sweep(cfg, con.generator):
             factors = _factors(run_cfg, field, instance)
@@ -828,12 +778,11 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
             e, f = _product_pair(*factors)
             pairs = achieved_pairs(pair_spectrum(e, f))
             law = {(s, t) for s in distance_set(a, c) for t in distance_set(b, d)}
-            if failure is None and pairs != law:
-                failure = _failure(cfg, parameter, list(min(pairs ^ law)))
+            if pairs != law:
+                check.record(False, parameter, list(min(pairs ^ law)))
             runs.append((parameter, a, len(e), len(f), pairs))
 
         parameter, a, size_e, size_f, pairs = runs[0]
-        ok = True
         if con.generator == "circles":
             payload = {"size_e": size_e, "size_f": size_f, "coverage": len(pairs)}
             rows.append(["circles", 1, size_e, len(pairs)])
@@ -845,15 +794,13 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
             rows.extend(["strip", n, size, len(p)] for n, _, size, _, p in runs)
         else:
             found = search_missing_distance_set(field, cfg.k, cfg.budget, cfg.seed)
-            ok = len(pairs) < q * q and found.missing_distance not in {s for s, _ in pairs}
+            check.record(len(pairs) < q * q
+                         and found.missing_distance not in {s for s, _ in pairs}, parameter)
             payload = {"factor_size": len(a), "missing_distance": found.missing_distance,
                        "coverage": len(pairs), "full_coverage": q * q,
                        "candidates_tried": found.candidates_tried}
             rows.append(["sharp-product", len(a), size_e, len(pairs)])
-        if failure is None and not ok:
-            failure = _failure(cfg, parameter, None)
-        checks.append(CheckResult(con.check, con.operation, failure is None,
-                                  _with_failure(payload, failure)))
+        checks.append(check.result(payload))
     return checks, [["construction", "parameter", "set_size", "coverage"], *rows]
 
 

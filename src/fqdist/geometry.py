@@ -165,7 +165,8 @@ def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None) -> 
     """Write a point set as a header line plus one comma-separated point per line.
 
     Header: ``q=<q> dims=<d>`` with an optional ``split=<k>,<l>`` field.
-    load_point_set also skips lines starting with #, as comments.
+    load_point_set also skips lines starting with #, as comments.  Reads only
+    ps.field, ps.d and ps.coords(), so a SplitPointSet serves as it is.
     """
     if split is not None and split[0] + split[1] != ps.d:
         raise ValueError(f"split {split} does not sum to dims {ps.d}")

@@ -83,7 +83,7 @@ class SplitPointSet:
     @cached_property
     def transform(self) -> np.ndarray:
         """Coefficients of the indicator's forward transform, computed once (read-only)."""
-        coeffs = forward_transform(indicator_table(self.as_point_set())).coeffs
+        coeffs = forward_transform(indicator_table(self)).coeffs
         coeffs.setflags(write=False)
         return coeffs
 
@@ -102,9 +102,6 @@ class SplitPointSet:
 
     def coords(self) -> np.ndarray:
         return decode_codes(self.field.q, self.d, self.codes)
-
-    def as_point_set(self) -> PointSet:
-        return PointSet(self.field, self.d, self.codes)
 
     @classmethod
     def from_point_set(cls, ps: PointSet, k: int, l: int) -> "SplitPointSet":
@@ -269,7 +266,7 @@ def _sphere_characters(q: int, d: int) -> np.ndarray:
 
 def _half_spectrum(e: SplitPointSet) -> np.ndarray:
     """sum_x chi(-x.m) 1_E(x) at the frequencies with m_1 <= q/2 (fourier._real_half_transform)."""
-    return _real_half_transform(indicator_table(e.as_point_set()).values, e.field.q, e.d)
+    return _real_half_transform(indicator_table(e).values, e.field.q, e.d)
 
 
 def pair_spectrum_fast(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:

@@ -4,8 +4,10 @@ perfbench compares every report it times against
 perfbench/references/<workload>-seed0.json, floats to a relative 1e-9.  These
 tests make the same CLI request for each workload that BENCHMARK.json declares,
 through the benchmark's own child process and thread settings, so a float that
-drifts past the reference tolerance fails here first.  They read the
-references and change nothing under perfbench/.
+drifts past the reference tolerance fails here first.  Each request runs once
+plain and once traced, so a renamed class, function or argument that
+perfbench/spans.py wraps fails here too.  They read the references and change
+nothing under perfbench/.
 """
 
 import importlib.util
@@ -37,6 +39,8 @@ def test_seed0_request_matches_reference(bench, name, tmp_path):
     reference = bench.reference_report(name, 0)
     assert reference is not None, f"no committed reference for {name} at seed 0"
     args = bench.cli_arguments(name, 0, tmp_path)
-    record = bench.invoke(args, "plain", tmp_path, bench.child_env())
-    assert record["returncode"] == 0, record["stderr"]
-    assert bench.report_diffs(reference, record["report"]) == 0
+    for mode in ("plain", "trace"):
+        record = bench.invoke(args, mode, tmp_path, bench.child_env())
+        assert record["returncode"] == 0, (mode, record["stderr"])
+        assert bench.report_diffs(reference, record["report"]) == 0, mode
+    assert bench.EXPECTED_SPANS[name] + ".calls" in record["counts"]

@@ -192,6 +192,7 @@ def test_sharpness_failures_name_instance_seed_and_cell(monkeypatch):
     # Drop the largest distance: the law then expects too few pairs.
     monkeypatch.setattr(module, "distance_set", lambda a, b=None: set(sorted(real(a, b))[:-1]))
     checks = {c["name"]: c for c in run_suite(plane).to_json_dict()["checks"]}
+    assert not any(c["pass"] for c in checks.values() if "first_failure" in c["payload"])
     expected = {
         "orthogonal-circles": (0, [1, 1]),  # Delta(circle, origin) = {1}
         "product-law": (0, [0, 6]),  # the factor F_7^2 loses distance 6
@@ -202,6 +203,7 @@ def test_sharpness_failures_name_instance_seed_and_cell(monkeypatch):
         assert checks[name]["payload"]["first_failure"] == {
             "instance": instance, "seed": 5, "cell": cell}, name
     checks = {c["name"]: c for c in run_suite(odd).to_json_dict()["checks"]}
+    assert not any(c["pass"] for c in checks.values() if "first_failure" in c["payload"])
     for name in ("product-law", "missing-distance-product"):
         assert checks[name]["payload"]["first_failure"] == {
             "instance": 0, "seed": 5, "cell": [0, 2]}, name
@@ -242,8 +244,10 @@ def test_config_validation():
         ExperimentConfig(q=7, generator="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(q=7, density=1.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(q=7, instances=0)
+    for counts in ({"instances": 0}, {"oracle_instances": -1}):
+        with pytest.raises(ValueError, match=r"instances must be >= 1 and oracle instances >= 0"):
+            ExperimentConfig(q=7, **counts)
+    assert ExperimentConfig(q=7, oracle_instances=0).oracle_instances == 0
     for strip_len in (0, 8, 20):
         with pytest.raises(ValueError, match="strip length"):
             ExperimentConfig(q=7, strip_len=strip_len)
@@ -391,6 +395,7 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
     _fail_on_call(monkeypatch, "pair_spectrum_naive", 1, off_by_one)
     _fail_on_call(monkeypatch, "spectrum_energy_bruteforce", 0, lambda count, e, f: count + 1)
     checks = {c["name"]: c for c in run_suite(lemmas).to_json_dict()["checks"]}
+    assert not any(c["pass"] for c in checks.values() if "first_failure" in c["payload"])
     assert not checks["marginal-mass"]["pass"]
     assert checks["marginal-mass"]["payload"]["first_failure"] == {
         "instance": 1, "seed": 5, "cell": None}
@@ -404,6 +409,7 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
         assert checks[name]["payload"]["first_failure"] == {
             "instance": instance, "seed": 5, "cell": cell}, name
     checks = {c["name"]: c for c in run_suite(coverage).to_json_dict()["checks"]}
+    assert not any(c["pass"] for c in checks.values() if "first_failure" in c["payload"])
     assert checks["quadruple-count"]["payload"]["instances"] == 1
     for name, instance, cell in (("discrepancy", 2, [2, 3]),
                                  ("threshold-consistency", 1, None),
@@ -412,6 +418,18 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
         assert not checks[name]["pass"], name
         assert checks[name]["payload"]["first_failure"] == {
             "instance": instance, "seed": 5, "cell": cell}, name
+
+
+def test_unsaturated_fiber_fails_marginal_mass_with_no_instance(monkeypatch):
+    # marginal_spectral_mass calls 0-2 are the seeded instances, call 3 the saturating fibre.
+    cfg = ExperimentConfig(q=7, suite="lemmas", instances=3, seed=5)
+    _fail_on_call(monkeypatch, "marginal_spectral_mass", 3,
+                  lambda r, e: dataclasses.replace(r, saturated=False))
+    checks = {c.name: c for c in run_suite(cfg).checks}
+    assert not checks["marginal-mass"].passed
+    assert checks["marginal-mass"].payload["saturated"] is False
+    assert "first_failure" not in checks["marginal-mass"].payload
+    assert all(c.passed for name, c in checks.items() if name != "marginal-mass")
 
 
 def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
@@ -445,6 +463,7 @@ def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
     _fail_on_call(monkeypatch, "coverage_min_bound", 2, replaced(holds=False, c_dominates=True))
 
     checks = {c["name"]: c for c in run_suite(cfg).to_json_dict()["checks"]}
+    assert not any(c["pass"] for c in checks.values() if "first_failure" in c["payload"])
     assert sampled[0] != sampled[1]
     expected = {
         "energy-chain": (1, None),
@@ -496,6 +515,7 @@ def test_surjectivity_failures_name_full_space_or_deletion(monkeypatch):
         monkeypatch.undo()
         _fail_on_call(monkeypatch, name, call, fail)
         checks = {c["name"]: c for c in run_suite(cfg).to_json_dict()["checks"]}
+        assert not any(c["pass"] for c in checks.values() if "first_failure" in c["payload"])
         assert checks["threshold-consistency"]["pass"]
         assert not checks["surjectivity-above-threshold"]["pass"]
         assert checks["surjectivity-above-threshold"]["payload"]["first_failure"] == {

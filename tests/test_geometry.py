@@ -114,7 +114,7 @@ def test_one_enumeration_limit_moves_every_guard(monkeypatch):
         lambda: all_norms(3, 4),
         lambda: PointSet.full(field, 4),
         lambda: SplitPointSet.full(field, 2, 2),
-        lambda: indicator_table(e.as_point_set()),
+        lambda: indicator_table(e),
         lambda: difference_histogram(e, e),
         lambda: generate_set(ExperimentConfig(q=3, generator="bernoulli")),
     ):
@@ -153,7 +153,7 @@ def test_set_codes_canonical_read_only_and_owned(make):
 
 def test_split_set_views_share_codes():
     s = SplitPointSet(make_field(3), 2, 2, [9, 0, 40])
-    ps = s.as_point_set()
+    ps = PointSet(s.field, s.d, s.codes)
     assert np.shares_memory(ps.codes, s.codes)
     assert np.shares_memory(SplitPointSet.from_point_set(ps, 1, 3).codes, s.codes)
 

@@ -63,7 +63,7 @@ def test_split_set_rejects_bad_dims():
 def test_split_set_transform_cached_and_bit_identical(monkeypatch):
     e = _random_split(7, 2, 2, 300, 11)
     f = _random_split(7, 2, 2, 200, 12)
-    fresh = forward_transform(indicator_table(e.as_point_set())).coeffs
+    fresh = forward_transform(indicator_table(e)).coeffs
     calls, halves = [], []
     real = spectrum_module.forward_transform
     real_half = spectrum_module._real_half_transform
@@ -105,7 +105,7 @@ def test_product_set():
     second = PointSet.from_vectors(f, 2, [(2, 2)])
     prod = SplitPointSet.product(first, second)
     assert len(prod) == 2
-    assert sorted(prod.as_point_set().points()) == [(0, 0, 2, 2), (1, 1, 2, 2)]
+    assert sorted(map(tuple, prod.coords().tolist())) == [(0, 0, 2, 2), (1, 1, 2, 2)]
 
 
 def test_distance_set_small():
@@ -423,7 +423,7 @@ def test_marginal_mass_property(codes):
 def test_split_file_roundtrip(tmp_path):
     e = _random_split(7, 2, 2, 40, 9)
     path = tmp_path / "split.txt"
-    save_point_set(path, e.as_point_set(), split=(2, 2))
+    save_point_set(path, e, split=(2, 2))
     loaded = load_split_point_set(path, 2, 2)
     assert loaded.k == 2 and loaded.l == 2
     assert loaded.codes.tolist() == e.codes.tolist()
@@ -432,6 +432,6 @@ def test_split_file_roundtrip(tmp_path):
 def test_split_file_header_conflict(tmp_path):
     e = _random_split(7, 2, 2, 10, 9)
     path = tmp_path / "split.txt"
-    save_point_set(path, e.as_point_set(), split=(2, 2))
+    save_point_set(path, e, split=(2, 2))
     with pytest.raises(ValueError):
         load_split_point_set(path, 3, 1)  # contradicts the stored split

@@ -308,7 +308,7 @@ def test_sphere_restricted_mass_bound():
 def test_sphere_restricted_mass_transforms_once(monkeypatch):
     q = 7
     e = _random_plane_pair_set(q, 500, 9)
-    fresh = forward_transform(indicator_table(e.as_point_set())).coeffs
+    fresh = forward_transform(indicator_table(e)).coeffs
     calls = []
     real = spectrum_module.forward_transform
     monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
