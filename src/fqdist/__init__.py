@@ -80,7 +80,6 @@ from .pair_spectrum import (
 )
 from .rotation_energy import (
     CircleEnergyReport,
-    CorrelationTable,
     CorrelationTransformReport,
     CoverageBoundReport,
     EnergyChainReport,
@@ -118,7 +117,7 @@ __all__ = [
     "load_split_point_set", "marginal_spectral_mass",
     "pair_spectrum_fast", "pair_spectrum_naive",
     "spectrum_energy", "spectrum_energy_bruteforce", "surjectivity_check",
-    "CircleEnergyReport", "CorrelationTable", "CorrelationTransformReport",
+    "CircleEnergyReport", "CorrelationTransformReport",
     "CoverageBoundReport", "EnergyChainReport", "SphereMassReport",
     "circle_energy", "correlation_transform_check",
     "coverage_min_bound", "energy_chain_check", "rotation_correlation",

@@ -127,6 +127,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.q % 2 == 0:
             raise ValueError(f"q must be an odd prime (the paper's setting), got {self.q}")
+        if self.k < 1 or self.l < 1:
+            raise ValueError(f"k and l must be >= 1, got k = {self.k}, l = {self.l}")
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.generator not in GENERATORS:

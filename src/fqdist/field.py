@@ -54,7 +54,6 @@ class PrimeField:
         # char_table[t] = exp(2*pi*i*t/q); chi(s)chi(t) = chi(s+t) up to float error.
         self.char_table = np.exp(2j * np.pi * np.arange(q) / q)
         self.char_table.setflags(write=False)
-        self._sqrt_classes: list[list[int]] | None = None
 
     def __repr__(self) -> str:
         return f"PrimeField(q={self.q})"
@@ -69,15 +68,6 @@ class PrimeField:
         """Additive character chi(t), vectorized over integer arrays."""
         return self.char_table[np.mod(t, self.q)]
 
-    def sqrts(self, t: int) -> list[int]:
-        """All square roots of t mod q, ascending (0, 1, or 2 of them)."""
-        if self._sqrt_classes is None:
-            classes: list[list[int]] = [[] for _ in range(self.q)]
-            for x in range(self.q):
-                classes[(x * x) % self.q].append(x)
-            self._sqrt_classes = classes
-        return list(self._sqrt_classes[t % self.q])
-
 
 def make_field(q: int) -> PrimeField:
     """Construct the prime field F_q, rejecting composites and oversized moduli."""
@@ -85,7 +75,10 @@ def make_field(q: int) -> PrimeField:
 
 
 def quadratic_character(field: PrimeField, t: int) -> int:
-    """Legendre symbol of t: 0 at 0, +1 on nonzero squares, -1 otherwise."""
+    """Legendre symbol of t: 0 at 0, +1 on nonzero squares, -1 otherwise.
+
+    The sphere-count oracle of test_exact_three_dim_sphere_sizes: |S_t| = q^2 + q eta(-t) in 3-D.
+    """
     t = t % field.q
     if t == 0:
         return 0
@@ -104,22 +97,29 @@ class Rotation:
 
 def enumerate_so2(field: PrimeField) -> list[Rotation]:
     """All rotations (a, b) with a^2 + b^2 = 1 mod q, in lexicographic order."""
-    out = []
-    for a in range(field.q):
-        for b in field.sqrts((1 - a * a) % field.q):
-            out.append(Rotation(a, b))
-    return out
+    q = field.q
+    roots: list[list[int]] = [[] for _ in range(q)]  # roots[t]: square roots of t, ascending
+    for x in range(q):
+        roots[x * x % q].append(x)
+    return [Rotation(a, b) for a in range(q) for b in roots[(1 - a * a) % q]]
 
 
 def rotation_apply(field: PrimeField, rot: Rotation, v) -> tuple[int, int]:
-    """Apply the rotation matrix to a 2-vector, returning canonical residues."""
+    """Apply the rotation matrix to a 2-vector, returning canonical residues.
+
+    The pointwise oracle for rotation_code_permutation, which
+    test_rotation_code_permutation_matches_pointwise compares with it.
+    """
     v1, v2 = (int(v[0]), int(v[1]))
     q = field.q
     return ((rot.a * v1 - rot.b * v2) % q, (rot.b * v1 + rot.a * v2) % q)
 
 
 def rotation_compose(field: PrimeField, first: Rotation, second: Rotation) -> Rotation:
-    """Matrix product first*second; same rule as multiplying a+ib by complex a'+ib'."""
+    """Matrix product first*second; same rule as multiplying a+ib by complex a'+ib'.
+
+    test_rotation_group_laws_q7 checks the group law of enumerate_so2 and rotation_inverse with it.
+    """
     q = field.q
     return Rotation(
         (first.a * second.a - first.b * second.b) % q,
@@ -159,36 +159,27 @@ def so2_orbit_check(field: PrimeField) -> OrbitReport:
 
     For q = 3 mod 4 every nonzero vector has nonzero norm, and the q+1
     rotations must map it bijectively onto the circle of its norm.  Checks all
-    q^2 - 1 nonzero vectors exhaustively.
+    q^2 - 1 nonzero vectors exhaustively, in one sort of the image array.
     """
     if field.q_mod_4 != 3:
-        raise ValueError(
-            f"orbit structure requires q = 3 mod 4, got q = {field.q}"
-        )
+        raise ValueError(f"orbit structure requires q = 3 mod 4, got q = {field.q}")
     q = field.q
     if q * q * (q + 2) > 5 * 10**7:
         raise SizeGuardError(f"orbit check enumerates q^2 (q+1) images; q = {q} is too large")
     rotations = enumerate_so2(field)
     m = len(rotations)
-
-    codes = np.arange(q * q, dtype=np.int64)
-    v1 = codes // q
-    v2 = codes % q
+    v1, v2 = np.divmod(np.arange(q * q, dtype=np.int64), q)
     norms = (v1 * v1 + v2 * v2) % q
-
-    # images[i, c] = code of rotations[i] applied to the vector with code c
-    images = np.stack([rotation_code_permutation(field, rot) for rot in rotations])
-
-    sphere_codes = {t: set(codes[norms == t].tolist()) for t in range(q)}
-
-    checked = 0
-    for c in range(1, q * q):
-        t = int(norms[c])
-        if t == 0:
-            return OrbitReport(q, m, checked, False, (int(v1[c]), int(v2[c]), "norm 0"))
-        orbit = images[:, c]
-        orbit_set = set(orbit.tolist())
-        if len(orbit_set) != m or orbit_set != sphere_codes[t]:
-            return OrbitReport(q, m, checked, False, (int(v1[c]), int(v2[c]), "orbit"))
-        checked += 1
-    return OrbitReport(q, m, checked, True, None)
+    # Column c, sorted: the codes of every rotation applied to the vector with code c.
+    orbits = np.stack([rotation_code_permutation(field, rot) for rot in rotations])
+    orbits.sort(axis=0)
+    # Column c is its circle when its m codes are distinct and of its norm, and |circle| = m.
+    is_circle = (np.all(orbits[1:] != orbits[:-1], axis=0)
+                 & np.all(norms[orbits] == norms, axis=0)
+                 & (np.bincount(norms, minlength=q)[norms] == m))
+    failing = np.flatnonzero((norms[1:] == 0) | ~is_circle[1:])
+    if not len(failing):
+        return OrbitReport(q, m, q * q - 1, True, None)
+    c = int(failing[0]) + 1  # codes 1 .. c-1 passed
+    reason = "norm 0" if norms[c] == 0 else "orbit"
+    return OrbitReport(q, m, c - 1, False, (int(v1[c]), int(v2[c]), reason))

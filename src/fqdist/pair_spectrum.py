@@ -221,12 +221,15 @@ def difference_histogram(e: SplitPointSet, f: SplitPointSet) -> np.ndarray:
     _require_enumerable(q, d)  # a cached transform never reaches indicator_table's guard
     product = e.transform * np.conj(f.transform) * float(q) ** d
     h = inverse_transform(SpectralTable(e.field, d, product)).values
-    snapped = np.rint(h.real)
-    residue = float(np.max(np.abs(h - snapped))) if len(h) else 0.0
+    return _snap(h, "difference histogram")
+
+
+def _snap(values: np.ndarray, what: str) -> np.ndarray:
+    """values rounded to int64; PrecisionError if any residue exceeds CONVOLUTION_RESIDUE."""
+    snapped = np.rint(values.real)
+    residue = float(np.max(np.abs(values - snapped)))
     if residue > CONVOLUTION_RESIDUE:
-        raise PrecisionError(
-            f"difference histogram residue {residue:.3e} exceeds {CONVOLUTION_RESIDUE}"
-        )
+        raise PrecisionError(f"{what} residue {residue:.3e} exceeds {CONVOLUTION_RESIDUE}")
     return snapped.astype(np.int64)
 
 
@@ -296,11 +299,7 @@ def pair_spectrum_fast(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
     m = np.bincount(joint.reshape(-1), weights=cross.reshape(-1), minlength=(q + 1) ** 2)
     s = _sphere_characters(q, k) @ m.reshape(q + 1, q + 1) @ _sphere_characters(q, l).T
     s *= float(q) ** -(k + l)
-    snapped = np.rint(s)
-    residue = float(np.max(np.abs(s - snapped)))
-    if residue > CONVOLUTION_RESIDUE:
-        raise PrecisionError(f"pair spectrum residue {residue:.3e} exceeds {CONVOLUTION_RESIDUE}")
-    spectrum = PairSpectrum(e.field, k, l, len(e), len(f), snapped.astype(np.int64))
+    spectrum = PairSpectrum(e.field, k, l, len(e), len(f), _snap(s, "pair spectrum"))
     _check_mass(spectrum)
     return spectrum
 

@@ -67,22 +67,8 @@ def _require_plane_pair(e: SplitPointSet) -> None:
         raise ValueError(f"requires the plane-pair split k = l = 2, got ({e.k}, {e.l})")
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationTable:
-    """r(u', u'') for one rotation pair, indexed by plane codes."""
-
-    field: PrimeField
-    theta: Rotation
-    phi: Rotation
-    size: int
-    counts: np.ndarray  # int64, shape (q^2, q^2)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> CorrelationTable:
-    """Count pairs (x, z) in E^2 by the value (x' - theta z', x'' - phi z'').
+def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> np.ndarray:
+    """r[u', u''] = #{(x, z) in E^2 : x' - theta z' = u', x'' - phi z'' = u''} by plane codes.
 
     Every one of the |E|^2 pairs is visited, with no transform: each half of
     a pair is one gather from the plane-difference table
@@ -115,7 +101,7 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> Co
         joint *= plane
         joint += pdiff[second[rows]][:, rotated_second]
         flat += np.bincount(joint.reshape(-1), minlength=cells)
-    return CorrelationTable(e.field, theta, phi, n, flat.reshape(plane, plane))
+    return flat.reshape(plane, plane)
 
 
 @dataclass(frozen=True)
@@ -139,36 +125,24 @@ def correlation_transform_check(e: SplitPointSet, theta: Rotation,
     """
     _require_plane_pair(e)
     q = e.field.q
-    table = rotation_correlation(e, theta, phi)
-    r_hat = forward_transform(DensityTable(e.field, 4, table.counts.reshape(-1).astype(np.complex128))).coeffs
+    counts = rotation_correlation(e, theta, phi).reshape(-1)
+    r_hat = forward_transform(DensityTable(e.field, 4, counts.astype(np.complex128))).coeffs
     e_hat = e.transform
     perm_t = rotation_code_permutation(e.field, rotation_inverse(e.field, theta))
     perm_p = rotation_code_permutation(e.field, rotation_inverse(e.field, phi))
-    m_first = np.arange(q**4) // (q * q)
-    m_second = np.arange(q**4) % (q * q)
+    m_first, m_second = np.divmod(np.arange(q**4), q * q)
     rotated_index = perm_t[m_first] * (q * q) + perm_p[m_second]
     rhs = float(q) ** 4 * e_hat * np.conj(e_hat[rotated_index])
     dev = float(np.max(np.abs(r_hat - rhs)))
     return CorrelationTransformReport(q, theta, phi, dev, dev <= CORRELATION_TOLERANCE)
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
-    """The transform route to the rotation-summed energy, by frequency class.
+def _spectral_split(e: SplitPointSet, f: SplitPointSet,
+                    so2_size: int) -> tuple[float, float, float]:
+    """The transform route to the rotation-summed energy, as (zero, mixed, nonzero).
 
-    zero/mixed/nonzero are the contributions of the (0,0) class, the classes
-    with exactly one vanishing half, and the rest.  zero_formula is the exact
-    rational the zero class must equal: |SO2|^2 |E|^2 |F|^2 / q^4.
+    These are the (0,0) frequency class, the classes with one zero half, and the rest.
     """
-
-    zero: float
-    mixed: float
-    nonzero: float
-    zero_formula: Fraction
-    total: float
-
-
-def _spectral_split(e: SplitPointSet, f: SplitPointSet, so2_size: int) -> SpectralSplit:
     q = e.field.q
     g = e.transform * np.conj(f.transform)
     plane = all_norms(q, 2)
@@ -180,8 +154,7 @@ def _spectral_split(e: SplitPointSet, f: SplitPointSet, so2_size: int) -> Spectr
     zero = scale * so2_size**2 * float(z_sq[0, 0])
     mixed = scale * so2_size * float(z_sq[1:, 0].sum() + z_sq[0, 1:].sum())
     nonzero = scale * float(z_sq[1:, 1:].sum())
-    zero_formula = Fraction(so2_size**2 * len(e) ** 2 * len(f) ** 2, q**4)
-    return SpectralSplit(zero, mixed, nonzero, zero_formula, zero + mixed + nonzero)
+    return zero, mixed, nonzero
 
 
 def _rotation_pair_energies(e: SplitPointSet, f: SplitPointSet,
@@ -273,15 +246,16 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
     axis_mass = sum(int(v) ** 2 for v in (*s[0, 1:], *s[1:, 0]))
     overcount = (so2_size**2 - 1) * int(s[0, 0]) ** 2 + (so2_size - 1) * axis_mass
 
-    split = _spectral_split(e, f, so2_size)
-    zero_exact = float(split.zero_formula)
-    zero_agrees = abs(split.zero - zero_exact) <= 1e-6 * max(1.0, zero_exact)
-    residual = abs(split.total - rhs) / max(1.0, float(rhs))
+    zero, mixed, nonzero = _spectral_split(e, f, so2_size)
+    zero_formula = Fraction(so2_size**2 * len(e) ** 2 * len(f) ** 2, q**4)
+    zero_exact = float(zero_formula)
+    zero_agrees = abs(zero - zero_exact) <= 1e-6 * max(1.0, zero_exact)
+    residual = abs(zero + mixed + nonzero - rhs) / max(1.0, float(rhs))
     return EnergyChainReport(
         q=q, size_e=len(e), size_f=len(f), so2_size=so2_size,
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        zero_term=split.zero_formula, zero_float=split.zero, zero_agrees=zero_agrees,
-        mixed_term=split.mixed, nonzero_term=split.nonzero,
+        zero_term=zero_formula, zero_float=zero, zero_agrees=zero_agrees,
+        mixed_term=mixed, nonzero_term=nonzero,
         split_residual=residual, split_ok=residual <= 1e-6,
         overcount=overcount, overcount_matches=(rhs - lhs == overcount),
     )

@@ -248,6 +248,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"instances must be >= 1 and oracle instances >= 0"):
             ExperimentConfig(q=7, **counts)
     assert ExperimentConfig(q=7, oracle_instances=0).oracle_instances == 0
+    for dims in ({"k": 0}, {"l": 0}, {"k": -1, "l": 3}):
+        with pytest.raises(ValueError, match=r"k and l must be >= 1, got k = -?\d+, l = \d+"):
+            ExperimentConfig(q=7, **dims)
+    assert ExperimentConfig(q=7, k=1, l=1).k == 1
     for strip_len in (0, 8, 20):
         with pytest.raises(ValueError, match="strip length"):
             ExperimentConfig(q=7, strip_len=strip_len)
@@ -610,6 +614,20 @@ def test_cli_rejects_out_of_range_flags(flags):
     p = _cli("--q", "7", "--instances", "1", "--oracle-instances", "1", *flags)
     assert p.returncode == 2, p.stdout[-500:]
     assert p.stdout == ""
+
+
+@pytest.mark.parametrize("q, suite, k, l", [
+    ("7", "sharpness", "-1", "3"), ("19", "lemmas", "0", "2"),
+    ("7", "coverage", "2", "0"), ("7", "energy", "0", "0"),
+], ids=["sharpness-k-neg", "lemmas-k0", "coverage-l0", "energy-k0-l0"])
+def test_cli_refuses_block_dimension_below_one(capsys, q, suite, k, l):
+    # Refused by ExperimentConfig before any set is drawn or enumerated.
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--q", q, "--suite", suite, "--k", k, "--l", l, "--instances", "1"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"k and l must be >= 1, got k = {k}, l = {l}" in err
 
 
 @pytest.mark.parametrize("flags, suite, named", [

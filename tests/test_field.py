@@ -14,6 +14,7 @@ from fqdist import (
     make_field,
     quadratic_character,
     rotation_apply,
+    rotation_code_permutation,
     rotation_compose,
     rotation_inverse,
     so2_orbit_check,
@@ -79,13 +80,6 @@ def test_quadratic_character_q7():
         assert quadratic_character(f, t) == (1 if t in squares else -1)
 
 
-def test_sqrts():
-    f = make_field(7)
-    assert f.sqrts(2) == [3, 4]  # 3^2 = 4^2 = 2 mod 7
-    assert f.sqrts(3) == []
-    assert f.sqrts(0) == [0]
-
-
 def test_so2_q3_frozen():
     rots = enumerate_so2(make_field(3))
     assert sorted((r.a, r.b) for r in rots) == [(0, 1), (0, 2), (1, 0), (2, 0)]
@@ -95,6 +89,13 @@ def test_so2_sizes():
     # q = 3 mod 4 gives q + 1 rotations; q = 1 mod 4 gives q - 1.
     for q, expected in [(3, 4), (7, 8), (11, 12), (19, 20), (23, 24), (5, 4), (13, 12)]:
         assert len(enumerate_so2(make_field(q))) == expected
+    # The field is immutable: the rotation layer caches nothing on it.
+    f = make_field(11)
+    before = dict(vars(f))
+    enumerate_so2(f)
+    so2_orbit_check(f)
+    assert vars(f).keys() == before.keys()
+    assert all(vars(f)[name] is value for name, value in before.items())
 
 
 def test_rotation_apply_frozen():
@@ -140,6 +141,24 @@ def test_orbit_check_passes_for_3_mod_4():
         assert rep.passed
         assert rep.so2_size == q + 1
         assert rep.vectors_checked == q * q - 1
+
+
+def test_orbit_check_names_the_first_failing_vector(monkeypatch):
+    # One rotation sends code 20 = (2, 6), of norm 5, where it sends code
+    # 21 = (3, 0), of norm 2; codes 1 .. 19 keep their circles.
+    f = make_field(7)
+    broken = enumerate_so2(f)[3]
+
+    def patched(field, rot):
+        perm = rotation_code_permutation(field, rot)  # this module's name is not patched
+        if rot == broken:
+            perm[20] = perm[21]
+        return perm
+
+    monkeypatch.setattr("fqdist.field.rotation_code_permutation", patched)
+    rep = so2_orbit_check(f)
+    assert (rep.passed, rep.vectors_checked, rep.counterexample) == (False, 19, (2, 6, "orbit"))
+    assert rep.so2_size == 8
 
 
 def test_orbit_check_gates():

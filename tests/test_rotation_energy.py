@@ -57,8 +57,9 @@ def test_rotation_code_permutation_matches_pointwise():
 def test_correlation_total_is_pair_count():
     e = _random_plane_pair_set(3, 20, 1)
     rots = enumerate_so2(e.field)
-    table = rotation_correlation(e, rots[1], rots[2])
-    assert table.total() == 20 * 20
+    counts = rotation_correlation(e, rots[1], rots[2])
+    assert counts.dtype == np.int64 and counts.shape == (9, 9)
+    assert int(counts.sum()) == 20 * 20
 
 
 def test_correlation_identity_rotation_counts_differences():
@@ -79,7 +80,7 @@ def test_correlation_identity_rotation_counts_differences():
                     u1 = (x1[0] - r1[0]) % q * q + (x1[1] - r1[1]) % q
                     u2 = (x2[0] - r2[0]) % q * q + (x2[1] - r2[1]) % q
                     manual[u1, u2] += 1
-            assert np.array_equal(rotation_correlation(e, theta, phi).counts, manual)
+            assert np.array_equal(rotation_correlation(e, theta, phi), manual)
 
 
 def test_correlation_counts_match_int64_coordinate_count():
@@ -99,7 +100,7 @@ def test_correlation_counts_match_int64_coordinate_count():
     for i in range(4):
         codes = codes * q + (x[:, None, i] - rotated[None, :, i]) % q
     manual = np.bincount(codes.reshape(-1), minlength=q**4).reshape(q * q, q * q)
-    counts = rotation_correlation(e, theta, phi).counts
+    counts = rotation_correlation(e, theta, phi)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, manual)
 
@@ -149,7 +150,7 @@ def _literal_pair_energies(e, f):
     # m[i, j] = sum_u r_E(u) r_F(u) at (rots[i], rots[j]) from the literal pair counts.
     rots = enumerate_so2(e.field)
     return np.array([
-        [int(np.sum(rotation_correlation(e, t, p).counts * rotation_correlation(f, t, p).counts))
+        [int(np.sum(rotation_correlation(e, t, p) * rotation_correlation(f, t, p)))
          for p in rots]
         for t in rots
     ])
