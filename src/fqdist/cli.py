@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 from .errors import SizeGuardError
 from .experiments import (
@@ -115,11 +116,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = ExperimentConfig(
+        # q, k and l are validated before _knobs reads them to name an unread flag.
+        cfg = replace(ExperimentConfig(
             q=args.q, k=args.k, l=args.l, suite=args.suite, seed=args.seed,
             constant_c=args.constant_c, instances=args.instances,
-            oracle_instances=args.oracle_instances, **_knobs(args),
-        )
+            oracle_instances=args.oracle_instances,
+        ), **_knobs(args))
         sets = _load_sets(args)
         if sets is not None and args.suite not in ("coverage", "energy"):
             raise ValueError(f"suite {args.suite!r} does not accept loaded sets")

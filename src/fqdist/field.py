@@ -171,11 +171,15 @@ def so2_orbit_check(field: PrimeField) -> OrbitReport:
     v1, v2 = np.divmod(np.arange(q * q, dtype=np.int64), q)
     norms = (v1 * v1 + v2 * v2) % q
     # Column c, sorted: the codes of every rotation applied to the vector with code c.
-    orbits = np.stack([rotation_code_permutation(field, rot) for rot in rotations])
+    # Codes are below q^2 < 2^31 and norms below q < 2^15 under the guard, so
+    # the stack is int32 and its norm gather int16.
+    orbits = np.empty((m, q * q), dtype=np.int32)
+    for row, rot in zip(orbits, rotations):
+        row[:] = rotation_code_permutation(field, rot)
     orbits.sort(axis=0)
     # Column c is its circle when its m codes are distinct and of its norm, and |circle| = m.
     is_circle = (np.all(orbits[1:] != orbits[:-1], axis=0)
-                 & np.all(norms[orbits] == norms, axis=0)
+                 & np.all(norms.astype(np.int16)[orbits] == norms, axis=0)
                  & (np.bincount(norms, minlength=q)[norms] == m))
     failing = np.flatnonzero((norms[1:] == 0) | ~is_circle[1:])
     if not len(failing):

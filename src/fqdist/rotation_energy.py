@@ -10,7 +10,11 @@ the pair spectrum.  The right side is exact too: for each rotation pair
 R = (theta, phi) it counts quadruples with x - y = R(z - w), which is
 sum_v D(v) D(R v) over the difference histogram D of E - F
 (pair_spectrum.difference_histogram), an exact integer array whose
-norm-class sums must be the pair spectrum.  Three cross-checks:
+norm-class sums must be the pair spectrum.  Viewed as a q^2 x q^2 matrix,
+D gives every phi term of one theta from one float64 matrix product over the
+circles of the second plane, exact because every partial sum is an integer
+below 2^53 (_rotation_pair_energies).
+Three cross-checks:
   - the literal pair count rotation_correlation, which visits all |E|^2
     pairs and reads each half of x - R z from one q^2 x q^2 plane-difference
     table, with no transform.  The energy suite compares it with the
@@ -23,7 +27,7 @@ norm-class sums must be the pair spectrum.  Three cross-checks:
     in integers against the pair spectrum.  rhs depends on D only through
     its sums over the rotation orbits, which here are the classes
     (|v'|, |v''|), and neither route of the pair spectrum reads D, so the
-    identity checks the rotation gathers and D's class sums against a
+    identity checks the rotation products and D's class sums against a
     spectrum counted without D.
 The transform-based checks here read each set's cached indicator transform
 (SplitPointSet.transform), so a set is transformed at most once however many
@@ -72,13 +76,15 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> np
 
     Every one of the |E|^2 pairs is visited, with no transform: each half of
     a pair is one gather from the plane-difference table
-    pdiff[c_x, c_z] = code(x - z), which has q^2 x q^2 cells, taken as the
-    rows of a chunk of x and then the columns of every rotated z.  The row
-    copy is chunk x q^2 cells, but the column gather then reads one short
-    row at a time instead of the whole table; one 2-D gather reads less only
-    when the chunk is large and q^2 is near n or above (on one core it was
-    about 15% faster at n = 2000, q >= 43, and slower at n <= 1000).  The
-    table and the joint codes are int32, since every code is below
+    pdiff[c_x, c_z] = code(x - z), which has q^2 x q^2 cells.  Within a chunk
+    of x, the first half pdiff[c, theta z'] q^2 is gathered once per distinct
+    first plane code c, at most min(chunk, q^2) rows of n cells, and then
+    indexed for every x with that code.  The second half is gathered per x,
+    as the rows of the chunk (chunk x q^2 cells) and then the columns of
+    every rotated z.  Gathering the second half with one 2-D index instead
+    was 7-11% faster at n = 2000 and q in {43, 47, 59}, mixed at n <= 1000,
+    and 14-58% slower at q = 11 (one core, alternating calls).
+    The table and the joint codes are int32, since every code is below
     q^4 <= MAX_ENUMERATION < 2^31; the counts accumulate in int64.
     """
     _require_plane_pair(e)
@@ -93,14 +99,22 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> np
     first, second = e.first_codes(), e.second_codes()
     rotated_first = rotation_code_permutation(e.field, theta)[first]
     rotated_second = rotation_code_permutation(e.field, phi)[second]
-    flat = np.zeros(cells, dtype=np.int64)
+    # The first chunk's counts start the sum (an empty E has one empty
+    # chunk), so no q^4-cell array of zeros is written and added.
+    flat = None
     chunk = _pair_chunk(max(n, 1))
-    for start in range(0, n, chunk):
+    for start in range(0, max(n, 1), chunk):
         rows = slice(start, start + chunk)
-        joint = pdiff[first[rows]][:, rotated_first]
-        joint *= plane
+        distinct, run = np.unique(first[rows], return_inverse=True)
+        first_half = pdiff[distinct][:, rotated_first]
+        first_half *= plane
+        joint = first_half[run]
         joint += pdiff[second[rows]][:, rotated_second]
-        flat += np.bincount(joint.reshape(-1), minlength=cells)
+        counts = np.bincount(joint.reshape(-1), minlength=cells)
+        if flat is None:
+            flat = counts
+        else:
+            flat += counts
     return flat.reshape(plane, plane)
 
 
@@ -163,31 +177,47 @@ def _rotation_pair_energies(e: SplitPointSet, f: SplitPointSet,
 
     The sum counts quadruples (x, z, y, w) in E^2 x F^2 with
     x - y = R(z - w), R = (theta, phi).  With the difference histogram
-    D(v) = #{(x, y) in E x F : x - y = v} each entry is therefore
-    sum_v D(v) D(theta v', phi v''), an integer gather over the support of D.
-    D comes from difference_histogram, one inversion of the two sets' cached
-    transforms; the gathers cost |SO2|^2 |supp D| with
-    |supp D| <= min(|E||F|, q^4), never more than half the
-    |SO2|^2 (|E|^2 + |F|^2) pairs a literal count scans.  They run in phi
-    batches of about 4e6 cells.
+    D(v) = #{(x, y) in E x F : x - y = v}, viewed as a q^2 x q^2 matrix over
+    the plane codes (v', v''), each entry is therefore
+    sum_v D(v', v'') D(theta v', phi v'').  D comes from difference_histogram,
+    one inversion of the two sets' cached transforms.  For each theta the
+    matrix product H = D^T D[theta v', :], with
+    H[v'', w''] = sum_v' D(v', v'') D(theta v', w''), gives row i as
+    sum_v'' H[v'', phi v''] for every phi at once.  A rotation keeps the
+    norm, so only the cells of H with |v''| = |w''| are read.  For
+    q = 3 mod 4 the zero vector is the only one of norm 0 and each nonzero
+    norm's circle has q + 1 points, so those cells are the zero vector's and
+    one (q+1) x (q+1) block per nonzero norm.  Each theta is then one batched
+    float64 product of about 2 q^5 flops, against the |SO2| |supp D| random
+    gathers of a direct count.
+
+    The floats are exact integers: every term is a nonnegative integer, so
+    every partial sum, in any summation order the BLAS picks, is at most the
+    entry of m or of H it belongs to, and both are at most
+    max D * sum D <= min(|E|, |F|) |E||F|.  Sizes that take that bound to
+    2^53 are refused before D is computed.
     """
     q = e.field.q
+    plane, size = q * q, q + 1
     ne, nf = len(e), len(f)
-    # Each entry is at most max D * sum D <= min(|E|, |F|) |E||F|.
-    if ne * nf * min(ne, nf) >= 2**63:
-        raise SizeGuardError("rotation-pair energies would overflow int64")
-    d = difference_histogram(e, f)
-    support = np.flatnonzero(d)
-    weights = d[support]
-    first, second = np.divmod(support, q * q)
+    if ne * nf * min(ne, nf) >= 2**53:
+        raise SizeGuardError(f"rotation-pair energies of {ne} x {nf} points "
+                             "would not be exact in float64")
+    # Row c: the plane codes of the circle of the (c+1)-th nonzero norm.
+    circles = np.argsort(all_norms(q, 2), kind="stable")[1:].reshape(q - 1, size)
+    slot = np.empty(plane, dtype=np.int64)  # a code's position in its circle
+    slot[circles] = np.arange(size)
+    d = difference_histogram(e, f).astype(np.float64).reshape(plane, plane)
     perms = np.stack([rotation_code_permutation(e.field, rot) for rot in rotations])
-    batch = _pair_chunk(len(support))
+    # Row j: the flat cells (c, s, slot of phi_j circles[c, s]) of the stacked blocks.
+    diagonals = np.arange((q - 1) * size) * size + slot[perms[:, circles.reshape(-1)]]
+    by_circle = d[:, circles]  # by_circle[v', c, s] = D(v', circles[c, s])
+    blocks = by_circle.transpose(1, 2, 0)
+    zero = d[:, 0]
     energies = np.empty((len(rotations), len(rotations)), dtype=np.int64)
-    for start in range(0, len(rotations), batch):
-        rotated_second = perms[start : start + batch, second]
-        for i, perm_t in enumerate(perms):
-            rotated = rotated_second + perm_t[first] * (q * q)
-            energies[i, start : start + batch] = d.take(rotated) @ weights
+    for i, perm_t in enumerate(perms):
+        h = blocks @ by_circle[perm_t].transpose(1, 0, 2)
+        energies[i] = h.take(diagonals).sum(axis=1) + zero @ zero[perm_t]
     return energies
 
 

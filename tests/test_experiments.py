@@ -616,14 +616,17 @@ def test_cli_rejects_out_of_range_flags(flags):
     assert p.stdout == ""
 
 
-@pytest.mark.parametrize("q, suite, k, l", [
-    ("7", "sharpness", "-1", "3"), ("19", "lemmas", "0", "2"),
-    ("7", "coverage", "2", "0"), ("7", "energy", "0", "0"),
-], ids=["sharpness-k-neg", "lemmas-k0", "coverage-l0", "energy-k0-l0"])
-def test_cli_refuses_block_dimension_below_one(capsys, q, suite, k, l):
-    # Refused by ExperimentConfig before any set is drawn or enumerated.
+@pytest.mark.parametrize("q, suite, k, l, flags", [
+    ("7", "sharpness", "-1", "3", ()), ("19", "lemmas", "0", "2", ()),
+    ("7", "coverage", "2", "0", ()), ("7", "energy", "0", "0", ()),
+    ("7", "coverage", "0", "2", ("--strip-len", "3")),
+], ids=["sharpness-k-neg", "lemmas-k0", "coverage-l0", "energy-k0-l0",
+        "coverage-k0-unread-strip-len"])
+def test_cli_refuses_block_dimension_below_one(capsys, q, suite, k, l, flags):
+    # Refused by ExperimentConfig before any set is drawn or enumerated, and
+    # before any unread flag is named.
     with pytest.raises(SystemExit) as exit_info:
-        cli_main(["--q", q, "--suite", suite, "--k", k, "--l", l, "--instances", "1"])
+        cli_main(["--q", q, "--suite", suite, "--k", k, "--l", l, "--instances", "1", *flags])
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -83,15 +83,9 @@ def test_correlation_identity_rotation_counts_differences():
             assert np.array_equal(rotation_correlation(e, theta, phi), manual)
 
 
-def test_correlation_counts_match_int64_coordinate_count():
-    # At the size of the energy benchmark's sets, the int32 table gathers
-    # count the same pairs as int64 coordinate differences.  The rotated
-    # points come from rotation_code_permutation, which the test above pins
-    # to rotation_apply.
-    q = 11
-    e = _random_plane_pair_set(q, 1200, 23)
-    rots = enumerate_so2(e.field)
-    theta, phi = rots[1], rots[3]
+def _coordinate_correlation(e, theta, phi):
+    # r counted from int64 coordinate differences x - R z, pair by pair in one array.
+    q = e.field.q
     x = e.coords().astype(np.int64)
     rotated_codes = (rotation_code_permutation(e.field, theta)[e.first_codes()] * q * q
                      + rotation_code_permutation(e.field, phi)[e.second_codes()])
@@ -99,10 +93,37 @@ def test_correlation_counts_match_int64_coordinate_count():
     codes = np.zeros((len(e), len(e)), dtype=np.int64)
     for i in range(4):
         codes = codes * q + (x[:, None, i] - rotated[None, :, i]) % q
-    manual = np.bincount(codes.reshape(-1), minlength=q**4).reshape(q * q, q * q)
-    counts = rotation_correlation(e, theta, phi)
+    return np.bincount(codes.reshape(-1), minlength=q**4).reshape(q * q, q * q)
+
+
+def test_correlation_counts_match_int64_coordinate_count():
+    # At the size of the energy benchmark's sets, the int32 table gathers
+    # count the same pairs as int64 coordinate differences.  The rotated
+    # points come from rotation_code_permutation, which the test above pins
+    # to rotation_apply.
+    e = _random_plane_pair_set(11, 1200, 23)
+    rots = enumerate_so2(e.field)
+    counts = rotation_correlation(e, rots[1], rots[3])
     assert counts.dtype == np.int64
-    assert np.array_equal(counts, manual)
+    assert np.array_equal(counts, _coordinate_correlation(e, rots[1], rots[3]))
+
+
+def test_correlation_chunks_end_inside_runs_of_a_first_code(monkeypatch):
+    # Chunks of 3 points cut the runs of equal first plane codes (each run of
+    # the sorted codes shares one first-half row), so a run's row is gathered
+    # in two chunks and a chunk can hold the tail of one run and the head of
+    # the next.
+    q = 7
+    e = _random_plane_pair_set(q, 300, 16)
+    first = e.first_codes()
+    runs = np.diff(np.flatnonzero(np.diff(first)))
+    assert np.all(np.diff(first) >= 0) and runs.max() > 3 and np.any(runs % 3 != 0)
+    rots = enumerate_so2(e.field)
+    monkeypatch.setattr(importlib.import_module("fqdist.rotation_energy"), "_pair_chunk",
+                        lambda n_other: 3)
+    for theta, phi in [(rots[0], rots[5]), (rots[2], rots[2]), (rots[7], rots[1])]:
+        assert np.array_equal(rotation_correlation(e, theta, phi),
+                              _coordinate_correlation(e, theta, phi))
 
 
 def test_correlation_transform_identity():
@@ -156,11 +177,8 @@ def _literal_pair_energies(e, f):
     ])
 
 
-def _literal_rhs(e, f):
-    return int(_literal_pair_energies(e, f).sum())
-
-
-@pytest.mark.parametrize("q, size_e, size_f, seed", [(3, 25, 40, 11), (7, 180, 120, 12)])
+@pytest.mark.parametrize("q, size_e, size_f, seed",
+                         [(3, 25, 40, 11), (7, 180, 120, 12), (11, 300, 200, 18)])
 def test_energy_chain_rhs_matches_literal_correlations(q, size_e, size_f, seed):
     e = _random_plane_pair_set(q, size_e, seed)
     f = _random_plane_pair_set(q, size_f, seed + 100)
@@ -169,24 +187,53 @@ def test_energy_chain_rhs_matches_literal_correlations(q, size_e, size_f, seed):
     rots = enumerate_so2(e.field)
     module = importlib.import_module("fqdist.rotation_energy")
     # Each rotation pair's term, not only the total: the total is unchanged
-    # by any bijection of the rotation pairs.
+    # by any bijection of the rotation pairs.  E x F's matrix is asymmetric,
+    # so a swapped theta and phi, or a transposed product, moves some entry.
     for a, b in ((e, f), (e, same_size), (e, e), (point, point)):
         literal = _literal_pair_energies(a, b)
         assert np.array_equal(module._rotation_pair_energies(a, b, rots), literal)
         assert _chain(a, b).rhs == int(literal.sum())
+        if b is f:
+            assert not np.array_equal(literal, literal.T)
     assert _chain(point, point).rhs == (q + 1) ** 2
     twin = SplitPointSet(e.field, 2, 2, e.codes.copy())
     assert _chain(e, twin).rhs == _chain(e, e).rhs
 
 
-def test_energy_chain_rhs_batches_phi(monkeypatch):
-    # q = 7 has 8 rotations; batches of 3 phi leave a short last batch.
-    e = _random_plane_pair_set(7, 150, 16)
-    f = _random_plane_pair_set(7, 90, 17)
-    expected = _chain(e, f).rhs
-    monkeypatch.setattr(importlib.import_module("fqdist.rotation_energy"), "_pair_chunk",
-                        lambda n_other: 3)
-    assert _chain(e, f).rhs == expected == _literal_rhs(e, f)
+class _Sized:
+    """A stand-in set of a given size, for size guards that run before any set is read."""
+
+    def __init__(self, field, size):
+        self.field, self.size = field, size
+
+    def __len__(self):
+        return self.size
+
+
+@pytest.mark.parametrize("below, at", [
+    ((208063, 208063), (208064, 208064)),
+    ((1, 2**53 - 1), (1, 2**53)),
+    ((2**53 - 1, 1), (2**53, 1)),
+], ids=["equal-sizes", "one-point-e", "one-point-f"])
+def test_rotation_pair_energies_refuse_at_the_float64_bound(monkeypatch, below, at):
+    # Entries reach at most min(|E|, |F|) |E||F|; below 2^53 the float64
+    # products are exact, so the guard must refuse exactly there, before D.
+    def bound(sizes):
+        return sizes[0] * sizes[1] * min(sizes)
+
+    assert bound(below) < 2**53 <= bound(at)
+    module = importlib.import_module("fqdist.rotation_energy")
+
+    def histogram_reached(*args):
+        raise LookupError("difference histogram reached")
+
+    monkeypatch.setattr(module, "difference_histogram", histogram_reached)
+    field = make_field(3)
+    rots = enumerate_so2(field)
+    with pytest.raises(LookupError, match="difference histogram reached"):
+        module._rotation_pair_energies(*(_Sized(field, n) for n in below), rots)
+    with pytest.raises(SizeGuardError, match="would not be exact in float64"):
+        module._rotation_pair_energies(*(_Sized(field, n) for n in at), rots)
 
 
 def test_residue_guard_raises(monkeypatch):
