@@ -43,6 +43,7 @@ from .geometry import (
 from .pair_spectrum import (
     SplitPointSet,
     _coverage_threshold,
+    _require_scannable,
     achieved_pairs,
     discrepancy_report,
     distance_set,
@@ -651,17 +652,6 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
     if field.q_mod_4 != 3 or (cfg.k, cfg.l) != (2, 2):
         raise ValueError("energy suite needs q = 3 mod 4 and k = l = 2")
 
-    # Single-point identity: lhs = 1, rhs = |SO2|^2 exactly.
-    point = SplitPointSet(field, 2, 2, [0])
-    rep = energy_chain_check(point, point, pair_spectrum(point, point))
-    so2_size = rep.so2_size
-    checks.append(CheckResult(
-        "single-point-identity", "energy_chain_check",
-        rep.lhs == 1 and rep.rhs == so2_size**2 and rep.holds,
-        {"lhs": rep.lhs, "rhs": rep.rhs, "so2_size": so2_size},
-    ))
-
-    rotations = enumerate_so2(field)
     cap = min(2000, q**4)
     if sets is not None:
         pairs = [sets]
@@ -675,6 +665,21 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
             e = SplitPointSet(field, 2, 2, sampler.choice(q**4, size=ne, replace=False))
             f = SplitPointSet(field, 2, 2, sampler.choice(q**4, size=nf, replace=False))
             pairs.append((e, f))
+    # rotation_correlation scans |E|^2 pairs; refuse an E above the limit before any work.
+    for e, _ in pairs:
+        _require_scannable(len(e), len(e))
+
+    # Single-point identity: lhs = 1, rhs = |SO2|^2 exactly.
+    point = SplitPointSet(field, 2, 2, [0])
+    rep = energy_chain_check(point, point, pair_spectrum(point, point))
+    so2_size = rep.so2_size
+    checks.append(CheckResult(
+        "single-point-identity", "energy_chain_check",
+        rep.lhs == 1 and rep.rhs == so2_size**2 and rep.holds,
+        {"lhs": rep.lhs, "rhs": rep.rhs, "so2_size": so2_size},
+    ))
+
+    rotations = enumerate_so2(field)
 
     table: list[list] = []
     energy_chain, zero, split, orbit = (_Check(cfg, name, "energy_chain_check") for name in (

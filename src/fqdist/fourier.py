@@ -107,10 +107,7 @@ class SpectralTable:
 
 
 def indicator_table(ps: PointSet) -> DensityTable:
-    """0/1 table of a point set, as float64.
-
-    Reads only ps.field, ps.d and ps.codes, so a SplitPointSet serves as it is.
-    """
+    """0/1 table of a point set, a SplitPointSet included, as float64."""
     values = np.zeros(_require_enumerable(ps.field.q, ps.d))
     values[ps.codes] = 1.0
     return DensityTable(ps.field, ps.d, values)

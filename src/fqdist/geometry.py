@@ -146,15 +146,16 @@ class PointSet:
     def points(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row) for row in self.coords()]
 
-    @classmethod
-    def from_vectors(cls, field: PrimeField, d: int, vectors) -> "PointSet":
+    @staticmethod
+    def from_vectors(field: PrimeField, d: int, vectors) -> "PointSet":
+        """The plain set of the given vectors, each reduced mod q."""
         arr = np.asarray(list(vectors), dtype=np.int64)
         if arr.size == 0:
-            return cls(field, d, np.empty(0, dtype=np.int64))
+            return PointSet(field, d, np.empty(0, dtype=np.int64))
         arr = arr % field.q
         if arr.shape[1] != d:
             raise ValueError(f"expected {d} coordinates per point, got {arr.shape[1]}")
-        return cls(field, d, encode_vectors(field.q, arr))
+        return PointSet(field, d, encode_vectors(field.q, arr))
 
     @classmethod
     def full(cls, field: PrimeField, d: int) -> "PointSet":
@@ -164,12 +165,13 @@ class PointSet:
 def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None) -> None:
     """Write a point set as a header line plus one comma-separated point per line.
 
-    Header: ``q=<q> dims=<d>`` with an optional ``split=<k>,<l>`` field.
-    load_point_set also skips lines starting with #, as comments.  Reads only
-    ps.field, ps.d and ps.coords(), so a SplitPointSet serves as it is.
+    Header: ``q=<q> dims=<d>`` with an optional ``split=<k>,<l>`` field, where
+    k, l >= 1 and k + l = d.  load_point_set also skips lines starting with #,
+    as comments.  A SplitPointSet is a PointSet, so it is saved as any set is;
+    its split is written only when passed.
     """
-    if split is not None and split[0] + split[1] != ps.d:
-        raise ValueError(f"split {split} does not sum to dims {ps.d}")
+    if split is not None and (min(split) < 1 or split[0] + split[1] != ps.d):
+        raise ValueError(f"split {split} needs k, l >= 1 and k + l = dims {ps.d}")
     header = f"q={ps.field.q} dims={ps.d}"
     if split is not None:
         header += f" split={split[0]},{split[1]}"
@@ -245,7 +247,9 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
     """Read the format written by save_point_set; returns (set, split or None).
 
     Lines end at \\n.  Blank lines, and lines whose first non-blank byte is #,
-    are skipped.  The first other line is the header; it needs dims >= 1 and
+    are skipped.  The first other line is the header: the fields q and dims
+    and an optional split=<k>,<l>, each at most once and no other field.  It
+    needs k, l >= 1 and k + l = dims for a split, and dims >= 1 and
     q^dims <= 2^63, so that every code fits in int64.  Every later line holds
     exactly dims comma-separated tokens ``blank* -? [0-9]+ blank*`` (blanks:
     space, \\t, \\r, \\v, \\f): a point with every coordinate in [0, q),
@@ -275,6 +279,10 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
         if "=" not in token:
             raise ValueError(f"{path}: malformed header token {token!r}")
         key, _, val = token.partition("=")
+        if key not in ("q", "dims", "split"):
+            raise bad_line(header_number, "header ", f" has an unknown field {key!r}")
+        if key in fields:
+            raise bad_line(header_number, "header ", f" repeats the field {key!r}")
         fields[key] = val
     if "q" not in fields or "dims" not in fields:
         raise ValueError(f"{path}: header must declare q= and dims=")
@@ -284,8 +292,9 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
         split = tuple(int(v) for v in fields["split"].split(",")) if "split" in fields else None
     except ValueError:
         raise bad_line(header_number, "header ", " has a non-integer value") from None
-    if split is not None and (len(split) != 2 or split[0] + split[1] != d):
-        raise bad_line(header_number, "header ", " needs split=<k>,<l> with k + l = dims")
+    if split is not None and (len(split) != 2 or min(split) < 1 or split[0] + split[1] != d):
+        raise bad_line(header_number, "header ",
+                       " needs split=<k>,<l> with k, l >= 1 and k + l = dims")
     field = make_field(q)
     # q >= 2, so dims > 63 alone puts q^dims past 2^63.
     if not 1 <= d <= 63 or q**d > 2**63:

@@ -13,10 +13,12 @@ transforms (pair_spectrum_fast), snapped to integers with a hard-checked
 rounding.  The certificates take the PairSpectrum they read as their input
 and never compute one; pair_spectrum picks the route for the suites.
 
-A SplitPointSet keeps its codes as geometry._canonical_codes leaves them and
-computes its full indicator transform at most once (SplitPointSet.transform),
-for the checks that read all of it: the difference histogram of the energy
-chain, the marginal mass and the rotation-energy checks.  The pair spectrum
+A SplitPointSet is a geometry.PointSet of dimension k + l that also records
+the split: PointSet validates and stores the codes, and the subclass adds
+each half's codes and computes its full indicator transform at most once
+(SplitPointSet.transform), for the checks that read all of it: the
+difference histogram of the energy chain, the marginal mass and the
+rotation-energy checks.  The pair spectrum
 reads only half of each set's real spectrum and leaves that cache alone.
 """
 
@@ -40,7 +42,6 @@ from .fourier import (
 )
 from .geometry import (
     PointSet,
-    _canonical_codes,
     _require_enumerable,
     all_norms,
     decode_codes,
@@ -66,19 +67,15 @@ def _coverage_threshold(q: int, k: int, l: int) -> int:
     return 16 * q ** (k + 2 * l + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class SplitPointSet:
-    """A subset of F_q^(k+l) with a designated k/l coordinate split."""
+class SplitPointSet(PointSet):
+    """A subset of F_q^(k+l) read as x = (x', x''): x' the first k, x'' the last l coordinates."""
 
-    field: PrimeField
-    k: int
-    l: int
-    codes: np.ndarray
-
-    def __post_init__(self):
-        if self.k < 1 or self.l < 1:
-            raise ValueError(f"split dimensions must be >= 1, got k={self.k}, l={self.l}")
-        object.__setattr__(self, "codes", _canonical_codes(self.codes, self.field.q**self.d))
+    def __init__(self, field: PrimeField, k: int, l: int, codes):
+        if k < 1 or l < 1:
+            raise ValueError(f"split dimensions must be >= 1, got k={k}, l={l}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        super().__init__(field, k + l, codes)
 
     @cached_property
     def transform(self) -> np.ndarray:
@@ -87,31 +84,15 @@ class SplitPointSet:
         coeffs.setflags(write=False)
         return coeffs
 
-    @property
-    def d(self) -> int:
-        return self.k + self.l
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
     def first_codes(self) -> np.ndarray:
         return self.codes // self.field.q**self.l
 
     def second_codes(self) -> np.ndarray:
         return self.codes % self.field.q**self.l
 
-    def coords(self) -> np.ndarray:
-        return decode_codes(self.field.q, self.d, self.codes)
-
-    @classmethod
-    def from_point_set(cls, ps: PointSet, k: int, l: int) -> "SplitPointSet":
-        if ps.d != k + l:
-            raise ValueError(f"ambient dimension {ps.d} does not match split {k}+{l}")
-        return cls(ps.field, k, l, ps.codes)
-
     @classmethod
     def full(cls, field: PrimeField, k: int, l: int) -> "SplitPointSet":
-        return cls.from_point_set(PointSet.full(field, k + l), k, l)
+        return cls(field, k, l, np.arange(_require_enumerable(field.q, k + l), dtype=np.int64))
 
     @classmethod
     def product(cls, first: PointSet, second: PointSet) -> "SplitPointSet":
@@ -131,7 +112,9 @@ def load_split_point_set(path, k: int, l: int) -> SplitPointSet:
     ps, split = load_point_set(path)
     if split is not None and split != (k, l):
         raise ValueError(f"{path}: header split {split} conflicts with requested ({k}, {l})")
-    return SplitPointSet.from_point_set(ps, k, l)
+    if ps.d != k + l:
+        raise ValueError(f"ambient dimension {ps.d} does not match split {k}+{l}")
+    return SplitPointSet(ps.field, k, l, ps.codes)
 
 
 def _pairwise_norms(block: np.ndarray, other: np.ndarray, q: int) -> np.ndarray:

@@ -701,7 +701,7 @@ def test_cli_spectrum_csv_is_the_pair_spectrum(tmp_path):
     e, f = (PointSet(field, 4, rng.choice(7**4, n, replace=False)) for n in (300, 120))
     save_point_set(tmp_path / "e.txt", e, split=(2, 2))
     save_point_set(tmp_path / "f.txt", f, split=(2, 2))
-    loaded = SplitPointSet.from_point_set(e, 2, 2), SplitPointSet.from_point_set(f, 2, 2)
+    loaded = SplitPointSet(field, 2, 2, e.codes), SplitPointSet(field, 2, 2, f.codes)
     seeded = ExperimentConfig(q=7, suite="coverage", seed=3, instances=2, oracle_instances=1)
     instance0 = generate_set(seeded, 0)
     for flags, pair in (
@@ -894,6 +894,26 @@ def test_cli_rejects_q_mismatch_with_loaded_file(tmp_path, suite):
     assert p.returncode == 2
     assert "set F has q = 11" in p.stderr and "asks for q = 7" in p.stderr
     assert p.stdout == ""
+
+
+def test_cli_energy_refuses_an_e_above_the_scan_limit_before_any_work(tmp_path, monkeypatch,
+                                                                       capsys):
+    # rotation_correlation scans |E|^2 pairs; the suite refuses that before any spectrum.
+    e_file, f_file = tmp_path / "e.txt", tmp_path / "f.txt"
+    _save_random_set(e_file, 7, 60, 3)
+    _save_random_set(f_file, 7, 30, 4)
+
+    def refused(*args):
+        raise AssertionError("a pair spectrum was computed before the scan limit was checked")
+
+    monkeypatch.setattr(importlib.import_module("fqdist.pair_spectrum"), "MAX_PAIRS", 60 * 60 - 1)
+    monkeypatch.setattr(importlib.import_module("fqdist.experiments"), "pair_spectrum", refused)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--q", "7", "--suite", "energy", "--e-file", str(e_file),
+                  "--f-file", str(f_file)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "60 x 60 pairs exceed the scan limit 3599" in captured.err and captured.out == ""
 
 
 def test_cli_empty_f_file_path_exits_2(tmp_path, capsys):

@@ -155,7 +155,16 @@ def test_split_set_views_share_codes():
     s = SplitPointSet(make_field(3), 2, 2, [9, 0, 40])
     ps = PointSet(s.field, s.d, s.codes)
     assert np.shares_memory(ps.codes, s.codes)
-    assert np.shares_memory(SplitPointSet.from_point_set(ps, 1, 3).codes, s.codes)
+    assert np.shares_memory(SplitPointSet(ps.field, 1, 3, ps.codes).codes, s.codes)
+
+
+def test_split_set_is_a_point_set():
+    field = make_field(3)
+    s = SplitPointSet(field, 1, 3, [9, 0, 40])
+    assert isinstance(s, PointSet) and (s.k, s.l, s.d) == (1, 3, 4)
+    assert s.points() == PointSet(field, 4, s.codes).points()
+    # No inherited constructor builds a split set without its split.
+    assert type(SplitPointSet.from_vectors(field, 4, [(0, 0, 0, 1)])) is PointSet
 
 
 def test_point_set_rejects_out_of_range():
@@ -213,6 +222,29 @@ def test_load_rejects_malformed(tmp_path):
         path.write_text(f"# comment\n{header}\n1,2\n")
         with pytest.raises(ValueError, match=r"bad\.txt, line 2: "):
             load_point_set(path)
+
+
+@pytest.mark.parametrize("header, reason", [
+    ("q=7 dims=4 split=0,4", r"needs split=<k>,<l> with k, l >= 1"),
+    ("q=7 dims=4 split=-1,5", r"needs split=<k>,<l> with k, l >= 1"),
+    ("q=7 dims=4 q=11", "repeats the field 'q'"),
+    ("q=7 dims=4 split=2,2 split=2,2", "repeats the field 'split'"),
+    ("q=7 dims=4 sprit=1,1", "has an unknown field 'sprit'"),
+])
+def test_load_refuses_a_bad_header_on_its_line(tmp_path, header, reason):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# comment\n{header}\n1,2,3,4\n")
+    expected = rf"bad\.txt, line 2: header '{re.escape(header)}' {reason}"
+    with pytest.raises(ValueError, match=expected):
+        load_point_set(path)
+
+
+@pytest.mark.parametrize("split", [(0, 4), (-1, 5), (2, 3)])
+def test_save_refuses_a_bad_split(tmp_path, split):
+    path = tmp_path / "p.txt"
+    with pytest.raises(ValueError, match=r"needs k, l >= 1 and k \+ l = dims 4"):
+        save_point_set(path, PointSet(make_field(7), 4, [0]), split=split)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("point, reason", [

@@ -435,3 +435,6 @@ def test_split_file_header_conflict(tmp_path):
     save_point_set(path, e, split=(2, 2))
     with pytest.raises(ValueError):
         load_split_point_set(path, 3, 1)  # contradicts the stored split
+    save_point_set(path, e)  # no stored split: the ambient decides
+    with pytest.raises(ValueError, match=r"ambient dimension 4 does not match split 1\+2"):
+        load_split_point_set(path, 1, 2)
