@@ -59,11 +59,6 @@ def _contract_axes(arr: np.ndarray, q: int, kernel: np.ndarray, axes: int) -> np
     return arr.reshape(-1)
 
 
-def _axis_transform(values: np.ndarray, q: int, d: int, kernel: np.ndarray) -> np.ndarray:
-    """sum_x K[m_1, x_1] ... K[m_d, x_d] values(x); d passes bring the axes back in order."""
-    return _contract_axes(np.array(values, dtype=np.complex128), q, kernel, d)
-
-
 def _real_half_transform(values: np.ndarray, q: int, d: int) -> np.ndarray:
     """Unnormalised forward transform of a real table at the frequencies with
     m_1 <= q/2, the first (q//2 + 1) q^(d-1) codes.
@@ -116,14 +111,15 @@ def indicator_table(ps: PointSet) -> DensityTable:
 def forward_transform(f: DensityTable) -> SpectralTable:
     """f_hat(m) = q^-d sum_x chi(-x.m) f(x), via the separable kernel."""
     q, d = f.field.q, f.d
-    coeffs = _axis_transform(f.values, q, d, _kernel(q)) * (float(q) ** -d)
+    coeffs = _contract_axes(np.array(f.values, dtype=np.complex128), q, _kernel(q), d)
+    coeffs *= float(q) ** -d
     return SpectralTable(f.field, f.d, coeffs)
 
 
 def inverse_transform(spec: SpectralTable) -> DensityTable:
     """f(x) = sum_m chi(x.m) f_hat(m); exact inverse of forward_transform."""
     q, d = spec.field.q, spec.d
-    values = _axis_transform(spec.coeffs, q, d, np.conj(_kernel(q)))
+    values = _contract_axes(np.array(spec.coeffs, dtype=np.complex128), q, np.conj(_kernel(q)), d)
     return DensityTable(spec.field, spec.d, values)
 
 

@@ -277,7 +277,7 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
     fields = {}
     for token in found[0].decode(errors="replace").split():
         if "=" not in token:
-            raise ValueError(f"{path}: malformed header token {token!r}")
+            raise bad_line(header_number, "header ", f" has a malformed token {token!r}")
         key, _, val = token.partition("=")
         if key not in ("q", "dims", "split"):
             raise bad_line(header_number, "header ", f" has an unknown field {key!r}")
@@ -285,7 +285,7 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
             raise bad_line(header_number, "header ", f" repeats the field {key!r}")
         fields[key] = val
     if "q" not in fields or "dims" not in fields:
-        raise ValueError(f"{path}: header must declare q= and dims=")
+        raise bad_line(header_number, "header ", " must declare q= and dims=")
     try:
         q = int(fields["q"])
         d = int(fields["dims"])
@@ -295,7 +295,10 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
     if split is not None and (len(split) != 2 or min(split) < 1 or split[0] + split[1] != d):
         raise bad_line(header_number, "header ",
                        " needs split=<k>,<l> with k, l >= 1 and k + l = dims")
-    field = make_field(q)
+    try:
+        field = make_field(q)
+    except ValueError as exc:  # not prime, or past the size limit (a SizeGuardError)
+        raise type(exc)(str(bad_line(header_number, "header ", f": {exc}"))) from None
     # q >= 2, so dims > 63 alone puts q^dims past 2^63.
     if not 1 <= d <= 63 or q**d > 2**63:
         raise bad_line(header_number, "header ", " needs dims >= 1 and q^dims <= 2^63")

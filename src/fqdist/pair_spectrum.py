@@ -113,7 +113,7 @@ def load_split_point_set(path, k: int, l: int) -> SplitPointSet:
     if split is not None and split != (k, l):
         raise ValueError(f"{path}: header split {split} conflicts with requested ({k}, {l})")
     if ps.d != k + l:
-        raise ValueError(f"ambient dimension {ps.d} does not match split {k}+{l}")
+        raise ValueError(f"{path}: ambient dimension {ps.d} does not match split {k}+{l}")
     return SplitPointSet(ps.field, k, l, ps.codes)
 
 

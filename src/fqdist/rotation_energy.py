@@ -29,9 +29,9 @@ Three cross-checks:
     (|v'|, |v''|), and neither route of the pair spectrum reads D, so the
     identity checks the rotation products and D's class sums against a
     spectrum counted without D.
-The transform-based checks here read each set's cached indicator transform
+The chain's transform-based checks read each set's cached indicator transform
 (SplitPointSet.transform), so a set is transformed at most once however many
-checks and radii look at it.
+look at it; sphere_restricted_mass transforms only E's q^2 fibre counts.
 """
 
 from __future__ import annotations
@@ -321,32 +321,31 @@ def circle_energy(field: PrimeField, a: int) -> CircleEnergyReport:
     return CircleEnergyReport(q, a, size, energy, bound, energy <= bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereMassReport:
-    """Spectral mass of E on the frequency circle (|m'| = a, m'' = 0)."""
+    """Spectral mass of E on each frequency circle (|m'| = a, m'' = 0), by radius a."""
 
     q: int
-    a: int
     size: int
-    value: float
+    values: np.ndarray
     bound: float
-    holds: bool
+    holds: np.ndarray
 
 
-def sphere_restricted_mass(e: SplitPointSet, a: int) -> SphereMassReport:
-    """sum over |m'| = a of |E_hat(m', 0)|^2 against sqrt(3) q^-6 |E|^(3/2).
+def sphere_restricted_mass(e: SplitPointSet) -> SphereMassReport:
+    """sum over |m'| = a of |E_hat(m', 0)|^2 against sqrt(3) q^-6 |E|^(3/2), at every radius a.
 
-    E's transform is computed on the first call and reused for every radius.
+    E_hat(m', 0) = q^-2 n_hat(m'), where n(x') counts E's points with first half
+    x', so one plane transform of n gives every radius.  values and holds are indexed
+    by a; radius 0 is the zero frequency, q^-8 |E|^2, which holds since |E| <= q^4.
     """
     _require_plane_pair(e)
     q = e.field.q
-    a = a % q
-    circle = enumerate_sphere(e.field, 2, a).codes
-    restricted = e.transform[circle * (q * q)]  # frequencies (m', 0)
-    value = float(np.sum(np.abs(restricted) ** 2))
+    fibers = np.bincount(e.first_codes(), minlength=q * q)
+    restricted = forward_transform(DensityTable(e.field, 2, fibers)).coeffs * float(q) ** -2
+    values = np.bincount(all_norms(q, 2), weights=np.abs(restricted) ** 2, minlength=q)
     bound = float(np.sqrt(3.0)) * float(q) ** -6 * float(len(e)) ** 1.5
-    return SphereMassReport(q, a, len(e), value, bound,
-                            value <= bound * (1.0 + 1e-9))
+    return SphereMassReport(q, len(e), values, bound, values <= bound * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True)

@@ -365,9 +365,12 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
     q = 7
     _fail_on_call(monkeypatch, "marginal_spectral_mass", 1,
                   lambda r, e: dataclasses.replace(r, holds=False))
-    # q - 1 radii per instance: the call at index (q - 1) + 2 is instance 1, radius 3.
-    _fail_on_call(monkeypatch, "sphere_restricted_mass", (q - 1) + 2,
-                  lambda r, e, a: dataclasses.replace(r, holds=False))
+
+    def failing_radii(*radii):
+        return lambda r, e: dataclasses.replace(r, holds=r.holds & ~np.isin(np.arange(q), radii))
+
+    # One call per instance, every radius at once: call 1 is instance 1, failing radius 3.
+    _fail_on_call(monkeypatch, "sphere_restricted_mass", 1, failing_radii(3))
 
     def bad_cell(report, spectrum):
         cell_ok = report.cell_ok.copy()
@@ -422,6 +425,11 @@ def test_seeded_failures_name_instance_seed_and_cell(monkeypatch):
         assert not checks[name]["pass"], name
         assert checks[name]["payload"]["first_failure"] == {
             "instance": instance, "seed": 5, "cell": cell}, name
+    # Radii 2 and 3 of instance 1 fail: the cell is the least of them.
+    _fail_on_call(monkeypatch, "sphere_restricted_mass", 1, failing_radii(2, 3))
+    check = {c.name: c for c in run_suite(lemmas).checks}["sphere-restricted-mass"]
+    assert not check.passed
+    assert check.payload["first_failure"] == {"instance": 1, "seed": 5, "cell": 2}
 
 
 def test_unsaturated_fiber_fails_marginal_mass_with_no_instance(monkeypatch):
@@ -432,6 +440,18 @@ def test_unsaturated_fiber_fails_marginal_mass_with_no_instance(monkeypatch):
     checks = {c.name: c for c in run_suite(cfg).checks}
     assert not checks["marginal-mass"].passed
     assert checks["marginal-mass"].payload["saturated"] is False
+    assert "first_failure" not in checks["marginal-mass"].payload
+    assert all(c.passed for name, c in checks.items() if name != "marginal-mass")
+
+
+def test_fiber_float_disagreement_fails_marginal_mass_with_no_instance(monkeypatch):
+    # The saturating fibre's float route is computed, so its disagreement must fail the check.
+    cfg = ExperimentConfig(q=7, suite="lemmas", instances=3, seed=5)
+    _fail_on_call(monkeypatch, "marginal_spectral_mass", 3,
+                  lambda r, e: dataclasses.replace(r, float_agrees=False))
+    checks = {c.name: c for c in run_suite(cfg).checks}
+    assert not checks["marginal-mass"].passed
+    assert checks["marginal-mass"].payload["saturated"] is True
     assert "first_failure" not in checks["marginal-mass"].payload
     assert all(c.passed for name, c in checks.items() if name != "marginal-mass")
 
@@ -950,6 +970,26 @@ def test_cli_rejects_noncanonical_point_file(tmp_path):
     assert p.returncode == 2
     assert "line 3" in p.stderr and "not in [0, 7)" in p.stderr
     assert p.stdout == ""
+
+
+@pytest.mark.parametrize("flag", ["--e-file", "--f-file"])
+@pytest.mark.parametrize("text, reason", [
+    ("q=7 dims=3\n0,0,0\n", ": ambient dimension 3 does not match split 2+2"),
+    ("q=9 dims=4\n0,0,0,0\n", ", line 1: header 'q=9 dims=4': modulus must be prime, got 9"),
+])
+def test_cli_names_the_file_it_refuses(tmp_path, capsys, flag, text, reason):
+    # With both files given, the message must say which of them is wrong.
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    _save_random_set(good, 7, 60, 3)
+    bad.write_text(text)
+    e_file, f_file = (bad, good) if flag == "--e-file" else (good, bad)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--q", "7", "--suite", "coverage", "--instances", "1",
+                  "--e-file", str(e_file), "--f-file", str(f_file)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{bad}{reason}" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_f_file_requires_e_file(tmp_path):

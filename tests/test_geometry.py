@@ -230,12 +230,26 @@ def test_load_rejects_malformed(tmp_path):
     ("q=7 dims=4 q=11", "repeats the field 'q'"),
     ("q=7 dims=4 split=2,2 split=2,2", "repeats the field 'split'"),
     ("q=7 dims=4 sprit=1,1", "has an unknown field 'sprit'"),
+    ("q=7 dims", "has a malformed token 'dims'"),
+    ("q=7 split=1,1", "must declare q= and dims="),
 ])
 def test_load_refuses_a_bad_header_on_its_line(tmp_path, header, reason):
     path = tmp_path / "bad.txt"
     path.write_text(f"# comment\n{header}\n1,2,3,4\n")
     expected = rf"bad\.txt, line 2: header '{re.escape(header)}' {reason}"
     with pytest.raises(ValueError, match=expected):
+        load_point_set(path)
+
+
+@pytest.mark.parametrize("header, error, reason", [
+    ("q=4 dims=2", ValueError, "modulus must be prime, got 4"),
+    ("q=1 dims=2", ValueError, "modulus must be prime, got 1"),
+    ("q=1000003 dims=2", SizeGuardError, "modulus 1000003 exceeds the desk-scale limit"),
+])
+def test_load_names_the_header_line_of_a_bad_modulus(tmp_path, header, error, reason):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# comment\n{header}\n1,2\n")
+    with pytest.raises(error, match=rf"bad\.txt, line 2: header '{header}': {reason}"):
         load_point_set(path)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fqdist.pair_spectrum as spectrum_module
 from fqdist import (
+    PointSet,
     PrecisionError,
     Rotation,
     SizeGuardError,
@@ -347,24 +348,35 @@ def test_circle_energy_quadruple_bruteforce_q3():
 
 
 def test_sphere_restricted_mass_bound():
-    e = _random_plane_pair_set(7, 500, 8)
-    for a in range(1, 7):
-        rep = sphere_restricted_mass(e, a)
-        assert rep.holds
+    rep = sphere_restricted_mass(_random_plane_pair_set(7, 500, 8))
+    assert rep.values.shape == rep.holds.shape == (7,)
+    assert rep.holds.all()
 
 
 def test_sphere_restricted_mass_transforms_once(monkeypatch):
-    q = 7
-    e = _random_plane_pair_set(q, 500, 9)
-    fresh = forward_transform(indicator_table(e)).coeffs
-    calls = []
-    real = spectrum_module.forward_transform
-    monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
-    for a in range(1, q):
-        circle = np.nonzero(all_norms(q, 2) == a)[0]
-        expected = float(np.sum(np.abs(fresh[circle * q * q]) ** 2))
-        assert sphere_restricted_mass(e, a).value == expected
-    assert len(calls) == 1
+    # Oracle: the literal restriction of E's full (q, 4) transform to (m', 0), circle by circle.
+    points = []
+    for module in (importlib.import_module("fqdist.rotation_energy"), spectrum_module):
+        real = module.forward_transform
+        monkeypatch.setattr(module, "forward_transform",
+                            lambda t, real=real: points.append(len(t.values)) or real(t))
+    for q in (3, 7, 11):
+        field = make_field(q)
+        norms = all_norms(q, 2)
+        sets = [
+            _random_plane_pair_set(q, 5 * q * q, q),
+            SplitPointSet.product(PointSet(field, 2, [q + 2]), PointSet.full(field, 2)),  # one fibre
+            SplitPointSet.product(PointSet.full(field, 2), PointSet(field, 2, [q + 2])),  # one x''
+        ]
+        for e in sets:
+            full = forward_transform(indicator_table(e)).coeffs
+            expected = [float(np.sum(np.abs(full[np.flatnonzero(norms == a) * q * q]) ** 2))
+                        for a in range(q)]
+            points.clear()
+            rep = sphere_restricted_mass(e)
+            assert points == [q * q]
+            assert "transform" not in vars(e)  # E's cached (q, 4) transform is neither read nor filled
+            np.testing.assert_allclose(rep.values, expected, rtol=1e-12, atol=1e-12 * sum(expected))
 
 
 def test_energy_checks_transform_each_set_once(monkeypatch):
@@ -382,8 +394,15 @@ def test_energy_checks_transform_each_set_once(monkeypatch):
 
 def test_sphere_restricted_mass_small_set():
     e = SplitPointSet(make_field(3), 2, 2, [0, 1, 2])
-    for a in range(3):
-        assert sphere_restricted_mass(e, a).holds
+    assert sphere_restricted_mass(e).holds.all()
+
+
+def test_sphere_restricted_mass_needs_the_plane_pair_at_q_3_mod_4():
+    with pytest.raises(ValueError, match="requires q = 3 mod 4"):
+        sphere_restricted_mass(SplitPointSet(make_field(5), 2, 2, [0, 7]))
+    for k, l in ((1, 3), (3, 1), (1, 1)):
+        with pytest.raises(ValueError, match="requires the plane-pair split k = l = 2"):
+            sphere_restricted_mass(SplitPointSet(make_field(7), k, l, [0, 5]))
 
 
 def test_coverage_min_bound_full_q3():
