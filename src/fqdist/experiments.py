@@ -138,8 +138,8 @@ class ExperimentConfig:
             raise ValueError("density must be in (0, 1]")
         if self.instances < 1 or self.oracle_instances < 0:
             raise ValueError("instances must be >= 1 and oracle instances >= 0")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        if not 1 <= self.budget <= MAX_SEARCH_SPACE:
+            raise ValueError(f"budget must be in [1, {MAX_SEARCH_SPACE}], got {self.budget}")
         if self.strip_len is not None and not 1 <= self.strip_len <= self.q:
             raise ValueError(f"strip length must be in [1, q = {self.q}], got {self.strip_len}")
         if not (math.isfinite(self.constant_c) and self.constant_c > 0):
@@ -388,6 +388,10 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
     dims = [d for d in (2, 3, 4) if q**d <= 1_500_000]
     if not dims:
         raise ValueError(f"q = {q} is too large for the enumeration-based lemmas suite")
+    # The marginal-mass draws span F_q^(k+l) and the sphere-restricted ones F_q^4.
+    _require_enumerable(q, cfg.k + cfg.l)
+    if field.q_mod_4 == 3:
+        _require_enumerable(q, 4)
 
     for d in dims:
         counts = norm_fiber_sizes(field, d)

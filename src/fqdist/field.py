@@ -147,7 +147,6 @@ def rotation_code_permutation(field: PrimeField, rot: Rotation) -> np.ndarray:
 class OrbitReport:
     """Outcome of the exhaustive orbit check on every nonzero plane vector."""
 
-    q: int
     so2_size: int
     vectors_checked: int
     passed: bool
@@ -183,7 +182,7 @@ def so2_orbit_check(field: PrimeField) -> OrbitReport:
                  & (np.bincount(norms, minlength=q)[norms] == m))
     failing = np.flatnonzero((norms[1:] == 0) | ~is_circle[1:])
     if not len(failing):
-        return OrbitReport(q, m, q * q - 1, True, None)
+        return OrbitReport(m, q * q - 1, True, None)
     c = int(failing[0]) + 1  # codes 1 .. c-1 passed
     reason = "norm 0" if norms[c] == 0 else "orbit"
-    return OrbitReport(q, m, c - 1, False, (int(v1[c]), int(v2[c]), reason))
+    return OrbitReport(m, c - 1, False, (int(v1[c]), int(v2[c]), reason))

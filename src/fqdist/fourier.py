@@ -160,8 +160,6 @@ def plancherel_gap(f: DensityTable) -> float:
 class OrthogonalityReport:
     """Brute-force character sums: zero at every m != 0, q^d at m = 0."""
 
-    q: int
-    d: int
     zero_frequency_sum: float
     max_nonzero_modulus: float
     passed: bool
@@ -181,15 +179,13 @@ def orthogonality_check(field: PrimeField, d: int) -> OrthogonalityReport:
     max_nonzero = float(np.max(np.abs(sums[1:]))) if n > 1 else 0.0
     tolerance = 1e-8 * n
     passed = (abs(zero_sum - n) < tolerance) and (max_nonzero < tolerance)
-    return OrthogonalityReport(q, d, float(zero_sum), max_nonzero, passed)
+    return OrthogonalityReport(float(zero_sum), max_nonzero, passed)
 
 
 @dataclass(frozen=True)
 class SphereDecayReport:
     """Worst ratio of |S_t_hat(m)| to 2 q^-(d+1)/2 over t != 0, m != 0."""
 
-    q: int
-    d: int
     bound: float
     max_ratio: float
     worst_t: int
@@ -221,7 +217,7 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
             max_ratio = ratio
             worst_t = t
             worst_m = tuple(int(x) for x in decode_codes(q, d, m_idx))
-    return SphereDecayReport(q, d, bound, max_ratio, worst_t, worst_m,
+    return SphereDecayReport(bound, max_ratio, worst_t, worst_m,
                              max_ratio <= 1.0 + 1e-9)
 
 
@@ -236,7 +232,6 @@ class ExactPhaseHistogram:
 
     field: PrimeField
     d: int
-    m: tuple[int, ...]
     counts: np.ndarray
 
     def coefficient(self) -> complex:
@@ -252,4 +247,4 @@ def exact_phase_histogram(ps: PointSet, m) -> ExactPhaseHistogram:
         raise ValueError(f"frequency must have {ps.d} coordinates")
     phases = (-(ps.coords() @ m_arr)) % q
     counts = np.bincount(phases, minlength=q).astype(np.int64)
-    return ExactPhaseHistogram(ps.field, ps.d, tuple(int(x) for x in m_arr), counts)
+    return ExactPhaseHistogram(ps.field, ps.d, counts)

@@ -351,13 +351,14 @@ class DiscrepancyReport:
     With N = |E||F| and |S_a^k| the number of points of norm a in F_q^k, for each (a, b):
       main(a, b)  = N |S_a^k| |S_b^l| / q^(k+l)                        (exact)
       error(a, b) = s(a, b) - main(a, b)                               (exact)
-      budget(a,b) = 2 q^((k-1)/2) sqrt(N) |S_b^l|
-                  + 2 q^((l-1)/2) sqrt(N) |S_a^k|
-                  + 4 q^((k+l)/2 - 1) sqrt(N)                          (float)
-    main and error hold the integer numerators over q^(k+l), as Python ints in
-    object arrays (N |S_a^k| |S_b^l| passes 2^63 at desk scale); the JSON detail
-    prints each as a reduced fraction.  The certificate is |error| <= budget up
-    to a relative 1e-6.
+      budget(a,b) = 2 q^((k-1)/2) sqrt(N) |S_b^l| rho_k(a)
+                  + 2 q^((l-1)/2) sqrt(N) |S_a^k| rho_l(b)
+                  + 4 q^((k+l)/2 - 1) sqrt(N) rho_k(a) rho_l(b)       (float)
+    where rho_d (_decay_excess) is 1 at every nonzero radius.  main and error
+    hold the integer numerators over q^(k+l), as Python ints in object arrays
+    (N |S_a^k| |S_b^l| passes 2^63 at desk scale); the JSON detail prints each
+    as a reduced fraction.  The certificate is |error| <= budget up to a
+    relative 1e-6.
     """
 
     spectrum: PairSpectrum
@@ -390,8 +391,51 @@ class DiscrepancyReport:
         }
 
 
+def _zero_sphere_sup(q: int, d: int, isotropic: bool) -> float:
+    """max over m != 0 of |S_0_hat(m)| for the zero sphere of F_q^d at odd q, in closed form.
+
+    isotropic says whether F_q^d has a nonzero vector of norm 0.  Summing
+    chi(s |x|) over s counts the zero sphere, and a Gauss sum per s gives, for
+    m != 0, q^d S_0_hat(m) = q^-1 g^d sum_{s != 0} eta(s)^d chi(-|m| / (4s)),
+    with |g| = sqrt(q) and eta the quadratic character.  At odd d the sum is a
+    Gauss sum of modulus sqrt(q) (0 at |m| = 0); at even d it is q - 1 at an
+    isotropic m and -1 otherwise.
+    """
+    if d % 2:
+        return float(q) ** (-(d + 1) / 2.0)
+    return (q - 1 if isotropic else 1) * float(q) ** (-d / 2.0 - 1.0)
+
+
+def _decay_excess(q: int, d: int, sphere: np.ndarray) -> np.ndarray:
+    """rho_d(t) = max(1, sup over m != 0 of |S_t_hat(m)| / (2 q^-(d+1)/2)), by radius t.
+
+    sphere holds |S_t| by t.  Weil's bound makes rho_d(t) = 1 at t != 0; at
+    t = 0 it exceeds 1 only at even d with a nonzero isotropic vector and
+    q >= 7, where it is (q - 1) / (2 sqrt(q)).
+    """
+    rho = np.ones(q)
+    weil = 2.0 * float(q) ** (-(d + 1) / 2.0)
+    rho[0] = max(1.0, _zero_sphere_sup(q, d, bool(sphere[0] > 1)) / weil)
+    return rho
+
+
 def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
-    """Certify the three-term error budget on every cell of the pair spectrum."""
+    """Certify the three-term error budget on every cell of the pair spectrum.
+
+    With d = k + l, s(a, b) = q^(2d) sum_m E_hat(m) conj(F_hat(m)) S_a_hat(m') S_b_hat(m''),
+    and its m = 0 term is main(a, b).  The other frequencies fall in three
+    blocks: m' != 0 = m'' gives the first term, m' = 0 != m'' the second and
+    m', m'' != 0 the third.  Each term is Cauchy-Schwarz with the marginal mass
+    lemma, sum over m' of |E_hat(m', 0)|^2 <= q^-d |E| (Plancherel for the
+    third block), times the sup of |S_hat| over that block's nonzero
+    frequencies, with S_b_hat(0) = q^-l |S_b^l| where m'' = 0.  Weil's
+    2 q^-(d+1)/2 is that sup at every nonzero radius; rho (_decay_excess)
+    raises it to the zero sphere's sup where that is larger.  The cost: at
+    even k with a nonzero isotropic vector, row 0's budget grows like
+    q^(k/2) sqrt(N) |S_b^l| rather than 2 q^((k-1)/2) sqrt(N) |S_b^l|, so at
+    large q it no longer implies that row 0 is covered just above the
+    threshold; there row 0's coverage rests on surjectivity_check alone.
+    """
     field, k, l = spectrum.field, spectrum.k, spectrum.l
     q = field.q
     denom = q ** (k + l)
@@ -403,10 +447,11 @@ def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
     # int / int is correctly rounded, so this is float(|error| as a Fraction).
     abs_err = (np.abs(error) / denom).astype(np.float64)
     root_ef = float(np.sqrt(float(ne) * float(nf)))
+    rho_k, rho_l = _decay_excess(q, k, sphere_k), _decay_excess(q, l, sphere_l)
+    term_k = 2.0 * float(q) ** ((k - 1) / 2.0) * root_ef * sphere_l.astype(np.float64)[None, :]
+    term_l = 2.0 * float(q) ** ((l - 1) / 2.0) * root_ef * sphere_k.astype(np.float64)[:, None]
     term_cross = 4.0 * float(q) ** ((k + l) / 2.0 - 1.0) * root_ef
-    budget = (2.0 * float(q) ** ((k - 1) / 2.0) * root_ef * sphere_l.astype(np.float64)[None, :]
-              + 2.0 * float(q) ** ((l - 1) / 2.0) * root_ef * sphere_k.astype(np.float64)[:, None]
-              + term_cross)
+    budget = term_k * rho_k[:, None] + term_l * rho_l[None, :] + term_cross * np.outer(rho_k, rho_l)
     cell_ok = abs_err <= budget * (1.0 + 1e-6)
     ratio = np.divide(abs_err, budget, out=np.where(abs_err == 0, 0.0, np.inf),
                       where=budget > 0)
@@ -450,10 +495,6 @@ class MarginalMassReport:
     q^-(k+l) |E|, saturated exactly when E is one full fiber.
     """
 
-    q: int
-    k: int
-    l: int
-    size: int
     exact: Fraction
     bound: Fraction
     holds: bool
@@ -472,6 +513,5 @@ def marginal_spectral_mass(e: SplitPointSet) -> MarginalMassReport:
     coeffs = e.transform.reshape(q**k, q**l)[:, 0]
     float_value = float(np.sum(np.abs(coeffs) ** 2))
     agrees = abs(float_value - float(exact)) <= 1e-9
-    return MarginalMassReport(q, k, l, len(e), exact, bound, exact <= bound,
-                              exact == bound, float_value, agrees)
+    return MarginalMassReport(exact, bound, exact <= bound, exact == bound, float_value, agrees)
 

@@ -122,9 +122,6 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> np
 class CorrelationTransformReport:
     """Agreement of the counted correlation with its closed transform form."""
 
-    q: int
-    theta: Rotation
-    phi: Rotation
     max_deviation: float
     passed: bool
 
@@ -148,7 +145,7 @@ def correlation_transform_check(e: SplitPointSet, theta: Rotation,
     rotated_index = perm_t[m_first] * (q * q) + perm_p[m_second]
     rhs = float(q) ** 4 * e_hat * np.conj(e_hat[rotated_index])
     dev = float(np.max(np.abs(r_hat - rhs)))
-    return CorrelationTransformReport(q, theta, phi, dev, dev <= CORRELATION_TOLERANCE)
+    return CorrelationTransformReport(dev, dev <= CORRELATION_TOLERANCE)
 
 
 def _spectral_split(e: SplitPointSet, f: SplitPointSet,
@@ -225,18 +222,13 @@ def _rotation_pair_energies(e: SplitPointSet, f: SplitPointSet,
 class EnergyChainReport:
     """Exact two-sided energy comparison plus its transform cross-check."""
 
-    q: int
-    size_e: int
-    size_f: int
     so2_size: int
     lhs: int
     rhs: int
     holds: bool
     zero_term: Fraction
-    zero_float: float
     zero_agrees: bool
     mixed_term: float
-    nonzero_term: float
     split_residual: float
     split_ok: bool
     overcount: int
@@ -282,10 +274,8 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
     zero_agrees = abs(zero - zero_exact) <= 1e-6 * max(1.0, zero_exact)
     residual = abs(zero + mixed + nonzero - rhs) / max(1.0, float(rhs))
     return EnergyChainReport(
-        q=q, size_e=len(e), size_f=len(f), so2_size=so2_size,
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        zero_term=zero_formula, zero_float=zero, zero_agrees=zero_agrees,
-        mixed_term=mixed, nonzero_term=nonzero,
+        so2_size=so2_size, lhs=lhs, rhs=rhs, holds=lhs <= rhs,
+        zero_term=zero_formula, zero_agrees=zero_agrees, mixed_term=mixed,
         split_residual=residual, split_ok=residual <= 1e-6,
         overcount=overcount, overcount_matches=(rhs - lhs == overcount),
     )
@@ -295,8 +285,6 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
 class CircleEnergyReport:
     """Additive energy of a circle: solutions of u + v = u' + v' in S_a^4."""
 
-    q: int
-    a: int
     sphere_size: int
     energy: int
     bound: int
@@ -318,15 +306,13 @@ def circle_energy(field: PrimeField, a: int) -> CircleEnergyReport:
     energy = int(np.dot(sums, sums))
     size = len(coords)
     bound = 3 * size * size
-    return CircleEnergyReport(q, a, size, energy, bound, energy <= bound)
+    return CircleEnergyReport(size, energy, bound, energy <= bound)
 
 
 @dataclass(frozen=True, eq=False)
 class SphereMassReport:
     """Spectral mass of E on each frequency circle (|m'| = a, m'' = 0), by radius a."""
 
-    q: int
-    size: int
     values: np.ndarray
     bound: float
     holds: np.ndarray
@@ -345,7 +331,7 @@ def sphere_restricted_mass(e: SplitPointSet) -> SphereMassReport:
     restricted = forward_transform(DensityTable(e.field, 2, fibers)).coeffs * float(q) ** -2
     values = np.bincount(all_norms(q, 2), weights=np.abs(restricted) ** 2, minlength=q)
     bound = float(np.sqrt(3.0)) * float(q) ** -6 * float(len(e)) ** 1.5
-    return SphereMassReport(q, len(e), values, bound, values <= bound * (1.0 + 1e-9))
+    return SphereMassReport(values, bound, values <= bound * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -367,18 +353,18 @@ def coverage_min_bound(chain: EnergyChainReport, spectrum: PairSpectrum,
     """Evaluate min(|E||F|/(3q^4), (|E||F|)^(3/4)/(3Cq^3), q^4/(3|SO2|^2)).
 
     chain is the energy chain of the same E and F, and spectrum their pair
-    spectrum: q, the set sizes, |SO2| and the mixed spectral term come from
-    chain, the achieved pair count from spectrum.  The middle branch assumes
-    the mixed term is at most C q^3 (|E||F|)^(5/4); the report carries the
-    empirical constant mixed / (q^3 (|E||F|)^(5/4)) so the assumption is
-    visible.  holds compares the bound with the achieved pair count; it is
-    the meaningful certificate whenever c_dominates is True.
+    spectrum: |SO2| and the mixed spectral term come from chain; q, the set
+    sizes and the achieved pair count from spectrum.  The middle branch
+    assumes the mixed term is at most C q^3 (|E||F|)^(5/4); the report
+    carries the empirical constant mixed / (q^3 (|E||F|)^(5/4)) so the
+    assumption is visible.  holds compares the bound with the achieved pair
+    count; it is the meaningful certificate whenever c_dominates is True.
     """
     if not (np.isfinite(constant_c) and constant_c > 0):
         raise ValueError("constant_c must be finite and positive")
-    q = chain.q
+    q = spectrum.field.q
     achieved = int(np.count_nonzero(spectrum.s))
-    product = chain.size_e * chain.size_f
+    product = spectrum.size_e * spectrum.size_f
     branch_mass = product / (3.0 * q**4)
     branch_mixed = product**0.75 / (3.0 * constant_c * q**3)
     branch_group = q**4 / (3.0 * chain.so2_size**2)

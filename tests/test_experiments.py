@@ -35,7 +35,7 @@ from fqdist import (
     substream,
 )
 from fqdist.cli import main as cli_main
-from fqdist.experiments import _factors, knobs_read
+from fqdist.experiments import MAX_SEARCH_SPACE, _factors, knobs_read
 from fqdist.pair_spectrum import pair_spectrum
 
 
@@ -259,6 +259,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="constant_c"):
             ExperimentConfig(q=7, constant_c=constant_c)
     assert ExperimentConfig(q=7, strip_len=7, constant_c=0.5).strip_len == 7
+    for budget in (0, MAX_SEARCH_SPACE + 1):
+        with pytest.raises(ValueError, match=r"budget must be in \[1, 100000\]"):
+            ExperimentConfig(q=7, budget=budget)
+    assert ExperimentConfig(q=7, budget=MAX_SEARCH_SPACE).budget == MAX_SEARCH_SPACE
     with pytest.raises(dataclasses.FrozenInstanceError):
         ExperimentConfig(q=7).suite = "nope"  # run_suite trusts the validated suite
 
@@ -629,11 +633,36 @@ def test_cli_rejects_wrong_suite_shape():
     ("--suite", "coverage", "--generator", "strip", "--strip-len", "0"),
     ("--suite", "lemmas", "--constant-c", "-3"),
     ("--suite", "lemmas", "--constant-c", "nan"),
-], ids=["strip-len-20", "strip-len-0", "constant-c-neg", "constant-c-nan"])
+    # Draws numpy refuses at once (7^18 floats; 10^12 candidates): refused before any check.
+    ("--suite", "lemmas", "--k", "9", "--l", "9"),
+    ("--suite", "sharpness", "--k", "3", "--l", "3", "--budget", "4000000000000"),
+    ("--suite", "coverage", "--k", "3", "--l", "3", "--generator", "sharp-product",
+     "--budget", "4000000000000"),
+], ids=["strip-len-20", "strip-len-0", "constant-c-neg", "constant-c-nan",
+        "lemmas-k9-l9", "sharpness-budget-4e12", "coverage-budget-4e12"])
 def test_cli_rejects_out_of_range_flags(flags):
     p = _cli("--q", "7", "--instances", "1", "--oracle-instances", "1", *flags)
     assert p.returncode == 2, p.stdout[-500:]
     assert p.stdout == ""
+
+
+def test_cli_isotropic_line_product_passes_at_q29(tmp_path):
+    # E = L x F_29^2 with L = {t (1, 12)}, an isotropic line (12^2 = -1 mod 29).
+    # Its spectrum is row 0 only, s(0, b) = |E|^2 |S_b| / q^2, so at radius 0
+    # the zero sphere's decay, not Weil's, bounds the error.
+    q = 29
+    field = make_field(q)
+    line = PointSet.from_vectors(field, 2, [(t, 12 * t) for t in range(q)])
+    e = SplitPointSet.product(line, PointSet.full(field, 2))
+    save_point_set(tmp_path / "iso29.txt", e, split=(2, 2))
+    p = _cli("--q", "29", "--suite", "coverage", "--e-file", str(tmp_path / "iso29.txt"))
+    assert p.returncode == 0, p.stdout[-500:] + p.stderr
+    checks = {c["name"]: c for c in json.loads(p.stdout)["checks"]}
+    # With |E| = q^3, |S_0| = 2q - 1 and |S_b| = q - 1, the worst cell is (0, b != 0):
+    # error q^2 (q-1)^3 against q^3 (q-1)^2 + 2 q^3.5 (2q - 1) + 2 q^3.5 (q - 1).
+    expected = q**2 * (q - 1) ** 3 / (q**3 * (q - 1) ** 2 + 2 * q**3.5 * (3 * q - 2))
+    assert checks["discrepancy (loaded sets)"]["payload"]["max_ratio"] == pytest.approx(
+        expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("q, suite, k, l, flags", [

@@ -338,19 +338,22 @@ def test_discrepancy_full_space_q97_needs_big_numerators():
         assert cell["error"] == "0"
 
 
-def test_discrepancy_budget_edge_is_one_count_wide():
+def _check_budget_edge_is_one_count_wide(q, a, b, rho_a=1.0, rho_b=1.0):
+    """Move cell (a, b) of an exact spectrum of F_q^(2+2) to its budget's edge and one past.
+
+    rho_a and rho_b are the radii's decay factors; the budget is returned.
+    """
     # Sizes of 10^9 put the budget near 10^11, so one count is far below 1e-7 of it.
-    field = make_field(7)
-    q, n = 7, 10**9
+    field = make_field(q)
+    n = 10**9
     sphere = [int(v) for v in norm_fiber_sizes(field, 2)]
     main = {(a, b): Fraction(n * n * sphere[a] * sphere[b], q**4)
             for a in range(q) for b in range(q)}
     s = np.array([[round(main[a, b]) for b in range(q)] for a in range(q)], dtype=np.int64)
-    a, b = 2, 3
     root = math.sqrt(float(n) * float(n))
-    budget = (2.0 * float(q) ** 0.5 * root * float(sphere[b])
-              + 2.0 * float(q) ** 0.5 * root * float(sphere[a])
-              + 4.0 * float(q) ** 1.0 * root)
+    budget = (2.0 * float(q) ** 0.5 * root * float(sphere[b]) * rho_a
+              + 2.0 * float(q) ** 0.5 * root * float(sphere[a]) * rho_b
+              + 4.0 * float(q) ** 1.0 * root * (rho_a * rho_b))
     limit = budget * (1.0 + 1e-6)
     assert 1 < 1e-7 * budget
     inside = math.floor(main[a, b] + Fraction(limit))
@@ -364,6 +367,46 @@ def test_discrepancy_budget_edge_is_one_count_wide():
         assert rep.all_ok == ok and bool(rep.cell_ok[a, b]) == ok
         assert rep.cell_ok.sum() == q * q - (not ok)
         assert rep.error[a, b] == count * q**4 - n * n * sphere[a] * sphere[b]
+    return budget
+
+
+def test_discrepancy_budget_edge_is_one_count_wide():
+    _check_budget_edge_is_one_count_wide(7, 2, 3)
+
+
+def test_discrepancy_row_zero_budget_edge_is_one_count_wide():
+    # q = 13 = 1 mod 4: rho_2(0) is the zero sphere's sup (q-1) q^-2 over Weil's 2 q^-3/2.
+    q, n = 13, 10**9
+    rho = (q - 1) * float(q) ** -2.0 / (2.0 * float(q) ** -1.5)
+    budget = _check_budget_edge_is_one_count_wide(q, 0, 3, rho_a=rho)
+    assert budget == pytest.approx(n * ((q - 1) * (q - 1) + 2 * q**0.5 * (2 * q - 1)
+                                        + 2 * (q - 1) * q**0.5), rel=1e-12)
+
+
+def test_discrepancy_budget_off_the_axes_is_weils_at_q13():
+    # q = 13 = 1 mod 4: the plane has isotropic lines, so only row 0 and column 0 move.
+    q = 13
+    e, f = _random_split(q, 2, 2, 400, 1), _random_split(q, 2, 2, 500, 2)
+    rep = discrepancy_report(pair_spectrum(e, f))
+    sphere = norm_fiber_sizes(make_field(q), 2).astype(np.float64)
+    root = float(np.sqrt(400.0 * 500.0))
+    weil = (2.0 * float(q) ** 0.5 * root * sphere[None, :]
+            + 2.0 * float(q) ** 0.5 * root * sphere[:, None]
+            + 4.0 * float(q) ** 1.0 * root)
+    assert np.array_equal(rep.budget[1:, 1:], weil[1:, 1:])
+    assert (rep.budget[0] > weil[0]).all() and (rep.budget[:, 0] > weil[:, 0]).all()
+    assert rep.all_ok
+
+
+@pytest.mark.parametrize("q, d", [(13, 2), (7, 2), (7, 3), (7, 4)])
+def test_zero_sphere_sup_matches_a_full_scan(q, d):
+    field = make_field(q)
+    zero_sphere = indicator_table(enumerate_sphere(field, d, 0))
+    moduli = np.abs(forward_transform(zero_sphere).coeffs)
+    isotropic = norm_fiber_sizes(field, d)[0] > 1
+    assert isotropic == (d > 2 or q % 4 == 1)
+    sup = spectrum_module._zero_sphere_sup(q, d, isotropic)
+    assert sup == pytest.approx(moduli[1:].max(), rel=1e-9)
 
 
 def test_surjectivity_full_space_q3():

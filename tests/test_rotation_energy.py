@@ -31,7 +31,7 @@ from fqdist import (
     spectrum_energy,
     sphere_restricted_mass,
 )
-from fqdist.pair_spectrum import pair_spectrum
+from fqdist.pair_spectrum import PairSpectrum, pair_spectrum
 
 
 def _chain(e, f):
@@ -351,6 +351,14 @@ def test_sphere_restricted_mass_bound():
     rep = sphere_restricted_mass(_random_plane_pair_set(7, 500, 8))
     assert rep.values.shape == rep.holds.shape == (7,)
     assert rep.holds.all()
+    # A single fibre {x'} x F_q^2 has |E_hat(m', 0)|^2 = q^-4 at every m', so each
+    # nonzero radius sits at (q + 1) / (sqrt(3) q) of the bound.
+    for q in (3, 7, 11, 19, 23):
+        field = make_field(q)
+        rep = sphere_restricted_mass(
+            SplitPointSet.product(PointSet(field, 2, [q + 2]), PointSet.full(field, 2)))
+        np.testing.assert_allclose(rep.values[1:] / rep.bound, (q + 1) / (np.sqrt(3.0) * q),
+                                   rtol=1e-9)
 
 
 def test_sphere_restricted_mass_transforms_once(monkeypatch):
@@ -418,6 +426,15 @@ def test_coverage_min_bound_full_q3():
     assert rep.branch_mixed == pytest.approx(0.9)
     assert rep.branch_group == pytest.approx(81 / 48)
     assert rep.min_bound == pytest.approx(0.9)
+    # With C = 1 and one cell holding the whole mass, the bound is the group
+    # branch 81/48 = 1.6875 against one achieved pair, so it must fail.
+    one_cell = np.zeros((3, 3), dtype=np.int64)
+    one_cell[0, 0] = 81 * 81
+    lone = PairSpectrum(field, 2, 2, 81, 81, one_cell)
+    rep = coverage_min_bound(chain, lone, 1.0)
+    assert (rep.min_bound, rep.achieved) == (pytest.approx(1.6875), 1)
+    assert not rep.holds
+    assert coverage_min_bound(chain, spectrum, 1.0).holds
     for constant_c in (0.0, -3.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             coverage_min_bound(chain, spectrum, constant_c)
