@@ -30,7 +30,7 @@ DECAY_FROZEN = "tests/test_fourier.py::test_sphere_decay_frozen_extremum"
 
 BUDGET_LINE = ("    budget = term_k * rho_k[:, None] + term_l * rho_l[None, :]"
                " + term_cross * np.outer(rho_k, rho_l)")
-RHO_ZERO_LINE = "    rho[0] = max(1.0, _zero_sphere_sup(q, d, bool(sphere[0] > 1)) / weil)"
+RHO_ZERO_LINE = "        rho[0] = max(1.0, _zero_sphere_sup(q, d, bool(sphere[0] > 1)) / weil)"
 SPHERE_MASS_BOUND_LINE = "    bound = float(np.sqrt(3.0)) * float(q) ** -6 * float(len(e)) ** 1.5"
 CIRCLE_BOUND_LINE = "    bound = 3 * size * size"
 SPHERE_MASS_VALUES_LINE = ("    values = np.bincount(all_norms(q, 2), weights=np.abs(restricted) ** 2,"
@@ -68,7 +68,7 @@ MUTANTS = (
     Mutant("circle-energy-bound-2", "rotation_energy.py", CIRCLE_BOUND_LINE,
            "    bound = 2 * size * size", (CIRCLE_FROZEN,)),
     # The zero sphere's decay in the discrepancy budget.
-    Mutant("zero-sphere-rho-one", "pair_spectrum.py", RHO_ZERO_LINE, "    rho[0] = 1.0",
+    Mutant("zero-sphere-rho-one", "pair_spectrum.py", RHO_ZERO_LINE, "        rho[0] = 1.0",
            (ROW_ZERO_EDGE, OFF_AXES, ISOTROPIC_CLI)),
     Mutant("zero-sphere-rho-every-radius", "pair_spectrum.py", RHO_ZERO_LINE,
            RHO_ZERO_LINE.replace("rho[0]", "rho[:]"), (OFF_AXES,)),
@@ -89,6 +89,10 @@ MUTANTS = (
            "        if not 1 <= self.budget:",
            (_EXPERIMENTS + "test_config_validation",
             _EXPERIMENTS + "test_cli_rejects_out_of_range_flags[sharpness-budget-4e12]")),
+    Mutant("sphere-mass-draw-unguarded", "experiments.py",
+           "    elif q**4 > geometry.MAX_ENUMERATION:", "    elif False:",
+           (_EXPERIMENTS
+            + "test_lemmas_skips_only_the_sphere_restricted_mass_past_the_enumeration_limit",)),
     # Route errors in the plane-pair checks.
     Mutant("sphere-mass-second-codes", "rotation_energy.py",
            "    fibers = np.bincount(e.first_codes(), minlength=q * q)",

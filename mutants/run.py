@@ -1,15 +1,13 @@
 """Run the mutant catalogue: every mutant must make one of its named tests fail.
 
-    python mutants/run.py            # every entry of mutants/catalogue.py
-    python mutants/run.py NAME ...   # only the named entries
+    python mutants/run.py   # every entry of mutants/catalogue.py
 
 For each entry, src/ is copied to a temporary directory and the entry's one
 line is replaced there.  Its tests then run from the repo root with
 PYTHONPATH at the copy and one BLAS thread.  A mutant is killed when pytest
 reports a failed test (exit 1); any other exit, a pass included, leaves it
 alive.  First the named tests must pass on an unmutated copy that is the
-fqdist they import.  Exits 1 if any mutant survives, 2 on an unknown entry
-name.
+fqdist they import.  Exits 1 if any mutant survives.
 """
 
 from __future__ import annotations
@@ -82,27 +80,21 @@ def run_mutant(mutant) -> str | None:
     return f"pytest exit {proc.returncode}: {' '.join(tail)}"
 
 
-def main(names: list[str]) -> int:
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [known[name] for name in names] if names else list(MUTANTS)
+def main() -> int:
     start = time.perf_counter()
-    _check_unmutated(chosen)
+    _check_unmutated(MUTANTS)
     survivors = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         began = time.perf_counter()
         alive = run_mutant(mutant)
         print(f"{'ALIVE' if alive else 'killed':7} {mutant.name:38} "
               f"{time.perf_counter() - began:5.1f} s  {alive or ''}".rstrip(), flush=True)
         if alive:
             survivors.append(mutant.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

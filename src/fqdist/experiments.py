@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fourier, rotation_energy
+from . import fourier, geometry, rotation_energy
 from .errors import SizeGuardError
 from .field import PrimeField, enumerate_so2, make_field, so2_orbit_check
 from .fourier import (
@@ -388,10 +388,8 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
     dims = [d for d in (2, 3, 4) if q**d <= 1_500_000]
     if not dims:
         raise ValueError(f"q = {q} is too large for the enumeration-based lemmas suite")
-    # The marginal-mass draws span F_q^(k+l) and the sphere-restricted ones F_q^4.
+    # The marginal-mass draws span F_q^(k+l).
     _require_enumerable(q, cfg.k + cfg.l)
-    if field.q_mod_4 == 3:
-        _require_enumerable(q, 4)
 
     for d in dims:
         counts = norm_fiber_sizes(field, d)
@@ -524,7 +522,13 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
          "saturating_fiber_exact": str(sat.exact), "saturated": sat.saturated},
         ok=sat.holds and sat.saturated and sat.float_agrees))
 
-    if field.q_mod_4 == 3:
+    if field.q_mod_4 != 3:
+        checks.append(_skip("sphere-restricted-mass", "sphere_restricted_mass",
+                            "needs q = 3 mod 4"))
+    elif q**4 > geometry.MAX_ENUMERATION:
+        checks.append(_skip("sphere-restricted-mass", "sphere_restricted_mass",
+                            f"q^4 = {q**4} exceeds the enumeration limit"))
+    else:
         check = _Check(cfg, "sphere-restricted-mass", "sphere_restricted_mass")
         sm_worst = 0.0
         for i in range(cfg.instances):
@@ -539,9 +543,6 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
             check.record(rep.holds[a], i, a)
             sm_worst = max(sm_worst, float(np.max(rep.values[1:] / rep.bound)))
         checks.append(check.result({"instances": cfg.instances, "max_value_over_bound": sm_worst}))
-    else:
-        checks.append(_skip("sphere-restricted-mass", "sphere_restricted_mass",
-                            "needs q = 3 mod 4"))
 
     return checks, circle_table
 

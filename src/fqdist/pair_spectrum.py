@@ -354,10 +354,10 @@ class DiscrepancyReport:
       budget(a,b) = 2 q^((k-1)/2) sqrt(N) |S_b^l| rho_k(a)
                   + 2 q^((l-1)/2) sqrt(N) |S_a^k| rho_l(b)
                   + 4 q^((k+l)/2 - 1) sqrt(N) rho_k(a) rho_l(b)       (float)
-    where rho_d (_decay_excess) is 1 at every nonzero radius.  main and error
-    hold the integer numerators over q^(k+l), as Python ints in object arrays
-    (N |S_a^k| |S_b^l| passes 2^63 at desk scale); the JSON detail prints each
-    as a reduced fraction.  The certificate is |error| <= budget up to a
+    where rho_d is 1 at every nonzero radius (see discrepancy_report).  main
+    and error hold the integer numerators over q^(k+l), as Python ints in
+    object arrays (N |S_a^k| |S_b^l| passes 2^63 at desk scale); the JSON
+    detail prints each as a reduced fraction.  The certificate is |error| <= budget up to a
     relative 1e-6.
     """
 
@@ -406,19 +406,6 @@ def _zero_sphere_sup(q: int, d: int, isotropic: bool) -> float:
     return (q - 1 if isotropic else 1) * float(q) ** (-d / 2.0 - 1.0)
 
 
-def _decay_excess(q: int, d: int, sphere: np.ndarray) -> np.ndarray:
-    """rho_d(t) = max(1, sup over m != 0 of |S_t_hat(m)| / (2 q^-(d+1)/2)), by radius t.
-
-    sphere holds |S_t| by t.  Weil's bound makes rho_d(t) = 1 at t != 0; at
-    t = 0 it exceeds 1 only at even d with a nonzero isotropic vector and
-    q >= 7, where it is (q - 1) / (2 sqrt(q)).
-    """
-    rho = np.ones(q)
-    weil = 2.0 * float(q) ** (-(d + 1) / 2.0)
-    rho[0] = max(1.0, _zero_sphere_sup(q, d, bool(sphere[0] > 1)) / weil)
-    return rho
-
-
 def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
     """Certify the three-term error budget on every cell of the pair spectrum.
 
@@ -429,8 +416,9 @@ def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
     lemma, sum over m' of |E_hat(m', 0)|^2 <= q^-d |E| (Plancherel for the
     third block), times the sup of |S_hat| over that block's nonzero
     frequencies, with S_b_hat(0) = q^-l |S_b^l| where m'' = 0.  Weil's
-    2 q^-(d+1)/2 is that sup at every nonzero radius; rho (_decay_excess)
-    raises it to the zero sphere's sup where that is larger.  The cost: at
+    2 q^-(d+1)/2 bounds that sup at every nonzero radius; rho raises it to
+    the zero sphere's sup (_zero_sphere_sup) where that is larger, which is
+    only at even d with a nonzero isotropic vector and q >= 7.  The cost: at
     even k with a nonzero isotropic vector, row 0's budget grows like
     q^(k/2) sqrt(N) |S_b^l| rather than 2 q^((k-1)/2) sqrt(N) |S_b^l|, so at
     large q it no longer implies that row 0 is covered just above the
@@ -447,7 +435,11 @@ def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
     # int / int is correctly rounded, so this is float(|error| as a Fraction).
     abs_err = (np.abs(error) / denom).astype(np.float64)
     root_ef = float(np.sqrt(float(ne) * float(nf)))
-    rho_k, rho_l = _decay_excess(q, k, sphere_k), _decay_excess(q, l, sphere_l)
+    # rho_d(t) = max(1, sup over m != 0 of |S_t_hat(m)| / (2 q^-(d+1)/2)) is 1 at t != 0.
+    rho_k, rho_l = np.ones(q), np.ones(q)
+    for rho, d, sphere in ((rho_k, k, sphere_k), (rho_l, l, sphere_l)):
+        weil = 2.0 * float(q) ** (-(d + 1) / 2.0)
+        rho[0] = max(1.0, _zero_sphere_sup(q, d, bool(sphere[0] > 1)) / weil)
     term_k = 2.0 * float(q) ** ((k - 1) / 2.0) * root_ef * sphere_l.astype(np.float64)[None, :]
     term_l = 2.0 * float(q) ** ((l - 1) / 2.0) * root_ef * sphere_k.astype(np.float64)[:, None]
     term_cross = 4.0 * float(q) ** ((k + l) / 2.0 - 1.0) * root_ef

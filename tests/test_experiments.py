@@ -646,6 +646,20 @@ def test_cli_rejects_out_of_range_flags(flags):
     assert p.stdout == ""
 
 
+def test_lemmas_skips_only_the_sphere_restricted_mass_past_the_enumeration_limit(monkeypatch):
+    # At q = 43 = 3 mod 4 the lemmas suite enumerates F_q^2 and F_q^3 only; the
+    # sphere-restricted-mass draw spans F_q^4, so a limit below q^4 skips that one check.
+    q = 43
+    monkeypatch.setattr(importlib.import_module("fqdist.geometry"), "MAX_ENUMERATION", q**4 - 1)
+    report = run_suite(ExperimentConfig(q=q, suite="lemmas", k=1, l=1, instances=1))
+    checks = {c.name: c for c in report.checks}
+    assert checks["sphere-restricted-mass"].payload == {
+        "skipped": True, "reason": f"q^4 = {q**4} exceeds the enumeration limit"}
+    ran = [c for c in report.checks if not c.payload.get("skipped")]
+    assert {"marginal-mass", "circle-energy", "sphere-decay d=3"} <= {c.name for c in ran}
+    assert all(c.passed for c in report.checks)
+
+
 def test_cli_isotropic_line_product_passes_at_q29(tmp_path):
     # E = L x F_29^2 with L = {t (1, 12)}, an isotropic line (12^2 = -1 mod 29).
     # Its spectrum is row 0 only, s(0, b) = |E|^2 |S_b| / q^2, so at radius 0
