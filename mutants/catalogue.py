@@ -27,6 +27,9 @@ SPHERE_MASS = _ENERGY + "test_sphere_restricted_mass_bound"
 SPHERE_MASS_ORACLE = _ENERGY + "test_sphere_restricted_mass_transforms_once"
 CIRCLE_FROZEN = _ENERGY + "test_circle_energy_frozen_q3"
 DECAY_FROZEN = "tests/test_fourier.py::test_sphere_decay_frozen_extremum"
+DECAY_HALF_SCAN = "tests/test_fourier.py::test_sphere_decay_half_scan_matches_full_scan"
+ENERGY_LITERAL = _ENERGY + "test_energy_chain_rhs_matches_literal_correlations"
+NONCANONICAL = "tests/test_geometry.py::test_load_rejects_noncanonical_points"
 
 BUDGET_LINE = ("    budget = term_k * rho_k[:, None] + term_l * rho_l[None, :]"
                " + term_cross * np.outer(rho_k, rho_l)")
@@ -35,6 +38,9 @@ SPHERE_MASS_BOUND_LINE = "    bound = float(np.sqrt(3.0)) * float(q) ** -6 * flo
 CIRCLE_BOUND_LINE = "    bound = 3 * size * size"
 SPHERE_MASS_VALUES_LINE = ("    values = np.bincount(all_norms(q, 2), weights=np.abs(restricted) ** 2,"
                            " minlength=q)")
+SPHERE_MASS_RESTRICTED_LINE = ("    restricted = forward_transform(DensityTable(e.field, 2, fibers)).coeffs"
+                               " * float(q) ** -2")
+FROMSTRING_LINE = '        values = np.fromstring(flat, dtype=np.int64, sep=",").reshape(rows, d)'
 
 MUTANTS = (
     # Bound constants and pass rules of the certificates.
@@ -62,7 +68,7 @@ MUTANTS = (
            SPHERE_MASS_BOUND_LINE.replace("3.0", "0.03"), (SPHERE_MASS,)),
     Mutant("sphere-decay-bound-x10", "fourier.py",
            "    bound = 2.0 * float(q) ** (-(d + 1) / 2.0)",
-           "    bound = 20.0 * float(q) ** (-(d + 1) / 2.0)", (DECAY_FROZEN,)),
+           "    bound = 20.0 * float(q) ** (-(d + 1) / 2.0)", (DECAY_FROZEN, DECAY_HALF_SCAN)),
     Mutant("circle-energy-bound-30", "rotation_energy.py", CIRCLE_BOUND_LINE,
            "    bound = 30 * size * size", (CIRCLE_FROZEN,)),
     Mutant("circle-energy-bound-2", "rotation_energy.py", CIRCLE_BOUND_LINE,
@@ -100,12 +106,38 @@ MUTANTS = (
     Mutant("sphere-mass-unsquared", "rotation_energy.py", SPHERE_MASS_VALUES_LINE,
            SPHERE_MASS_VALUES_LINE.replace(" ** 2", ""),
            (SPHERE_MASS_ORACLE,)),
+    Mutant("sphere-mass-permuted-norms", "rotation_energy.py", SPHERE_MASS_VALUES_LINE,
+           SPHERE_MASS_VALUES_LINE.replace("all_norms(q, 2)", "np.roll(all_norms(q, 2), 1)"),
+           (SPHERE_MASS_ORACLE,)),
+    Mutant("sphere-mass-drops-q-2", "rotation_energy.py", SPHERE_MASS_RESTRICTED_LINE,
+           SPHERE_MASS_RESTRICTED_LINE.replace(" * float(q) ** -2", ""), (SPHERE_MASS_ORACLE,)),
     Mutant("energy-drops-zero-vector", "rotation_energy.py",
            "        energies[i] = h.take(diagonals).sum(axis=1) + zero @ zero[perm_t]",
-           "        energies[i] = h.take(diagonals).sum(axis=1)",
-           (_ENERGY + "test_energy_chain_rhs_matches_literal_correlations",)),
+           "        energies[i] = h.take(diagonals).sum(axis=1)", (ENERGY_LITERAL,)),
+    Mutant("energy-transposed-block", "rotation_energy.py",
+           "        h = blocks @ by_circle[perm_t].transpose(1, 0, 2)",
+           "        h = (blocks @ by_circle[perm_t].transpose(1, 0, 2)).transpose(0, 2, 1)",
+           (ENERGY_LITERAL,)),
+    Mutant("energy-swapped-theta-phi", "rotation_energy.py",
+           "    return energies", "    return energies.T", (ENERGY_LITERAL,)),
     Mutant("correlation-forward-phi", "rotation_energy.py",
            "    perm_p = rotation_code_permutation(e.field, rotation_inverse(e.field, phi))",
            "    perm_p = rotation_code_permutation(e.field, phi)",
            (_ENERGY + "test_correlation_transform_identity",)),
+    # The byte checks that keep np.fromstring from misreading plain point-set data.
+    Mutant("plain-read-blanks-in-a-token", "geometry.py",
+           '        if b"d d" in marks:  # blanks inside a token, as in 3 3 or - 0', "        if False:",
+           (NONCANONICAL,)),
+    Mutant("plain-read-blank-runs-kept", "geometry.py",
+           '        while b"  " in marks:', "        while False:", (NONCANONICAL,)),
+    Mutant("plain-read-any-comma-count", "geometry.py",
+           '    if skeleton != b"\\n" + (b"," * (d - 1) + b"\\n") * rows:  # d - 1 commas on every line',
+           "    if False:", (NONCANONICAL,)),
+    Mutant("plain-read-lone-minus", "geometry.py",
+           '    if b"-" in flat and b"-," in flat:  # a token that ends in -, such as a lone -',
+           "    if False:", (NONCANONICAL,)),
+    Mutant("plain-read-any-row-count", "geometry.py", FROMSTRING_LINE,
+           FROMSTRING_LINE.replace("reshape(rows, d)", "reshape(-1, d)"),
+           ("tests/test_geometry.py::"
+            "test_load_refuses_rows_a_fromstring_that_stops_early_leaves_short",)),
 )

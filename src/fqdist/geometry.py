@@ -8,13 +8,13 @@ A point set stores its codes once, canonical (sorted, unique, in range) and
 read-only: _canonical_codes checks the order in O(n) and sorts only input that
 fails the check, so building a set from another set's codes copies nothing.
 
-load_point_set reads a file's data lines with np.loadtxt when they are plain
-(digits, commas, minus signs, blanks), and otherwise line by line.
+load_point_set reads a file's data lines with one np.fromstring call, behind
+checks on the bytes, when they are plain (digits, commas, minus signs,
+blanks), and otherwise line by line.
 """
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,26 +185,53 @@ def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None) -> 
 _HEADER = re.compile(rb"^[ \t\r\v\f]*[^ \t\r\v\f\n#].*$", re.M)  # the first line not skipped
 _SKIPPED = re.compile(rb"\n[ \t\r\v\f]*(?:#.*)?(?=\n)")  # newline, blank or comment line
 _TOKEN = re.compile(rb"[ \t\r\v\f]*(-?[0-9]+)[ \t\r\v\f]*")
-# Lines of only these bytes mean to np.loadtxt what they mean to the grammar.
+# Plain data: lines of only these bytes, which _read_plain reads in one np.fromstring call.
 _PLAIN = b"0123456789,- \t\n"
-# 1 for a byte that is a line's content to np.loadtxt and the grammar, 0 for a blank or \n.
+# The bytes of a token's number, and a table that marks them d and makes a tab a space.
+_NUMBER = b"0123456789-"
+_MARKS = bytes.maketrans(_NUMBER + b"\t", b"d" * len(_NUMBER) + b" ")
+# 1 for a byte that is a line's content to _read_plain and the grammar, 0 for a blank or \n.
 _CONTENT = bytes(int(b not in b" \t\r\v\f\n") for b in range(256))
 
 
 def _read_plain(data: bytes, q: int, d: int) -> np.ndarray | None:
-    """The (n, d) points np.loadtxt reads from plain data, or None unless each is in [0, q)^d."""
+    """The (n, d) points of plain data, one row per line that is not all blanks,
+    or None unless the grammar reads the same points, each in [0, q)^d.
+
+    np.fromstring is lenient: it reads a lone - or a blank-only token as 0,
+    takes a trailing comma, and clamps an overflow to the int64 limit.  The
+    byte checks, with the count of commas on each line, refuse the first
+    three before it runs, and the range check refuses the last.
+    """
     if data.isspace() or data.translate(None, _PLAIN):
         return None
+    if b" " in data or b"\t" in data:
+        marks = data.translate(_MARKS)
+        while b"  " in marks:
+            marks = marks.replace(b"  ", b" ")
+        if b"d d" in marks:  # blanks inside a token, as in 3 3 or - 0
+            return None
+        data = data.translate(None, b" \t")
+    while b"\n\n" in data:  # a line that was empty or all blanks
+        data = data.replace(b"\n\n", b"\n")
+    skeleton = data.translate(None, _NUMBER)
+    rows = (len(skeleton) - 1) // d
+    if skeleton != b"\n" + (b"," * (d - 1) + b"\n") * rows:  # d - 1 commas on every line
+        return None
+    flat = data[1:].replace(b"\n", b",")
+    if b"-" in flat and b"-," in flat:  # a token that ends in -, such as a lone -
+        return None
+    # An empty token, or a - after a digit or a -, makes fromstring raise.  A numpy
+    # that only warns on unmatched data stops there, so the reshape checks the count.
     try:
-        values = np.loadtxt(io.BytesIO(data), encoding="ascii", dtype=np.int64, delimiter=",",
-                            comments=None, ndmin=2)
+        values = np.fromstring(flat, dtype=np.int64, sep=",").reshape(rows, d)
     except ValueError:
         return None
-    return values if values.shape[1] == d and values.min() >= 0 and values.max() < q else None
+    return values if values.min() >= 0 and values.max() < q else None
 
 
 def _row_lines(plain: bytes, first: int) -> np.ndarray:
-    """The line number of each row np.loadtxt read from plain, which starts at
+    """The line number of each row _read_plain read from plain, which starts at
     the newline ending line first: the lines that hold a byte other than a blank."""
     ends = np.frombuffer(plain, dtype=np.uint8) == ord("\n")
     filled = np.cumsum(np.frombuffer(plain.translate(_CONTENT), dtype=np.uint8))[ends]
@@ -257,9 +284,10 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
     1-based line.  The first bad line decides, and on it a bad token beats a
     bad count; range and repeat errors come only once every line has parsed.
 
-    np.loadtxt reads the data if it holds only digits, commas, minus signs,
-    spaces, tabs and newlines, as it is or with the skipped lines emptied and
-    each \\r\\n made \\n; other data is read line by line as the grammar says.
+    Data that holds only digits, commas, minus signs, spaces, tabs and
+    newlines, as it is or with the skipped lines emptied and each \\r\\n made
+    \\n, is read with one np.fromstring call behind checks on its bytes;
+    other data is read line by line as the grammar says.
     """
     raw = Path(path).read_bytes()
     if not raw.endswith(b"\n"):
@@ -304,7 +332,7 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
         raise bad_line(header_number, "header ", " needs dims >= 1 and q^dims <= 2^63")
 
     data = raw[found.end():]  # from the header's newline on
-    plain, numbers = data, None  # the bytes np.loadtxt read; line numbers of the rows
+    plain, numbers = data, None  # the bytes _read_plain read; line numbers of the rows
     values = _read_plain(plain, q, d)
     if values is None:
         # Emptying skipped lines and dropping \r before \n keeps every line in its place.

@@ -274,6 +274,16 @@ def test_save_refuses_a_bad_split(tmp_path, split):
     ("\u0663,0,0", "non-integer"),  # ARABIC-INDIC DIGIT THREE
     ("0,1,2\r3,3,3", "non-integer"),  # a lone \r ends no line
     ("3 3,0,0", "non-integer"),
+    # Tokens np.fromstring would misread: a lone -, a blank-only token, a sign
+    # apart from its digits, an empty last token, blanks inside a number, an
+    # overflow it clamps, and a wrong count that adds up to whole rows.
+    ("-,0,0", "non-integer"),
+    ("0, ,0", "non-integer"),
+    ("- 0,0,0", "non-integer"),
+    ("0,0,", "non-integer"),
+    ("0 \t1,0,0", "non-integer"),
+    ("-99999999999999999999,0,0", r"not in \[0, 7\)"),
+    ("0,1,2,3\n3,3", "does not have 3 coordinates"),
 ])
 def test_load_rejects_noncanonical_points(tmp_path, point, reason):
     path = tmp_path / "bad.txt"
@@ -290,15 +300,16 @@ def test_load_reports_first_repeated_line(tmp_path):
 
 
 @pytest.mark.parametrize("text, line", [
-    ("2,2\n\n1,1\n\n0,0\n1,1\n", 8),  # np.loadtxt reads the data as it is
+    ("2,2\n\n1,1\n\n0,0\n1,1\n", 8),  # the plain read takes the data as it is
+    ("2,2\n \t\n1, 1\n\t\n0,0\n 1,1\n", 8),
     ("2,2\n# c\n1,1\n\n \t\n#\n0,0\n1,1\n", 10),  # and these once skipped lines are emptied
     ("2,2\r\n\r\n1,1\r\n # c\r\n0,0\r\n1,1\r\n", 8),
-], ids=["blank-lines", "comment-lines", "crlf"])
+], ids=["blank-lines", "blank-only-lines", "comment-lines", "crlf"])
 def test_load_numbers_a_repeat_without_the_line_reader(tmp_path, monkeypatch, text, line):
-    # A repeat in data np.loadtxt read is numbered from the newlines of the
-    # bytes it read; the per-line reader never runs.
+    # A repeat in data the plain read took is numbered from the newlines of
+    # the bytes it read; the per-line reader never runs.
     def read_lines(*args):
-        raise AssertionError("the per-line reader ran on data np.loadtxt reads")
+        raise AssertionError("the per-line reader ran on data the plain read takes")
 
     monkeypatch.setattr(importlib.import_module("fqdist.geometry"), "_read_lines", read_lines)
     path = tmp_path / "dup.txt"
@@ -355,9 +366,11 @@ _KINDS = {"non-integer token": "non-integer", "does not have": "coordinates",
           "are not in [0,": "range", "is listed twice": "twice"}
 
 
-# Tokens of plain data, which np.loadtxt reads, and tokens that only the line reader takes.
+# Tokens of plain data, which the plain read takes or refuses (the last six are ones
+# np.fromstring would misread), and tokens that only the line reader takes.
 _PLAIN_TOKENS = st.sampled_from(
-    ["0", "1", "2", "3", "4", "5", "6", " 1", "2 ", "\t3", "-0", "05", "9", "-1", "10"])
+    ["0", "1", "2", "3", "4", "5", "6", " 1", "2 ", "\t3", "-0", "05", "9", "-1", "10",
+     "-", " ", "- 0", "", "99999999999999999999", "3 3"])
 _TOKENS = st.one_of(_PLAIN_TOKENS, st.sampled_from(["\r4", "5\v", "\f6", "+1"]))
 _SKIPPED_LINES = st.sampled_from(["", "# note", " \t", "\t# 1,2", "\v", "\f# 1"])
 
@@ -399,12 +412,16 @@ def test_load_matches_reference_parser(tmp_path_factory, header, before, newline
     ("# comment\n6,0,1\n \t\n0,0,0\n3,5,2\n", 2, False),
     ("6,0,1\r\n0,0,0\r\n3,5,2\r\n", 2, False),
     ("6\r,0,1\n0,0,0\n3,5,2\n", 2, True),
-], ids=["plain", "skipped-lines", "crlf", "carriage-return"])
+    ("6, 0,1 \n\t0 ,0,\t0\n 3,  5,2\n", 1, False),
+    ("6,-0,1\n-00,0,0\n3,5,0002\n", 1, False),
+    ("\n6,0,1\n\n\n0,0,0\n \t\n3,5,2\n\n", 1, False),
+], ids=["plain", "skipped-lines", "crlf", "carriage-return", "blank-padded", "minus-zero",
+        "empty-lines"])
 def test_load_reads_plain_data_without_the_line_reader(tmp_path, monkeypatch, text, plain_reads,
                                                         reads_lines):
-    # np.loadtxt reads plain data at once, and blank and comment lines or \r\n
-    # on its second try; only the lone \r goes through the per-line reader.
-    # All four give the same codes.
+    # The plain read takes plain data at once, blanks, -0 and empty lines
+    # included, and comment lines or \r\n on its second try; only the lone \r
+    # goes through the per-line reader.  All give the same codes.
     geometry = importlib.import_module("fqdist.geometry")
     calls = []
 
@@ -414,7 +431,7 @@ def test_load_reads_plain_data_without_the_line_reader(tmp_path, monkeypatch, te
 
     def read_lines(*args, _real=geometry._read_lines):
         calls.append("lines")
-        assert reads_lines, "the per-line reader ran on data np.loadtxt reads"
+        assert reads_lines, "the per-line reader ran on data the plain read takes"
         return _real(*args)
 
     monkeypatch.setattr(geometry, "_read_plain", read_plain)
@@ -424,6 +441,25 @@ def test_load_reads_plain_data_without_the_line_reader(tmp_path, monkeypatch, te
     loaded, _ = load_point_set(path)
     assert loaded.codes.tolist() == sorted(encode_vectors(7, [(6, 0, 1), (0, 0, 0), (3, 5, 2)]))
     assert calls == ["plain"] * plain_reads + ["lines"] * reads_lines
+
+
+def test_load_refuses_rows_a_fromstring_that_stops_early_leaves_short(tmp_path, monkeypatch):
+    # A numpy that only warns on unmatched data has np.fromstring stop at the
+    # first token it cannot read, where numpy 2.4 raises.  Here it stops after
+    # one whole row of two, so only the count of values refuses the plain read.
+    def stops_early(text, dtype, sep):
+        values = []
+        for token in text.split(sep.encode()):
+            if not re.fullmatch(rb"-?[0-9]+", token):
+                break
+            values.append(int(token))
+        return np.array(values, dtype=dtype)
+
+    monkeypatch.setattr(np, "fromstring", stops_early)
+    path = tmp_path / "bad.txt"
+    path.write_text("q=7 dims=3\n0,1,2\n,3,4\n")
+    with pytest.raises(ValueError, match=r"bad\.txt, line 3: non-integer token in ',3,4'"):
+        load_point_set(path)
 
 
 @pytest.mark.parametrize("text", [
