@@ -28,12 +28,15 @@ SPHERE_MASS_ORACLE = _ENERGY + "test_sphere_restricted_mass_transforms_once"
 CIRCLE_FROZEN = _ENERGY + "test_circle_energy_frozen_q3"
 DECAY_FROZEN = "tests/test_fourier.py::test_sphere_decay_frozen_extremum"
 DECAY_HALF_SCAN = "tests/test_fourier.py::test_sphere_decay_half_scan_matches_full_scan"
+SPHERE_SUP_SCAN = "tests/test_fourier.py::test_sphere_sup_against_a_full_scan"
 ENERGY_LITERAL = _ENERGY + "test_energy_chain_rhs_matches_literal_correlations"
 NONCANONICAL = "tests/test_geometry.py::test_load_rejects_noncanonical_points"
+LOAD_FUZZ = "tests/test_geometry.py::test_load_matches_reference_parser"
 
 BUDGET_LINE = ("    budget = term_k * rho_k[:, None] + term_l * rho_l[None, :]"
                " + term_cross * np.outer(rho_k, rho_l)")
-RHO_ZERO_LINE = "        rho[0] = max(1.0, _zero_sphere_sup(q, d, bool(sphere[0] > 1)) / weil)"
+RHO_ZERO_LINE = "        rho[0] = max(1.0, _sphere_sup(q, d, 0) / _sphere_sup(q, d, 1))"
+WEIL_LINE = "        return 2.0 * float(q) ** (-(d + 1) / 2.0)"
 SPHERE_MASS_BOUND_LINE = "    bound = float(np.sqrt(3.0)) * float(q) ** -6 * float(len(e)) ** 1.5"
 CIRCLE_BOUND_LINE = "    bound = 3 * size * size"
 SPHERE_MASS_VALUES_LINE = ("    values = np.bincount(all_norms(q, 2), weights=np.abs(restricted) ** 2,"
@@ -66,26 +69,26 @@ MUTANTS = (
            SPHERE_MASS_BOUND_LINE.replace("3.0", "300.0"), (SPHERE_MASS,)),
     Mutant("sphere-mass-bound-x0.1", "rotation_energy.py", SPHERE_MASS_BOUND_LINE,
            SPHERE_MASS_BOUND_LINE.replace("3.0", "0.03"), (SPHERE_MASS,)),
-    Mutant("sphere-decay-bound-x10", "fourier.py",
-           "    bound = 2.0 * float(q) ** (-(d + 1) / 2.0)",
-           "    bound = 20.0 * float(q) ** (-(d + 1) / 2.0)", (DECAY_FROZEN, DECAY_HALF_SCAN)),
+    Mutant("sphere-decay-bound-x10", "fourier.py", "    bound = _sphere_sup(q, d, 1)",
+           "    bound = 10.0 * _sphere_sup(q, d, 1)", (DECAY_FROZEN, DECAY_HALF_SCAN)),
     Mutant("circle-energy-bound-30", "rotation_energy.py", CIRCLE_BOUND_LINE,
            "    bound = 30 * size * size", (CIRCLE_FROZEN,)),
     Mutant("circle-energy-bound-2", "rotation_energy.py", CIRCLE_BOUND_LINE,
            "    bound = 2 * size * size", (CIRCLE_FROZEN,)),
-    # The zero sphere's decay in the discrepancy budget.
+    # The per-radius sphere sup: Weil's line feeds both the decay certificate
+    # and the discrepancy budget, the zero sphere's only the budget.
+    Mutant("sphere-sup-weil-x10", "fourier.py", WEIL_LINE, WEIL_LINE.replace("2.0 *", "20.0 *"),
+           (DECAY_FROZEN, ROW_ZERO_EDGE)),
     Mutant("zero-sphere-rho-one", "pair_spectrum.py", RHO_ZERO_LINE, "        rho[0] = 1.0",
            (ROW_ZERO_EDGE, OFF_AXES, ISOTROPIC_CLI)),
     Mutant("zero-sphere-rho-every-radius", "pair_spectrum.py", RHO_ZERO_LINE,
            RHO_ZERO_LINE.replace("rho[0]", "rho[:]"), (OFF_AXES,)),
-    Mutant("zero-sphere-sup-even-q", "pair_spectrum.py",
+    Mutant("zero-sphere-sup-even-q", "fourier.py",
            "    return (q - 1 if isotropic else 1) * float(q) ** (-d / 2.0 - 1.0)",
-           "    return (q if isotropic else 1) * float(q) ** (-d / 2.0 - 1.0)",
-           (_PAIR + "test_zero_sphere_sup_matches_a_full_scan",)),
-    Mutant("zero-sphere-sup-odd-halved", "pair_spectrum.py",
+           "    return (q if isotropic else 1) * float(q) ** (-d / 2.0 - 1.0)", (SPHERE_SUP_SCAN,)),
+    Mutant("zero-sphere-sup-odd-halved", "fourier.py",
            "        return float(q) ** (-(d + 1) / 2.0)",
-           "        return 0.5 * float(q) ** (-(d + 1) / 2.0)",
-           (_PAIR + "test_zero_sphere_sup_matches_a_full_scan",)),
+           "        return 0.5 * float(q) ** (-(d + 1) / 2.0)", (SPHERE_SUP_SCAN,)),
     # Requests refused before any work.
     Mutant("lemmas-draws-unguarded", "experiments.py",
            "    _require_enumerable(q, cfg.k + cfg.l)", "    pass",
@@ -127,15 +130,15 @@ MUTANTS = (
     # The byte checks that keep np.fromstring from misreading plain point-set data.
     Mutant("plain-read-blanks-in-a-token", "geometry.py",
            '        if b"d d" in marks:  # blanks inside a token, as in 3 3 or - 0', "        if False:",
-           (NONCANONICAL,)),
+           (NONCANONICAL, LOAD_FUZZ)),
     Mutant("plain-read-blank-runs-kept", "geometry.py",
-           '        while b"  " in marks:', "        while False:", (NONCANONICAL,)),
+           '        while b"  " in marks:', "        while False:", (NONCANONICAL, LOAD_FUZZ)),
     Mutant("plain-read-any-comma-count", "geometry.py",
            '    if skeleton != b"\\n" + (b"," * (d - 1) + b"\\n") * rows:  # d - 1 commas on every line',
-           "    if False:", (NONCANONICAL,)),
+           "    if False:", (NONCANONICAL, LOAD_FUZZ)),
     Mutant("plain-read-lone-minus", "geometry.py",
            '    if b"-" in flat and b"-," in flat:  # a token that ends in -, such as a lone -',
-           "    if False:", (NONCANONICAL,)),
+           "    if False:", (NONCANONICAL, LOAD_FUZZ)),
     Mutant("plain-read-any-row-count", "geometry.py", FROMSTRING_LINE,
            FROMSTRING_LINE.replace("reshape(rows, d)", "reshape(-1, d)"),
            ("tests/test_geometry.py::"

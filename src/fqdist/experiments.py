@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fourier, geometry, rotation_energy
+from . import fourier, geometry
 from .errors import SizeGuardError
 from .field import PrimeField, enumerate_so2, make_field, so2_orbit_check
 from .fourier import (
@@ -699,21 +699,18 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
             table = spectrum.s.tolist()
         chain = energy_chain_check(e, f, spectrum)
         gen = substream(cfg.seed, _T_ROTSAMPLE, i)
-        samples = []
-        for _ in range(2):
-            cell = [int(gen.integers(0, len(rotations))), int(gen.integers(0, len(rotations)))]
-            rep = correlation_transform_check(e, rotations[cell[0]], rotations[cell[1]])
-            samples.append((rep.max_deviation, cell))
-        dev, worst_cell = max(samples, key=lambda sample: sample[0])
+        cells = [[int(gen.integers(0, len(rotations))) for _ in range(2)] for _ in range(2)]
+        reps = [correlation_transform_check(e, rotations[a], rotations[b]) for a, b in cells]
+        worst, worst_cell = max(zip(reps, cells), key=lambda sample: sample[0].max_deviation)
         bound = coverage_min_bound(chain, spectrum, cfg.constant_c)
         energy_chain.record(chain.holds, i)
         zero.record(chain.zero_agrees, i)
         split.record(chain.split_ok, i)
         orbit.record(chain.overcount_matches, i)
-        correlation.record(dev <= rotation_energy.CORRELATION_TOLERANCE, i, worst_cell)
+        correlation.record(all(rep.passed for rep in reps), i, worst_cell)
         min_bound.record(bound.holds or not bound.c_dominates, i)
         max_split = max(max_split, chain.split_residual)
-        max_dev = max(max_dev, dev)
+        max_dev = max(max_dev, worst.max_deviation)
         max_emp_c = max(max_emp_c, bound.empirical_c)
 
     n_instances = len(pairs)

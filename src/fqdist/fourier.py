@@ -18,6 +18,9 @@ m_1 <= q/2 of the same modulus (m_1 = -m_1 at q = 2, so there every m_1 is
 kept), so the certificate computes only those q//2 + 1 leading rows
 (_real_half_transform) and its scan stays exhaustive.  Every other caller
 gets the full spectrum.
+
+The sphere transforms' other facts live here too: the per-radius sup
+sigma_d(t) (_sphere_sup) and the table by norm class (_sphere_characters).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .field import PrimeField
-from .geometry import PointSet, _require_enumerable, decode_codes, enumerate_sphere
+from .geometry import PointSet, _require_enumerable, all_norms, decode_codes
 
 # Defining-sum (quadratic) routes are refused above this many phase evaluations.
 MAX_QUADRATIC = 6 * 10**7
@@ -182,6 +185,24 @@ def orthogonality_check(field: PrimeField, d: int) -> OrthogonalityReport:
     return OrthogonalityReport(float(zero_sum), max_nonzero, passed)
 
 
+def _sphere_sup(q: int, d: int, t: int) -> float:
+    """sigma_d(t) >= max over m != 0 of |S_t_hat(m)|, for the radius t in [0, q) of F_q^d at odd q.
+
+    At t != 0 it is Weil's 2 q^-(d+1)/2, which sphere_decay_check certifies.
+    At t = 0 it is the zero sphere's sup: a Gauss sum per s gives, for m != 0,
+    q^d S_0_hat(m) = q^-1 g^d sum_{s != 0} eta(s)^d chi(-|m| / (4s)), with
+    |g| = sqrt(q) and eta the quadratic character.  At odd d the sum is a Gauss
+    sum of modulus sqrt(q) (0 at |m| = 0); at even d it is q - 1 at an isotropic
+    m and -1 otherwise, and the cached norm table says if an isotropic m exists.
+    """
+    if t:
+        return 2.0 * float(q) ** (-(d + 1) / 2.0)
+    if d % 2:
+        return float(q) ** (-(d + 1) / 2.0)
+    isotropic = bool((all_norms(q, d)[1:] == 0).any())
+    return (q - 1 if isotropic else 1) * float(q) ** (-d / 2.0 - 1.0)
+
+
 @dataclass(frozen=True)
 class SphereDecayReport:
     """Worst ratio of |S_t_hat(m)| to 2 q^-(d+1)/2 over t != 0, m != 0."""
@@ -196,18 +217,18 @@ class SphereDecayReport:
 def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     """Certify the Kloosterman-type sphere decay |S_t_hat(m)| <= 2 q^-(d+1)/2.
 
-    Scans every nonzero radius t and every nonzero frequency m exhaustively;
-    enumerate_sphere refuses an ambient past the enumeration limit.  The
-    indicator is real, so |S_t_hat(-m)| = |S_t_hat(m)|, and every nonzero m is
-    +- a frequency with m_1 <= q/2: only those rows are computed.
+    Scans every nonzero radius t and every nonzero frequency m exhaustively,
+    reading each sphere off the norm table, which refuses an ambient past the
+    enumeration limit.  The indicator is real, so |S_t_hat(-m)| = |S_t_hat(m)|,
+    and every nonzero m is +- a frequency with m_1 <= q/2: only those rows are computed.
     """
     q = field.q
-    bound = 2.0 * float(q) ** (-(d + 1) / 2.0)
+    bound = _sphere_sup(q, d, 1)
     max_ratio = 0.0
     worst_t = 0
     worst_m: tuple[int, ...] = (0,) * d
     for t in range(1, q):
-        values = indicator_table(enumerate_sphere(field, d, t)).values
+        values = (all_norms(q, d) == t).astype(np.float64)
         coeffs = _real_half_transform(values, q, d) * (float(q) ** -d)
         moduli = np.abs(coeffs)
         moduli[0] = 0.0  # the zero frequency carries the sphere's mass, not decay
@@ -219,6 +240,40 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
             worst_m = tuple(int(x) for x in decode_codes(q, d, m_idx))
     return SphereDecayReport(bound, max_ratio, worst_t, worst_m,
                              max_ratio <= 1.0 + 1e-9)
+
+
+def _norm_classes(q: int, d: int) -> np.ndarray:
+    """cls[c] = 0 for the zero code and 1 + |c| for every other code of F_q^d."""
+    classes = all_norms(q, d) + 1
+    classes[0] = 0
+    return classes
+
+
+@lru_cache(maxsize=32)
+def _sphere_characters(q: int, d: int) -> np.ndarray:
+    """G[a, c] = sum over |v| = a of cos(2 pi v.m_c / q), one column per norm class (read-only).
+
+    m_c is the least code of class c (see _norm_classes).  The sum is real,
+    since the sphere S_a is symmetric under v -> -v, and at odd q Witt's
+    theorem makes it the same at every m of the class: the orthogonal group
+    moves m to any other nonzero m of its norm and keeps S_a.  An empty class
+    (no nonzero isotropic m when d = 1, or d = 2 and q = 3 mod 4; no m of
+    nonsquare norm when d = 1) gets a zero column.  Each column is a literal character sum
+    over all q^d points v, with v.m_c built one coordinate at a time as
+    all_norms builds the norms, so no coordinate array is formed.
+    """
+    norms = all_norms(q, d)  # refuses an ambient past the enumeration limit
+    cosines = np.cos(2.0 * np.pi * np.arange(q) / q)
+    present, firsts = np.unique(_norm_classes(q, d), return_index=True)
+    table = np.zeros((q, q + 1))
+    axis = np.arange(q)
+    for c, rep in zip(present, decode_codes(q, d, firsts)):
+        phases = np.zeros(1, dtype=np.int64)
+        for m_j in rep:
+            phases = ((phases[:, None] + m_j * axis[None, :]) % q).reshape(-1)
+        table[:, c] = np.bincount(norms, weights=cosines[phases], minlength=q)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -35,19 +35,15 @@ from .errors import PrecisionError, SizeGuardError
 from .field import PrimeField
 from .fourier import (
     SpectralTable,
+    _norm_classes,
     _real_half_transform,
+    _sphere_characters,
+    _sphere_sup,
     forward_transform,
     indicator_table,
     inverse_transform,
 )
-from .geometry import (
-    PointSet,
-    _require_enumerable,
-    all_norms,
-    decode_codes,
-    load_point_set,
-    norm_fiber_sizes,
-)
+from .geometry import PointSet, _require_enumerable, load_point_set, norm_fiber_sizes
 
 # Literal pair scans are refused above this many pairs.
 MAX_PAIRS = 10**8
@@ -216,40 +212,6 @@ def _snap(values: np.ndarray, what: str) -> np.ndarray:
     return snapped.astype(np.int64)
 
 
-def _norm_classes(q: int, d: int) -> np.ndarray:
-    """cls[c] = 0 for the zero code and 1 + |c| for every other code of F_q^d."""
-    classes = all_norms(q, d) + 1
-    classes[0] = 0
-    return classes
-
-
-@lru_cache(maxsize=32)
-def _sphere_characters(q: int, d: int) -> np.ndarray:
-    """G[a, c] = sum over |v| = a of cos(2 pi v.m_c / q), one column per norm class (read-only).
-
-    m_c is the least code of class c (see _norm_classes).  The sum is real,
-    since the sphere S_a is symmetric under v -> -v, and at odd q Witt's
-    theorem makes it the same at every m of the class: the orthogonal group
-    moves m to any other nonzero m of its norm and keeps S_a.  An empty class
-    (no nonzero isotropic m when d = 1, or d = 2 and q = 3 mod 4; no m of
-    nonsquare norm when d = 1) gets a zero column.  Each column is a literal character sum
-    over all q^d points v, with v.m_c built one coordinate at a time as
-    all_norms builds the norms, so no coordinate array is formed.
-    """
-    norms = all_norms(q, d)  # refuses an ambient past the enumeration limit
-    cosines = np.cos(2.0 * np.pi * np.arange(q) / q)
-    present, firsts = np.unique(_norm_classes(q, d), return_index=True)
-    table = np.zeros((q, q + 1))
-    axis = np.arange(q)
-    for c, rep in zip(present, decode_codes(q, d, firsts)):
-        phases = np.zeros(1, dtype=np.int64)
-        for m_j in rep:
-            phases = ((phases[:, None] + m_j * axis[None, :]) % q).reshape(-1)
-        table[:, c] = np.bincount(norms, weights=cosines[phases], minlength=q)
-    table.setflags(write=False)
-    return table
-
-
 def _half_spectrum(e: SplitPointSet) -> np.ndarray:
     """sum_x chi(-x.m) 1_E(x) at the frequencies with m_1 <= q/2 (fourier._real_half_transform)."""
     return _real_half_transform(indicator_table(e).values, e.field.q, e.d)
@@ -391,21 +353,6 @@ class DiscrepancyReport:
         }
 
 
-def _zero_sphere_sup(q: int, d: int, isotropic: bool) -> float:
-    """max over m != 0 of |S_0_hat(m)| for the zero sphere of F_q^d at odd q, in closed form.
-
-    isotropic says whether F_q^d has a nonzero vector of norm 0.  Summing
-    chi(s |x|) over s counts the zero sphere, and a Gauss sum per s gives, for
-    m != 0, q^d S_0_hat(m) = q^-1 g^d sum_{s != 0} eta(s)^d chi(-|m| / (4s)),
-    with |g| = sqrt(q) and eta the quadratic character.  At odd d the sum is a
-    Gauss sum of modulus sqrt(q) (0 at |m| = 0); at even d it is q - 1 at an
-    isotropic m and -1 otherwise.
-    """
-    if d % 2:
-        return float(q) ** (-(d + 1) / 2.0)
-    return (q - 1 if isotropic else 1) * float(q) ** (-d / 2.0 - 1.0)
-
-
 def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
     """Certify the three-term error budget on every cell of the pair spectrum.
 
@@ -417,7 +364,7 @@ def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
     third block), times the sup of |S_hat| over that block's nonzero
     frequencies, with S_b_hat(0) = q^-l |S_b^l| where m'' = 0.  Weil's
     2 q^-(d+1)/2 bounds that sup at every nonzero radius; rho raises it to
-    the zero sphere's sup (_zero_sphere_sup) where that is larger, which is
+    the zero sphere's sup (fourier._sphere_sup) where that is larger, which is
     only at even d with a nonzero isotropic vector and q >= 7.  The cost: at
     even k with a nonzero isotropic vector, row 0's budget grows like
     q^(k/2) sqrt(N) |S_b^l| rather than 2 q^((k-1)/2) sqrt(N) |S_b^l|, so at
@@ -435,11 +382,10 @@ def discrepancy_report(spectrum: PairSpectrum) -> DiscrepancyReport:
     # int / int is correctly rounded, so this is float(|error| as a Fraction).
     abs_err = (np.abs(error) / denom).astype(np.float64)
     root_ef = float(np.sqrt(float(ne) * float(nf)))
-    # rho_d(t) = max(1, sup over m != 0 of |S_t_hat(m)| / (2 q^-(d+1)/2)) is 1 at t != 0.
+    # rho_d(t) = max(1, sigma_d(t) / sigma_d(1)) is 1 at t != 0 (fourier._sphere_sup).
     rho_k, rho_l = np.ones(q), np.ones(q)
-    for rho, d, sphere in ((rho_k, k, sphere_k), (rho_l, l, sphere_l)):
-        weil = 2.0 * float(q) ** (-(d + 1) / 2.0)
-        rho[0] = max(1.0, _zero_sphere_sup(q, d, bool(sphere[0] > 1)) / weil)
+    for rho, d in ((rho_k, k), (rho_l, l)):
+        rho[0] = max(1.0, _sphere_sup(q, d, 0) / _sphere_sup(q, d, 1))
     term_k = 2.0 * float(q) ** ((k - 1) / 2.0) * root_ef * sphere_l.astype(np.float64)[None, :]
     term_l = 2.0 * float(q) ** ((l - 1) / 2.0) * root_ef * sphere_k.astype(np.float64)[:, None]
     term_cross = 4.0 * float(q) ** ((k + l) / 2.0 - 1.0) * root_ef

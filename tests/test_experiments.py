@@ -473,14 +473,14 @@ def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
     _fail_on_call(monkeypatch, "energy_chain_check", 2, replaced(holds=False, split_ok=False))
     _fail_on_call(monkeypatch, "energy_chain_check", 3,
                   replaced(holds=False, zero_agrees=False, overcount_matches=False))
-    # Two sampled rotation pairs per instance; in instance 1 the second one is worse.
+    # Two sampled rotation pairs per instance; in instance 1 both fail and the second is worse.
     rotations = enumerate_so2(make_field(7))
     sampled = []
 
     def deviation(value):
         def fail(report, e, theta, phi):
             sampled.append([rotations.index(theta), rotations.index(phi)])
-            return dataclasses.replace(report, max_deviation=value)
+            return dataclasses.replace(report, max_deviation=value, passed=False)
         return fail
 
     _fail_on_call(monkeypatch, "correlation_transform_check", 2, deviation(0.5))

@@ -15,11 +15,12 @@ from fqdist import (
     indicator_table,
     inverse_transform,
     make_field,
+    norm_fiber_sizes,
     orthogonality_check,
     plancherel_gap,
     sphere_decay_check,
 )
-from fqdist.fourier import _real_half_transform
+from fqdist.fourier import _real_half_transform, _sphere_characters, _sphere_sup
 from fqdist.geometry import encode_vectors, enumerate_sphere
 
 
@@ -140,6 +141,31 @@ def test_sphere_decay_frozen_extremum():
     rep = sphere_decay_check(make_field(3), 2)
     assert rep.max_ratio == pytest.approx(1 / np.sqrt(3), abs=1e-12)
     assert rep.bound == pytest.approx(2 * 3 ** (-1.5))
+
+
+@pytest.mark.parametrize("q, d", [(13, 2), (7, 2), (7, 3), (7, 4), (5, 2), (5, 3), (13, 3)])
+def test_sphere_sup_against_a_full_scan(q, d):
+    # q = 5, 13 are 1 mod 4 and q = 7 is 3 mod 4: sigma_d(t) bounds every
+    # nonzero radius's full-spectrum sup, and is the zero sphere's sup exactly.
+    field = make_field(q)
+    isotropic = norm_fiber_sizes(field, d)[0] > 1
+    assert isotropic == (d > 2 or q % 4 == 1)
+    for t in range(q):
+        moduli = np.abs(forward_transform(indicator_table(enumerate_sphere(field, d, t))).coeffs)
+        if t:
+            assert moduli[1:].max() <= _sphere_sup(q, d, t) * (1 + 1e-9)
+        else:
+            assert _sphere_sup(q, d, t) == pytest.approx(moduli[1:].max(), rel=1e-9)
+
+
+def test_sphere_characters_cached_with_a_column_per_norm_class():
+    g = _sphere_characters(7, 2)
+    assert g is _sphere_characters(7, 2)
+    assert not g.flags.writeable
+    assert g.shape == (7, 8)
+    assert np.array_equal(g[:, 0], norm_fiber_sizes(make_field(7), 2))  # m = 0
+    assert not g[:, 1].any()  # q = 3 mod 4: no nonzero isotropic m in the plane
+    assert np.allclose(g[:, 1:].sum(axis=0), 0.0)  # sum over all v of chi(v.m), m != 0
 
 
 def test_phase_histogram_counts_axis_line():

@@ -373,6 +373,30 @@ _PLAIN_TOKENS = st.sampled_from(
      "-", " ", "- 0", "", "99999999999999999999", "3 3"])
 _TOKENS = st.one_of(_PLAIN_TOKENS, st.sampled_from(["\r4", "5\v", "\f6", "+1"]))
 _SKIPPED_LINES = st.sampled_from(["", "# note", " \t", "\t# 1,2", "\v", "\f# 1"])
+# Plain tokens np.fromstring would misread: a lone -, a sign or digits apart,
+# which read as -0 = 0 or 10 once blanks go, blanks only, and an overflow it clamps.
+_MISREAD_TOKENS = st.sampled_from(["-", "-  0", "- 0", "1 \t0", " - ", "", " \t", "3 3",
+                                   "99999999999999999999"])
+
+
+@st.composite
+def _one_misread_line(draw, q, d):
+    """Lines of distinct points in [0, q)^d as plain tokens, one of them spoilt: by a
+    token from _MISREAD_TOKENS, by appending the next line's point (2d values, a
+    wrong count that adds up to whole rows), or by a trailing comma."""
+    points = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * d),
+                           min_size=2, max_size=6, unique=True))
+    lines = [[draw(st.sampled_from(["{}", " {}", "{}\t", "0{}"])).format(x) for x in point]
+             for point in points]
+    i = draw(st.integers(0, len(lines) - 2))
+    spoil = draw(st.sampled_from(["token", "next point", "trailing comma"]))
+    if spoil == "token":
+        lines[i][draw(st.integers(0, d - 1))] = draw(_MISREAD_TOKENS)
+    elif spoil == "next point":
+        lines[i] += lines.pop(i + 1)
+    else:
+        lines[i].append("")
+    return [",".join(tokens) for tokens in lines]
 
 
 @settings(max_examples=100, deadline=None)
@@ -384,15 +408,18 @@ _SKIPPED_LINES = st.sampled_from(["", "# note", " \t", "\t# 1,2", "\v", "\f# 1"]
     data=st.data(),
 )
 def test_load_matches_reference_parser(tmp_path_factory, header, before, newline, last, data):
-    d = int(header.split("dims=")[1][0])
-    body = data.draw(st.lists(st.one_of(
+    # Free lines mostly fail before the plain read's byte checks, so three bodies
+    # in four are valid lines but one, which the plain read must refuse.
+    q, d = int(header.split("q=")[1].split()[0]), int(header.split("dims=")[1][0])
+    free = st.lists(st.one_of(
         st.lists(_PLAIN_TOKENS, min_size=d, max_size=d).map(",".join),
         st.lists(_TOKENS, min_size=d, max_size=d).map(",".join),
         st.lists(_TOKENS, min_size=1, max_size=3).map(",".join),
         st.lists(_PLAIN_TOKENS, min_size=d, max_size=d).map(lambda t: ",".join(t) + " # c"),
         _SKIPPED_LINES,
         st.text(alphabet="0123456789,,,-  \t\r\v\f#+x", max_size=9),
-    ), max_size=8))
+    ), max_size=8)
+    body = data.draw(_one_misread_line(q, d) if data.draw(st.integers(0, 3)) else free)
     path = tmp_path_factory.mktemp("fuzz") / "points.txt"
     path.write_bytes((newline.join([*before, header, *body]) + (newline if last else "")).encode())
     expected = _reference_load(path)

@@ -236,16 +236,6 @@ def test_class_route_equals_literal_scan(q, k, l):
         assert np.array_equal(pair_spectrum_fast(a, b).s, pair_spectrum_naive(a, b).s)
 
 
-def test_sphere_characters_cached_with_a_column_per_norm_class():
-    g = spectrum_module._sphere_characters(7, 2)
-    assert g is spectrum_module._sphere_characters(7, 2)
-    assert not g.flags.writeable
-    assert g.shape == (7, 8)
-    assert np.array_equal(g[:, 0], norm_fiber_sizes(make_field(7), 2))  # m = 0
-    assert not g[:, 1].any()  # q = 3 mod 4: no nonzero isotropic m in the plane
-    assert np.allclose(g[:, 1:].sum(axis=0), 0.0)  # sum over all v of chi(v.m), m != 0
-
-
 def test_even_q_takes_the_literal_scan(monkeypatch):
     # At q = 2 the norm is linear, so a sphere transform is not constant on a norm class.
     e = _random_split(2, 2, 3, 20, 5)
@@ -396,17 +386,6 @@ def test_discrepancy_budget_off_the_axes_is_weils_at_q13():
     assert np.array_equal(rep.budget[1:, 1:], weil[1:, 1:])
     assert (rep.budget[0] > weil[0]).all() and (rep.budget[:, 0] > weil[:, 0]).all()
     assert rep.all_ok
-
-
-@pytest.mark.parametrize("q, d", [(13, 2), (7, 2), (7, 3), (7, 4)])
-def test_zero_sphere_sup_matches_a_full_scan(q, d):
-    field = make_field(q)
-    zero_sphere = indicator_table(enumerate_sphere(field, d, 0))
-    moduli = np.abs(forward_transform(zero_sphere).coeffs)
-    isotropic = norm_fiber_sizes(field, d)[0] > 1
-    assert isotropic == (d > 2 or q % 4 == 1)
-    sup = spectrum_module._zero_sphere_sup(q, d, isotropic)
-    assert sup == pytest.approx(moduli[1:].max(), rel=1e-9)
 
 
 def test_surjectivity_full_space_q3():
