@@ -30,6 +30,7 @@ DECAY_FROZEN = "tests/test_fourier.py::test_sphere_decay_frozen_extremum"
 DECAY_HALF_SCAN = "tests/test_fourier.py::test_sphere_decay_half_scan_matches_full_scan"
 SPHERE_SUP_SCAN = "tests/test_fourier.py::test_sphere_sup_against_a_full_scan"
 ENERGY_LITERAL = _ENERGY + "test_energy_chain_rhs_matches_literal_correlations"
+SPLIT = _ENERGY + "test_energy_chain_flags_a_wrong_frequency_split"
 NONCANONICAL = "tests/test_geometry.py::test_load_rejects_noncanonical_points"
 LOAD_FUZZ = "tests/test_geometry.py::test_load_matches_reference_parser"
 
@@ -43,6 +44,10 @@ SPHERE_MASS_VALUES_LINE = ("    values = np.bincount(all_norms(q, 2), weights=np
                            " minlength=q)")
 SPHERE_MASS_RESTRICTED_LINE = ("    restricted = forward_transform(DensityTable(e.field, 2, fibers)).coeffs"
                                " * float(q) ** -2")
+SURJECTIVITY_LINE = ("    return SurjectivityCheck(threshold, met, coverage, surjective,"
+                     " (not met) or surjective)")
+CHAIN_HOLDS_LINE = "        so2_size=so2_size, lhs=lhs, rhs=rhs, holds=lhs <= rhs,"
+CHAIN_ZERO_LINE = "        zero_term=zero_formula, zero_agrees=zero_agrees, mixed_term=mixed,"
 FROMSTRING_LINE = '        values = np.fromstring(flat, dtype=np.int64, sep=",").reshape(rows, d)'
 
 MUTANTS = (
@@ -75,6 +80,47 @@ MUTANTS = (
            "    bound = 30 * size * size", (CIRCLE_FROZEN,)),
     Mutant("circle-energy-bound-2", "rotation_energy.py", CIRCLE_BOUND_LINE,
            "    bound = 2 * size * size", (CIRCLE_FROZEN,)),
+    # "Always pass" forms of the remaining certificate pass rules.
+    Mutant("spectrum-mass-unguarded", "pair_spectrum.py",
+           "    if total != expected:", "    if False:",
+           (_PAIR + "test_spectrum_routes_refuse_a_count_that_breaks_the_mass",)),
+    Mutant("surjectivity-always-consistent", "pair_spectrum.py", SURJECTIVITY_LINE,
+           SURJECTIVITY_LINE.replace("(not met) or surjective", "True"),
+           (_PAIR + "test_surjectivity_inconsistent_when_the_threshold_is_met_and_a_cell_is_empty",)),
+    Mutant("marginal-mass-float-always-agrees", "pair_spectrum.py",
+           "    agrees = abs(float_value - float(exact)) <= 1e-9", "    agrees = True",
+           (_PAIR + "test_marginal_mass_float_route_must_agree",)),
+    Mutant("correlation-transform-always-passes", "rotation_energy.py",
+           "    return CorrelationTransformReport(dev, dev <= CORRELATION_TOLERANCE)",
+           "    return CorrelationTransformReport(dev, True)",
+           (_ENERGY + "test_correlation_transform_fails_on_a_miscounted_correlation",)),
+    Mutant("energy-chain-always-holds", "rotation_energy.py", CHAIN_HOLDS_LINE,
+           CHAIN_HOLDS_LINE.replace("holds=lhs <= rhs", "holds=True"),
+           (_ENERGY + "test_energy_chain_fails_a_spectrum_heavier_than_the_rotation_energy",)),
+    Mutant("energy-chain-zero-term-always-agrees", "rotation_energy.py", CHAIN_ZERO_LINE,
+           CHAIN_ZERO_LINE.replace("zero_agrees=zero_agrees", "zero_agrees=True"), (SPLIT,)),
+    Mutant("energy-chain-split-always-ok", "rotation_energy.py",
+           "        split_residual=residual, split_ok=residual <= 1e-6,",
+           "        split_residual=residual, split_ok=True,", (SPLIT,)),
+    Mutant("orthogonality-always-passes", "fourier.py",
+           "    passed = (abs(zero_sum - n) < tolerance) and (max_nonzero < tolerance)",
+           "    passed = True",
+           ("tests/test_fourier.py::test_orthogonality_check_fails_on_a_character_sum_off_by_one",)),
+    Mutant("sphere-decay-always-passes", "fourier.py",
+           "                             max_ratio <= 1.0 + 1e-9)", "                             True)",
+           ("tests/test_fourier.py::test_sphere_decay_check_fails_above_a_halved_bound",)),
+    Mutant("sphere-count-law-always-passes", "experiments.py",
+           "            worst <= allowance and int(counts.sum()) == q**d,", "            True,",
+           (_EXPERIMENTS + "test_sphere_count_law_fails_on_a_wrong_sphere_size",)),
+    Mutant("transform-roundtrip-always-passes", "experiments.py",
+           "            rt_err <= 1e-9 * max(1.0, scale) and route_err <= 1e-9,", "            True,",
+           (_EXPERIMENTS + "test_transform_roundtrip_fails_when_either_route_is_off",)),
+    Mutant("single-point-identity-always-passes", "experiments.py",
+           "        rep.lhs == 1 and rep.rhs == so2_size**2 and rep.holds,", "        True,",
+           (_EXPERIMENTS + "test_single_point_identity_fails_on_each_wrong_field",)),
+    Mutant("missing-distance-ignores-coverage", "experiments.py",
+           "            check.record(len(pairs) < q * q", "            check.record(True",
+           (_EXPERIMENTS + "test_missing_distance_check_fails_on_full_coverage",)),
     # The per-radius sphere sup: Weil's line feeds both the decay certificate
     # and the discrepancy budget, the zero sphere's only the budget.
     Mutant("sphere-sup-weil-x10", "fourier.py", WEIL_LINE, WEIL_LINE.replace("2.0 *", "20.0 *"),

@@ -7,7 +7,7 @@ line is replaced there.  Its tests then run from the repo root with
 PYTHONPATH at the copy and one BLAS thread.  A mutant is killed when pytest
 reports a failed test (exit 1); any other exit, a pass included, leaves it
 alive.  First the named tests must pass on an unmutated copy that is the
-fqdist they import.  Exits 1 if any mutant survives.
+fqdist they import.  Two mutants run at a time.  Exits 1 if any mutant survives.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from catalogue import MUTANTS
@@ -80,17 +81,21 @@ def run_mutant(mutant) -> str | None:
     return f"pytest exit {proc.returncode}: {' '.join(tail)}"
 
 
+def _timed(mutant) -> tuple[str | None, float]:
+    began = time.perf_counter()
+    return run_mutant(mutant), time.perf_counter() - began
+
+
 def main() -> int:
     start = time.perf_counter()
     _check_unmutated(MUTANTS)
     survivors = []
-    for mutant in MUTANTS:
-        began = time.perf_counter()
-        alive = run_mutant(mutant)
-        print(f"{'ALIVE' if alive else 'killed':7} {mutant.name:38} "
-              f"{time.perf_counter() - began:5.1f} s  {alive or ''}".rstrip(), flush=True)
-        if alive:
-            survivors.append(mutant.name)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for mutant, (alive, seconds) in zip(MUTANTS, pool.map(_timed, MUTANTS)):
+            print(f"{'ALIVE' if alive else 'killed':7} {mutant.name:38} "
+                  f"{seconds:5.1f} s  {alive or ''}".rstrip(), flush=True)
+            if alive:
+                survivors.append(mutant.name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0

@@ -123,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             oracle_instances=args.oracle_instances,
         ), **_knobs(args))
         sets = _load_sets(args)
-        if sets is not None and args.suite not in ("coverage", "energy"):
-            raise ValueError(f"suite {args.suite!r} does not accept loaded sets")
         if args.format == "csv" and args.out is None:
             raise ValueError("--format csv requires --out")
         report = run_suite(cfg, sets)

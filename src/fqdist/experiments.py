@@ -816,13 +816,18 @@ def run_suite(cfg: ExperimentConfig, sets: SetPair | None = None) -> RunReport:
     """Run the suite cfg.suite and collect its checks; never raises on failed checks.
 
     coverage and energy run on sets, a loaded (E, F) with F is E for one set, if given.
+    A set with no points is refused: a run over it would certify nothing.
     """
+    if sets is not None and cfg.suite not in ("coverage", "energy"):
+        raise ValueError(f"suite {cfg.suite!r} does not accept loaded sets")
     for name, s in zip("EF", sets or ()):
         if (s.field.q, s.k, s.l) != (cfg.q, cfg.k, cfg.l):
             raise ValueError(
                 f"loaded set {name} has q = {s.field.q}, split ({s.k}, {s.l}), but the "
                 f"run asks for q = {cfg.q}, split ({cfg.k}, {cfg.l})"
             )
+        if not len(s):
+            raise ValueError(f"loaded set {name} holds no points")
     field = make_field(cfg.q)
     start = time.perf_counter()
     if cfg.suite == "lemmas":

@@ -64,10 +64,6 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(self.q)
 
-    def chi(self, t):
-        """Additive character chi(t), vectorized over integer arrays."""
-        return self.char_table[np.mod(t, self.q)]
-
 
 def make_field(q: int) -> PrimeField:
     """Construct the prime field F_q, rejecting composites and oversized moduli."""

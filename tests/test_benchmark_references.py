@@ -57,7 +57,9 @@ def test_a_split_set_span_nests_one_point_set_span():
     script = """
 import json
 import spans
-from fqdist import PointSet, SplitPointSet, make_field
+from fqdist.field import make_field
+from fqdist.geometry import PointSet
+from fqdist.pair_spectrum import SplitPointSet
 field = make_field(3)
 tracer = spans.Tracer("sets")
 spans.install(tracer)

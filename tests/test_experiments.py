@@ -17,26 +17,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdist import (
+from fqdist.cli import main as cli_main
+from fqdist.errors import SizeGuardError
+from fqdist.experiments import (
     GENERATORS,
+    MAX_SEARCH_SPACE,
     SUITES,
     ExperimentConfig,
-    PointSet,
-    SizeGuardError,
-    SplitPointSet,
-    achieved_pairs,
-    distance_set,
-    enumerate_so2,
+    SearchResult,
+    _factors,
     generate_set,
-    make_field,
+    knobs_read,
     run_suite,
-    save_point_set,
     search_missing_distance_set,
     substream,
 )
-from fqdist.cli import main as cli_main
-from fqdist.experiments import MAX_SEARCH_SPACE, _factors, knobs_read
-from fqdist.pair_spectrum import pair_spectrum
+from fqdist.field import enumerate_so2, make_field
+from fqdist.geometry import PointSet, save_point_set
+from fqdist.pair_spectrum import SplitPointSet, achieved_pairs, distance_set, pair_spectrum
 
 
 def _cli(*args):
@@ -207,6 +205,17 @@ def test_sharpness_failures_name_instance_seed_and_cell(monkeypatch):
     for name in ("product-law", "missing-distance-product"):
         assert checks[name]["payload"]["first_failure"] == {
             "instance": 0, "seed": 5, "cell": [0, 2]}, name
+
+
+def test_missing_distance_check_fails_on_full_coverage(monkeypatch):
+    # A search that returns all of F_3^3 makes the product cover every cell, so
+    # the check must fail whatever distance the search names (here 3, no field element).
+    monkeypatch.setattr("fqdist.experiments.search_missing_distance_set",
+                        lambda field, k, budget, seed: SearchResult(PointSet.full(field, k), 3, 0))
+    cfg = ExperimentConfig(q=3, k=3, l=2, suite="sharpness", instances=1, seed=5, budget=200)
+    check = {c.name: c for c in run_suite(cfg).checks}["missing-distance-product"]
+    assert check.payload["coverage"] == check.payload["full_coverage"] == 9
+    assert not check.passed
 
 
 def test_search_missing_distance_postcondition():
@@ -460,6 +469,41 @@ def test_fiber_float_disagreement_fails_marginal_mass_with_no_instance(monkeypat
     assert all(c.passed for name, c in checks.items() if name != "marginal-mass")
 
 
+@pytest.mark.parametrize("change", ["moved", "extra"])
+def test_sphere_count_law_fails_on_a_wrong_sphere_size(monkeypatch, change):
+    # The circles of radius 1 and 2 in F_3^2 hold 4 points each, within 2 of q:
+    # moving 3 points between them breaks the allowance, and one more point on
+    # the zero circle breaks the total q^2.
+    def wrong(counts, field, d):
+        counts = counts.copy()
+        if change == "moved":
+            counts[1:3] += (3, -3)
+        else:
+            counts[0] += 1
+        return counts
+
+    _fail_on_call(monkeypatch, "norm_fiber_sizes", 0, wrong)
+    report = run_suite(ExperimentConfig(q=3, suite="lemmas", instances=1))
+    checks = {c.name: c for c in report.checks}
+    assert not checks["sphere-count-law d=2"].passed
+    assert checks["sphere-count-law d=3"].passed
+
+
+@pytest.mark.parametrize("name, moved", [("inverse_transform", "values"),
+                                         ("forward_transform_direct", "coeffs")])
+def test_transform_roundtrip_fails_when_either_route_is_off(monkeypatch, name, moved):
+    # The inverse must give the values back and the defining sums must match the fast route.
+    def shifted(table, *args):
+        values = getattr(table, moved).copy()
+        values[0] += 1e-6
+        return dataclasses.replace(table, **{moved: values})
+
+    _fail_on_call(monkeypatch, name, 0, shifted)
+    report = run_suite(ExperimentConfig(q=3, suite="lemmas", instances=1))
+    [check] = [c for c in report.checks if c.name.startswith("transform-roundtrip")]
+    assert not check.passed
+
+
 def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
     cfg = ExperimentConfig(q=7, suite="energy", instances=3, seed=5)
     rep = run_suite(cfg)
@@ -507,6 +551,18 @@ def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
             "instance": instance, "seed": 5, "cell": cell}, name
     assert checks["single-point-identity"]["pass"]
     assert "first_failure" not in checks["single-point-identity"]["payload"]
+
+
+@pytest.mark.parametrize("wrong", [{"lhs": 2}, {"rhs": 17}, {"holds": False}],
+                         ids=["lhs", "rhs", "holds"])
+def test_single_point_identity_fails_on_each_wrong_field(monkeypatch, wrong):
+    # energy_chain_check call 0 is the single point: lhs = 1 and rhs = |SO2|^2 = 16 at q = 3.
+    _fail_on_call(monkeypatch, "energy_chain_check", 0,
+                  lambda report, *args: dataclasses.replace(report, **wrong))
+    report = run_suite(ExperimentConfig(q=3, suite="energy", instances=1))
+    checks = {c.name: c for c in report.checks}
+    assert not checks["single-point-identity"].passed
+    assert checks["energy-chain"].passed
 
 
 def test_energy_suite_splits_each_pair_once(monkeypatch):
@@ -589,6 +645,25 @@ def test_loaded_sets_must_match_config():
         run_suite(cfg, (other_q, other_q))
     with pytest.raises(ValueError, match=r"set F has q = 7, split \(1, 3\).*split \(2, 2\)"):
         run_suite(ExperimentConfig(q=7, suite="energy"), (e, other_split))
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "sharpness"])
+def test_run_suite_refuses_loaded_sets_for_a_suite_that_draws_its_own(suite):
+    # Checked before the sets' q and split: the suite would ignore them and pass.
+    e = SplitPointSet(make_field(11), 2, 2, [0, 1])
+    with pytest.raises(ValueError, match=f"suite '{suite}' does not accept loaded sets"):
+        run_suite(ExperimentConfig(q=7, suite=suite), (e, e))
+
+
+@pytest.mark.parametrize("suite", ["coverage", "energy"])
+@pytest.mark.parametrize("empty_name", ["E", "F"])
+def test_run_suite_refuses_an_empty_loaded_set(suite, empty_name):
+    # A run over an empty set counts no pair and would pass every check.
+    field = make_field(7)
+    full, empty = SplitPointSet(field, 2, 2, [0, 5, 9]), SplitPointSet(field, 2, 2, [])
+    sets = (empty, full) if empty_name == "E" else (full, empty)
+    with pytest.raises(ValueError, match=f"loaded set {empty_name} holds no points"):
+        run_suite(ExperimentConfig(q=7, suite=suite), sets)
 
 
 def test_energy_suite_runs_without_numpy_fft():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdist import (
+from fqdist.errors import SizeGuardError
+from fqdist.field import (
     MAX_MODULUS,
     Rotation,
-    SizeGuardError,
     enumerate_so2,
     is_prime,
     make_field,
@@ -48,28 +48,23 @@ def test_field_attributes():
 
 
 def test_character_values():
-    f = make_field(3)
-    assert f.chi(0) == pytest.approx(1.0)
+    table = make_field(3).char_table
     omega = np.exp(2j * np.pi / 3)
-    assert f.chi(1) == pytest.approx(omega)
-    assert f.chi(2) == pytest.approx(omega**2)
-    # Vectorized call agrees with scalars.
-    vals = f.chi(np.arange(6))
-    for t in range(6):
-        assert vals[t] == pytest.approx(f.chi(t % 3))
+    assert table[0] == pytest.approx(1.0)
+    assert table[1] == pytest.approx(omega)
+    assert table[2] == pytest.approx(omega**2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 22), st.integers(0, 22))
 def test_character_multiplicative(a, b):
-    f = make_field(23)
-    assert f.chi(a) * f.chi(b) == pytest.approx(f.chi((a + b) % 23))
+    table = make_field(23).char_table
+    assert table[a] * table[b] == pytest.approx(table[(a + b) % 23])
 
 
 def test_character_sums_to_zero():
     for q in (3, 5, 7, 11):
-        f = make_field(q)
-        assert abs(sum(f.chi(t) for t in range(q))) < 1e-12
+        assert abs(make_field(q).char_table.sum()) < 1e-12
 
 
 def test_quadratic_character_q7():

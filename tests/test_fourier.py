@@ -1,27 +1,27 @@
 """Transform correctness: round trips, energy conservation, decay certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdist import (
+from fqdist.errors import SizeGuardError
+from fqdist.field import make_field
+from fqdist.fourier import (
     DensityTable,
-    PointSet,
-    SizeGuardError,
     exact_phase_histogram,
     forward_transform,
     forward_transform_direct,
     indicator_table,
     inverse_transform,
-    make_field,
-    norm_fiber_sizes,
     orthogonality_check,
     plancherel_gap,
     sphere_decay_check,
 )
 from fqdist.fourier import _real_half_transform, _sphere_characters, _sphere_sup
-from fqdist.geometry import encode_vectors, enumerate_sphere
+from fqdist.geometry import PointSet, encode_vectors, enumerate_sphere, norm_fiber_sizes
 
 
 def _random_table(q, d, seed):
@@ -89,6 +89,19 @@ def test_orthogonality_check_passes():
         assert rep.zero_frequency_sum == pytest.approx(q**d, rel=1e-12)
 
 
+@pytest.mark.parametrize("frequency", [0, 5])
+def test_orthogonality_check_fails_on_a_character_sum_off_by_one(monkeypatch, frequency):
+    # The sum at m = 0 must be q^d and every other sum 0; the defining-sum route is patched.
+    def off_by_one(table):
+        spectrum = forward_transform_direct(table)
+        coeffs = spectrum.coeffs.copy()
+        coeffs[frequency] += 3.0**-2  # one more unit in the character sum
+        return dataclasses.replace(spectrum, coeffs=coeffs)
+
+    monkeypatch.setattr("fqdist.fourier.forward_transform_direct", off_by_one)
+    assert not orthogonality_check(make_field(3), 2).passed
+
+
 def test_orthogonality_guard():
     with pytest.raises(SizeGuardError):
         orthogonality_check(make_field(991), 2)
@@ -100,6 +113,14 @@ def test_sphere_decay_certificate():
             rep = sphere_decay_check(make_field(q), d)
             assert rep.passed
             assert rep.max_ratio <= 1 + 1e-9
+
+
+def test_sphere_decay_check_fails_above_a_halved_bound(monkeypatch):
+    # At q = 3 the worst circle coefficient is 1/sqrt(3) of Weil's bound: 2/sqrt(3) of half.
+    monkeypatch.setattr("fqdist.fourier._sphere_sup", lambda q, d, t: 3.0**-1.5)
+    rep = sphere_decay_check(make_field(3), 2)
+    assert rep.max_ratio == pytest.approx(2 / np.sqrt(3), abs=1e-12)
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])

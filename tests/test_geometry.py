@@ -8,23 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdist import (
-    ExperimentConfig,
+from fqdist.errors import SizeGuardError
+from fqdist.experiments import ExperimentConfig, generate_set
+from fqdist.field import make_field
+from fqdist.fourier import indicator_table
+from fqdist.geometry import (
     PointSet,
-    SizeGuardError,
-    SplitPointSet,
     all_norms,
     decode_codes,
-    difference_histogram,
     encode_vectors,
     enumerate_sphere,
-    generate_set,
-    indicator_table,
     load_point_set,
-    make_field,
     norm_fiber_sizes,
     save_point_set,
 )
+from fqdist.pair_spectrum import SplitPointSet, difference_histogram
 
 
 def test_encode_decode_frozen():
@@ -82,7 +80,7 @@ def test_sphere_size_frozen_731():
 
 def test_exact_three_dim_sphere_sizes():
     # In three dimensions nonzero spheres have q^2 + q*eta(-t) points exactly.
-    from fqdist import quadratic_character
+    from fqdist.field import quadratic_character
 
     for q in (3, 7, 11):
         f = make_field(q)
@@ -366,37 +364,38 @@ _KINDS = {"non-integer token": "non-integer", "does not have": "coordinates",
           "are not in [0,": "range", "is listed twice": "twice"}
 
 
-# Tokens of plain data, which the plain read takes or refuses (the last six are ones
-# np.fromstring would misread), and tokens that only the line reader takes.
+# Tokens of plain data, which the plain read takes or refuses (the first six are ones
+# np.fromstring would misread; sampled_from draws its first entries most often), and
+# tokens that only the line reader takes.
 _PLAIN_TOKENS = st.sampled_from(
-    ["0", "1", "2", "3", "4", "5", "6", " 1", "2 ", "\t3", "-0", "05", "9", "-1", "10",
-     "-", " ", "- 0", "", "99999999999999999999", "3 3"])
+    ["-", " ", "- 0", "", "99999999999999999999", "3 3",
+     "0", "1", "2", "3", "4", "5", "6", " 1", "2 ", "\t3", "-0", "05", "9", "-1", "10"])
 _TOKENS = st.one_of(_PLAIN_TOKENS, st.sampled_from(["\r4", "5\v", "\f6", "+1"]))
 _SKIPPED_LINES = st.sampled_from(["", "# note", " \t", "\t# 1,2", "\v", "\f# 1"])
 # Plain tokens np.fromstring would misread: a lone -, a sign or digits apart,
 # which read as -0 = 0 or 10 once blanks go, blanks only, and an overflow it clamps.
-_MISREAD_TOKENS = st.sampled_from(["-", "-  0", "- 0", "1 \t0", " - ", "", " \t", "3 3",
-                                   "99999999999999999999"])
+_MISREAD_TOKENS = ["-", "-  0", "- 0", "1 \t0", " - ", "", " \t", "3 3", "99999999999999999999"]
 
 
 @st.composite
-def _one_misread_line(draw, q, d):
-    """Lines of distinct points in [0, q)^d as plain tokens, one of them spoilt: by a
-    token from _MISREAD_TOKENS, by appending the next line's point (2d values, a
-    wrong count that adds up to whole rows), or by a trailing comma."""
+def _spoilt_bodies(draw, q, d):
+    """Lines of distinct points in [0, q)^d as plain tokens, and one copy of them per
+    way to spoil line i: a token of _MISREAD_TOKENS in place of coordinate j, the next
+    line's point appended (2d values, a wrong count that adds up to whole rows), or a
+    trailing comma.  Every spoil is made, since sampled_from draws its first entries
+    far more often than the rest."""
     points = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * d),
                            min_size=2, max_size=6, unique=True))
     lines = [[draw(st.sampled_from(["{}", " {}", "{}\t", "0{}"])).format(x) for x in point]
              for point in points]
-    i = draw(st.integers(0, len(lines) - 2))
-    spoil = draw(st.sampled_from(["token", "next point", "trailing comma"]))
-    if spoil == "token":
-        lines[i][draw(st.integers(0, d - 1))] = draw(_MISREAD_TOKENS)
-    elif spoil == "next point":
-        lines[i] += lines.pop(i + 1)
-    else:
-        lines[i].append("")
-    return [",".join(tokens) for tokens in lines]
+    i, j = draw(st.integers(0, len(lines) - 2)), draw(st.integers(0, d - 1))
+    spoilt = []
+    for token in _MISREAD_TOKENS:
+        spoilt.append([list(tokens) for tokens in lines])
+        spoilt[-1][i][j] = token
+    spoilt.append([*lines[:i], lines[i] + lines[i + 1], *lines[i + 2:]])
+    spoilt.append([*lines[:i], [*lines[i], ""], *lines[i + 1:]])
+    return [[",".join(tokens) for tokens in body] for body in (lines, *spoilt)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,8 +407,8 @@ def _one_misread_line(draw, q, d):
     data=st.data(),
 )
 def test_load_matches_reference_parser(tmp_path_factory, header, before, newline, last, data):
-    # Free lines mostly fail before the plain read's byte checks, so three bodies
-    # in four are valid lines but one, which the plain read must refuse.
+    # Free lines mostly fail before the plain read's byte checks, so three examples
+    # in four read valid lines and then each spoilt copy, which the plain read must refuse.
     q, d = int(header.split("q=")[1].split()[0]), int(header.split("dims=")[1][0])
     free = st.lists(st.one_of(
         st.lists(_PLAIN_TOKENS, min_size=d, max_size=d).map(",".join),
@@ -419,19 +418,21 @@ def test_load_matches_reference_parser(tmp_path_factory, header, before, newline
         _SKIPPED_LINES,
         st.text(alphabet="0123456789,,,-  \t\r\v\f#+x", max_size=9),
     ), max_size=8)
-    body = data.draw(_one_misread_line(q, d) if data.draw(st.integers(0, 3)) else free)
+    bodies = data.draw(_spoilt_bodies(q, d)) if data.draw(st.integers(0, 3)) else [data.draw(free)]
     path = tmp_path_factory.mktemp("fuzz") / "points.txt"
-    path.write_bytes((newline.join([*before, header, *body]) + (newline if last else "")).encode())
-    expected = _reference_load(path)
-    try:
-        loaded, split = load_point_set(path)
-    except ValueError as exc:
-        found = re.fullmatch(rf"{re.escape(str(path))}, line (\d+): (.*)", str(exc), re.S)
-        assert found, exc
-        kind = next(k for text, k in _KINDS.items() if text in found[2])
-        assert expected == ("error", int(found[1]), kind)
-    else:
-        assert expected == ("ok", loaded.codes.tolist(), split)
+    for body in bodies:
+        path.write_bytes((newline.join([*before, header, *body])
+                          + (newline if last else "")).encode())
+        expected = _reference_load(path)
+        try:
+            loaded, split = load_point_set(path)
+        except ValueError as exc:
+            found = re.fullmatch(rf"{re.escape(str(path))}, line (\d+): (.*)", str(exc), re.S)
+            assert found, exc
+            kind = next(k for text, k in _KINDS.items() if text in found[2])
+            assert expected == ("error", int(found[1]), kind)
+        else:
+            assert expected == ("ok", loaded.codes.tolist(), split)
 
 
 @pytest.mark.parametrize("text, plain_reads, reads_lines", [

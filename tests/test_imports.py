@@ -1,6 +1,9 @@
 """Source hygiene: every name a module or test file imports is used in it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,3 +64,13 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(ROOT)} {name}"
               for path in files for name in unused_imports(path.read_text())]
     assert not unused, unused
+
+
+def test_package_root_imports_no_module():
+    # Every name is imported from its defining module; the package re-exports nothing.
+    probe = ("import sys, fqdist; print(sorted(m for m in sys.modules if m.startswith('fqdist.')),"
+             " [name for name in vars(fqdist) if not name.startswith('__')])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]

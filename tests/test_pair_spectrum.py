@@ -10,30 +10,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqdist.pair_spectrum as spectrum_module
-from fqdist import (
+from fqdist.errors import PrecisionError, SizeGuardError
+from fqdist.field import make_field
+from fqdist.fourier import forward_transform, indicator_table
+from fqdist.geometry import (
     PointSet,
-    SizeGuardError,
+    encode_vectors,
+    enumerate_sphere,
+    norm_fiber_sizes,
+    save_point_set,
+)
+from fqdist.pair_spectrum import (
+    PairSpectrum,
     SplitPointSet,
     achieved_pairs,
     difference_histogram,
     discrepancy_report,
     distance_set,
-    encode_vectors,
-    enumerate_sphere,
-    forward_transform,
-    indicator_table,
     load_split_point_set,
-    make_field,
     marginal_spectral_mass,
-    norm_fiber_sizes,
+    pair_spectrum,
     pair_spectrum_fast,
     pair_spectrum_naive,
-    save_point_set,
     spectrum_energy,
     spectrum_energy_bruteforce,
     surjectivity_check,
 )
-from fqdist.pair_spectrum import PairSpectrum, pair_spectrum
 
 
 def _random_split(q, k, l, size, seed):
@@ -202,6 +204,23 @@ def test_spectrum_mass_is_pair_count():
     f = _random_split(5, 2, 2, 50, 2)
     spec = pair_spectrum(e, f)
     assert spec.total() == 70 * 50
+
+
+def test_spectrum_routes_refuse_a_count_that_breaks_the_mass(monkeypatch):
+    # Each route checks that its counts sum to |E||F| before it returns them.
+    e = _random_split(5, 2, 2, 70, 1)
+    f = _random_split(5, 2, 2, 50, 2)
+    snap = spectrum_module._snap
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum_module, "_snap", lambda values, what: snap(values, what) + 1)
+        with pytest.raises(PrecisionError, match="spectrum mass 3525 != .* 3500"):
+            pair_spectrum_fast(e, f)
+    norms = spectrum_module._pairwise_norms
+    # A scan that skips the first point of F counts 70 pairs too few.
+    monkeypatch.setattr(spectrum_module, "_pairwise_norms",
+                        lambda block, other, q: norms(block, other[1:], q))
+    with pytest.raises(PrecisionError, match="spectrum mass 3430 != .* 3500"):
+        pair_spectrum_naive(e, f)
 
 
 def test_fast_equals_naive_fixed_instances():
@@ -408,6 +427,15 @@ def test_surjectivity_threshold_met_q17():
     assert sc.consistent
 
 
+def test_surjectivity_inconsistent_when_the_threshold_is_met_and_a_cell_is_empty():
+    # 200^2 = 40000 pairs clear 16 * 3^7 = 34992, so every cell must be reached.
+    s = np.full((3, 3), 40000 // 8, dtype=np.int64)
+    s[2, 1] = 0
+    sc = surjectivity_check(PairSpectrum(make_field(3), 2, 2, 200, 200, s))
+    assert sc.threshold_met and sc.coverage == 8 and not sc.surjective
+    assert not sc.consistent
+
+
 def test_surjectivity_requires_block_dims():
     e = _random_split(3, 1, 2, 10, 3)
     with pytest.raises(ValueError):
@@ -431,6 +459,17 @@ def test_marginal_mass_saturated_by_full_fiber():
     rep = marginal_spectral_mass(e)
     assert rep.exact == rep.bound == Fraction(9, 81)
     assert rep.saturated and rep.holds
+
+
+def test_marginal_mass_float_route_must_agree():
+    # The float route reads the cached transform; one coefficient moved at m = 0 must show.
+    e = SplitPointSet(make_field(3), 2, 2, [4, 17, 40])
+    assert marginal_spectral_mass(e).float_agrees
+    coeffs = e.transform.copy()
+    coeffs[0] += 0.5
+    e.__dict__["transform"] = coeffs
+    rep = marginal_spectral_mass(e)
+    assert rep.holds and not rep.float_agrees
 
 
 @settings(max_examples=20, deadline=None)

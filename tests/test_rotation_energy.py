@@ -9,29 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqdist.pair_spectrum as spectrum_module
-from fqdist import (
-    PointSet,
-    PrecisionError,
+from fqdist.errors import PrecisionError, SizeGuardError
+from fqdist.field import (
     Rotation,
-    SizeGuardError,
+    enumerate_so2,
+    make_field,
+    rotation_apply,
+    rotation_code_permutation,
+)
+from fqdist.fourier import forward_transform, indicator_table
+from fqdist.geometry import PointSet, all_norms
+from fqdist.pair_spectrum import (
+    PairSpectrum,
     SplitPointSet,
-    all_norms,
+    pair_spectrum,
+    pair_spectrum_fast,
+    spectrum_energy,
+)
+from fqdist.rotation_energy import (
+    _spectral_split,
     circle_energy,
     correlation_transform_check,
     coverage_min_bound,
     energy_chain_check,
-    enumerate_so2,
-    forward_transform,
-    indicator_table,
-    make_field,
-    pair_spectrum_fast,
-    rotation_apply,
-    rotation_code_permutation,
     rotation_correlation,
-    spectrum_energy,
     sphere_restricted_mass,
 )
-from fqdist.pair_spectrum import PairSpectrum, pair_spectrum
 
 
 def _chain(e, f):
@@ -140,6 +143,20 @@ def test_correlation_transform_identity():
             assert rep.max_deviation < 1e-8
 
 
+def test_correlation_transform_fails_on_a_miscounted_correlation(monkeypatch):
+    # One pair moved between two cells leaves the total but not the transform.
+    e = _random_plane_pair_set(7, 300, 4)
+    theta, phi = enumerate_so2(e.field)[1:3]
+    real = rotation_correlation(e, theta, phi)
+    moved = real.copy()
+    moved.flat[real.argmax()] -= 1
+    moved.flat[0] += 1
+    monkeypatch.setattr("fqdist.rotation_energy.rotation_correlation", lambda *args: moved)
+    rep = correlation_transform_check(e, theta, phi)
+    assert rep.max_deviation > 1e-4
+    assert not rep.passed
+
+
 def test_energy_chain_single_point_frozen():
     # One point: lhs = 1; every rotation pair contributes exactly 1, so
     # rhs = (q+1)^2; the overcount identity accounts for the gap exactly.
@@ -166,6 +183,34 @@ def test_energy_chain_random_sets():
         assert rep.zero_agrees
         assert rep.split_ok and rep.split_residual < 1e-9
         assert rep.so2_size == q + 1
+
+
+def test_energy_chain_fails_a_spectrum_heavier_than_the_rotation_energy():
+    # Every pair piled on one cell gives lhs = |E|^4, above rhs for a spread-out set.
+    e = _random_plane_pair_set(3, 30, 5)
+    s = np.zeros((3, 3), dtype=np.int64)
+    s[1, 2] = 30 * 30
+    rep = energy_chain_check(e, e, PairSpectrum(e.field, 2, 2, 30, 30, s))
+    assert rep.lhs == 30**4 > rep.rhs
+    assert not rep.holds
+
+
+@pytest.mark.parametrize("term", ["zero", "nonzero"])
+def test_energy_chain_flags_a_wrong_frequency_split(monkeypatch, term):
+    # A zero class off its closed form fails zero_agrees; a sum off rhs fails split_ok.
+    e = _random_plane_pair_set(7, 250, 6)
+
+    def wrong(e, f, so2_size):
+        zero, mixed, nonzero = _spectral_split(e, f, so2_size)
+        if term == "zero":
+            return zero * 1.001, mixed, nonzero
+        return zero, mixed, nonzero + 1e-3 * (zero + mixed + nonzero)
+
+    monkeypatch.setattr("fqdist.rotation_energy._spectral_split", wrong)
+    rep = _chain(e, e)
+    assert rep.holds and rep.overcount_matches
+    assert rep.zero_agrees == (term != "zero")
+    assert not rep.split_ok
 
 
 def _literal_pair_energies(e, f):
@@ -335,7 +380,7 @@ def test_circle_energy_quadruple_bruteforce_q3():
     # Literal quadruple enumeration over the unit circle of F_3^2.
     from itertools import product
 
-    from fqdist import enumerate_sphere
+    from fqdist.geometry import enumerate_sphere
 
     pts = enumerate_sphere(make_field(3), 2, 1).points()
     count = sum(
