@@ -173,6 +173,10 @@ MUTANTS = (
            "    perm_p = rotation_code_permutation(e.field, rotation_inverse(e.field, phi))",
            "    perm_p = rotation_code_permutation(e.field, phi)",
            (_ENERGY + "test_correlation_transform_identity",)),
+    # Literal pair scans work in cache-sized chunks.
+    Mutant("pair-chunk-4e6-cells", "pair_spectrum.py",
+           "_BLOCK_CELLS = 2**16", "_BLOCK_CELLS = 4 * 10**6",
+           (_ENERGY + "test_literal_scans_stay_under_4_mib_at_q11",)),
     # The byte checks that keep np.fromstring from misreading plain point-set data.
     Mutant("plain-read-blanks-in-a-token", "geometry.py",
            '        if b"d d" in marks:  # blanks inside a token, as in 3 3 or - 0', "        if False:",

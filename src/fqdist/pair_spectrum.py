@@ -122,9 +122,19 @@ def _pairwise_norms(block: np.ndarray, other: np.ndarray, q: int) -> np.ndarray:
     return acc % q
 
 
-def _pair_chunk(n_other: int) -> int:
-    """Row-chunk size keeping (chunk x n_other) temporaries near 4e6 cells."""
-    return max(1, int(4 * 10**6 // max(1, n_other)))
+# 2**16 cells are 256 KiB of int32 or 512 KiB of int64: a chunk's temporaries fit a 2 MiB L2.
+_BLOCK_CELLS = 2**16
+
+
+def _pair_chunk(n_other: int, histogram: int) -> int:
+    """Rows per chunk of a scan against n_other points whose count writes histogram cells.
+
+    A chunk's (rows x n_other) temporaries hold about _BLOCK_CELLS cells, so
+    each chunk is counted while it is still in cache, and a cold process does
+    not first write tens of MiB of fresh arrays.  Each chunk zeroes and adds
+    its histogram once, so no chunk holds fewer cells than that histogram.
+    """
+    return max(1, max(_BLOCK_CELLS, histogram) // max(1, n_other))
 
 
 def distance_set(ps: PointSet, other: PointSet | None = None) -> set[int]:
@@ -143,7 +153,7 @@ def distance_set(ps: PointSet, other: PointSet | None = None) -> set[int]:
     _require_scannable(len(ps), len(other))
     coords, other_coords = ps.coords(), other.coords()
     seen = np.zeros(q, dtype=bool)
-    chunk = _pair_chunk(len(other))
+    chunk = _pair_chunk(len(other), q)
     for start in range(0, len(ps), chunk):
         norms = _pairwise_norms(coords[start : start + chunk], other_coords, q)
         seen[np.unique(norms)] = True
@@ -174,7 +184,7 @@ def pair_spectrum_naive(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
     cf = f.coords()
     k = e.k
     s_flat = np.zeros(q * q, dtype=np.int64)
-    chunk = _pair_chunk(len(f))
+    chunk = _pair_chunk(len(f), q * q)
     for start in range(0, len(e), chunk):
         block = ce[start : start + chunk]
         a = _pairwise_norms(block[:, :k], cf[:, :k], q)

@@ -82,8 +82,8 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> np
     indexed for every x with that code.  The second half is gathered per x,
     as the rows of the chunk (chunk x q^2 cells) and then the columns of
     every rotated z.  Gathering the second half with one 2-D index instead
-    was 7-11% faster at n = 2000 and q in {43, 47, 59}, mixed at n <= 1000,
-    and 14-58% slower at q = 11 (one core, alternating calls).
+    was 27-47% slower at q = 11 and from 12% faster to 8% slower at q in
+    {43, 47}, for n in {1000, 2000} (warm alternating calls, one core).
     The table and the joint codes are int32, since every code is below
     q^4 <= MAX_ENUMERATION < 2^31; the counts accumulate in int64.
     """
@@ -102,7 +102,7 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> np
     # The first chunk's counts start the sum (an empty E has one empty
     # chunk), so no q^4-cell array of zeros is written and added.
     flat = None
-    chunk = _pair_chunk(max(n, 1))
+    chunk = _pair_chunk(n, cells)
     for start in range(0, max(n, 1), chunk):
         rows = slice(start, start + chunk)
         distinct, run = np.unique(first[rows], return_inverse=True)

@@ -155,6 +155,33 @@ def test_distance_set_cross_and_refusals():
         distance_set(a, PointSet(f, 3, [0]))
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_literal_scans_agree_across_chunk_cuts(monkeypatch, rows):
+    # Chunks of 3 rows divide none of the set sizes (50, 37, 7, 5), so each
+    # scan ends on a short chunk.  At q = 101 the 7- and 5-point sets realise
+    # only some distances, so a dropped or repeated row changes the set.
+    e, f = _random_split(7, 2, 2, 50, 31), _random_split(7, 1, 2, 37, 32)
+    g = _random_split(7, 1, 2, 50, 33)
+    field = make_field(101)
+    rng = np.random.default_rng(34)
+    a = PointSet(field, 2, rng.choice(101**2, size=7, replace=False))
+    c = PointSet(field, 2, rng.choice(101**2, size=5, replace=False))
+
+    def scans():
+        return (pair_spectrum_naive(e, e).s, pair_spectrum_naive(g, f).s,
+                pair_spectrum_naive(f, g).s, distance_set(a), distance_set(a, c),
+                distance_set(c, a))
+
+    monkeypatch.setattr(spectrum_module, "_pair_chunk", lambda n_other, histogram: 10**9)
+    whole = scans()
+    assert all(len(found) < 101 for found in whole[3:])
+    monkeypatch.setattr(spectrum_module, "_pair_chunk", lambda n_other, histogram: rows)
+    cut = scans()
+    for one_chunk, chunked in zip(whole[:3], cut[:3]):
+        assert np.array_equal(one_chunk, chunked)
+    assert whole[3:] == cut[3:]
+
+
 @st.composite
 def _factor_pairs(draw):
     q = draw(st.sampled_from((3, 5, 7)))

@@ -1,6 +1,7 @@
 """Rotation correlations, the energy chain, and coverage lower bounds."""
 
 import importlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from fqdist.pair_spectrum import (
     SplitPointSet,
     pair_spectrum,
     pair_spectrum_fast,
+    pair_spectrum_naive,
     spectrum_energy,
 )
 from fqdist.rotation_energy import (
@@ -124,10 +126,28 @@ def test_correlation_chunks_end_inside_runs_of_a_first_code(monkeypatch):
     assert np.all(np.diff(first) >= 0) and runs.max() > 3 and np.any(runs % 3 != 0)
     rots = enumerate_so2(e.field)
     monkeypatch.setattr(importlib.import_module("fqdist.rotation_energy"), "_pair_chunk",
-                        lambda n_other: 3)
+                        lambda n_other, histogram: 3)
     for theta, phi in [(rots[0], rots[5]), (rots[2], rots[2]), (rots[7], rots[1])]:
         assert np.array_equal(rotation_correlation(e, theta, phi),
                               _coordinate_correlation(e, theta, phi))
+
+
+@pytest.mark.parametrize("scan", ["rotation_correlation", "pair_spectrum_naive"])
+def test_literal_scans_stay_under_4_mib_at_q11(scan):
+    # Chunks of 4e6 cells hold 47 MiB in rotation_correlation and 153 MiB in
+    # pair_spectrum_naive on this set, so the bound tells them from chunks
+    # sized to the cache.
+    e = _random_plane_pair_set(11, 2000, 29)
+    theta, phi = enumerate_so2(e.field)[1:3]
+    call = {"rotation_correlation": lambda: rotation_correlation(e, theta, phi),
+            "pair_spectrum_naive": lambda: pair_spectrum_naive(e, e)}[scan]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_correlation_transform_identity():
