@@ -29,6 +29,7 @@ CIRCLE_FROZEN = _ENERGY + "test_circle_energy_frozen_q3"
 DECAY_FROZEN = "tests/test_fourier.py::test_sphere_decay_frozen_extremum"
 DECAY_HALF_SCAN = "tests/test_fourier.py::test_sphere_decay_half_scan_matches_full_scan"
 SPHERE_SUP_SCAN = "tests/test_fourier.py::test_sphere_sup_against_a_full_scan"
+DECAY_FRESH = "tests/test_fourier.py::test_sphere_decay_scan_matches_a_fresh_transform_per_radius"
 ENERGY_LITERAL = _ENERGY + "test_energy_chain_rhs_matches_literal_correlations"
 SPLIT = _ENERGY + "test_energy_chain_flags_a_wrong_frequency_split"
 NONCANONICAL = "tests/test_geometry.py::test_load_rejects_noncanonical_points"
@@ -48,6 +49,9 @@ SURJECTIVITY_LINE = ("    return SurjectivityCheck(threshold, met, coverage, sur
                      " (not met) or surjective)")
 CHAIN_HOLDS_LINE = "        so2_size=so2_size, lhs=lhs, rhs=rhs, holds=lhs <= rhs,"
 CHAIN_ZERO_LINE = "        zero_term=zero_formula, zero_agrees=zero_agrees, mixed_term=mixed,"
+DECAY_TAKE_LINE = '        np.take(roots, t - rest_norms, axis=0, out=arr, mode="wrap")  # rows mod q'
+DECAY_ROOTS_LINE = ("    roots = _real_half_transform(squares[:, None] == np.arange(q), q, 1)"
+                    ".reshape(q, h)")
 FROMSTRING_LINE = '        values = np.fromstring(flat, dtype=np.int64, sep=",").reshape(rows, d)'
 
 MUTANTS = (
@@ -173,6 +177,19 @@ MUTANTS = (
            "    perm_p = rotation_code_permutation(e.field, rotation_inverse(e.field, phi))",
            "    perm_p = rotation_code_permutation(e.field, phi)",
            (_ENERGY + "test_correlation_transform_identity",)),
+    # The sphere decay scan: one workspace for every radius, first axis gathered from one table.
+    Mutant("decay-scan-gathers-only-at-t1", "fourier.py", DECAY_TAKE_LINE,
+           "        if t == 1: " + DECAY_TAKE_LINE.lstrip(), (DECAY_FRESH,)),
+    Mutant("decay-scan-rows-clipped", "fourier.py", DECAY_TAKE_LINE,
+           DECAY_TAKE_LINE.replace('"wrap"', '"clip"'), (DECAY_FRESH,)),
+    Mutant("decay-scan-roots-transposed", "fourier.py", DECAY_ROOTS_LINE,
+           DECAY_ROOTS_LINE.replace("squares[:, None] == np.arange(q)",
+                                    "squares[None, :] == np.arange(q)[:, None]"), (DECAY_FRESH,)),
+    Mutant("decay-scan-rest-from-the-last-row", "fourier.py",
+           "    rest_norms = all_norms(q, d)[: q ** (d - 1)]  # the norms of (0, x_rest)",
+           "    rest_norms = all_norms(q, d)[-q ** (d - 1):]", (DECAY_FRESH,)),
+    Mutant("decay-scan-unscaled", "fourier.py",
+           "        np.multiply(coeffs, float(q) ** -d, out=coeffs)", "        pass", (DECAY_FRESH,)),
     # Literal pair scans work in cache-sized chunks.
     Mutant("pair-chunk-4e6-cells", "pair_spectrum.py",
            "_BLOCK_CELLS = 2**16", "_BLOCK_CELLS = 4 * 10**6",

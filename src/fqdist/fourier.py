@@ -16,8 +16,11 @@ The sphere decay certificate transforms real indicators, whose spectra obey
 f_hat(-m) = conj(f_hat(m)).  Every nonzero m is +- a frequency with
 m_1 <= q/2 of the same modulus (m_1 = -m_1 at q = 2, so there every m_1 is
 kept), so the certificate computes only those q//2 + 1 leading rows
-(_real_half_transform) and its scan stays exhaustive.  Every other caller
-gets the full spectrum.
+(_real_half_transform) and its scan stays exhaustive.  It reads every
+sphere's first axis off one q x q table and runs the other d - 1 axes of
+all q - 1 radii through one workspace allocated per call; the coefficients
+are bit-identical to a fresh _real_half_transform of each sphere's
+indicator.  forward_transform and inverse_transform give the full spectrum.
 
 The sphere transforms' other facts live here too: the per-radius sup
 sigma_d(t) (_sphere_sup) and the table by norm class (_sphere_characters).
@@ -51,11 +54,14 @@ def _kernel(q: int) -> np.ndarray:
     return k
 
 
-def _contract_axes(arr: np.ndarray, q: int, kernel: np.ndarray, axes: int) -> np.ndarray:
+def _contract_axes(arr: np.ndarray, q: int, kernel: np.ndarray, axes: int,
+                   product: np.ndarray | None = None) -> np.ndarray:
     """Contract the leading axis of a C-ordered complex table with kernel and
     move it last, `axes` times: one matrix product into a buffer and one copy
-    back per axis.  arr is overwritten and returned flat."""
-    product = np.empty((q, arr.size // q), dtype=np.complex128)
+    back per axis.  arr is overwritten and returned flat.  product is the
+    caller's (q, arr.size // q) complex buffer, or a fresh one when None."""
+    if product is None:
+        product = np.empty((q, arr.size // q), dtype=np.complex128)
     for _ in range(axes):
         np.matmul(kernel, arr.reshape(q, -1), out=product)
         arr.reshape(-1, q)[...] = product.T
@@ -71,6 +77,8 @@ def _real_half_transform(values: np.ndarray, q: int, d: int) -> np.ndarray:
     to complex; the other d-1 axes take the complex loop of _contract_axes.
     For real values f_hat(-m) = conj(f_hat(m)), so these rows determine the
     rest: at odd q they are m_1 <= (q-1)/2, and at q = 2 all of them.
+    Only the leading axis and the d - 1 after it are contracted, so at d = 1 a
+    (q, n) table gives its n columns' transforms as n rows of q//2 + 1.
     """
     kernel = _kernel(q)
     h = q // 2 + 1
@@ -218,19 +226,36 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     """Certify the Kloosterman-type sphere decay |S_t_hat(m)| <= 2 q^-(d+1)/2.
 
     Scans every nonzero radius t and every nonzero frequency m exhaustively,
-    reading each sphere off the norm table, which refuses an ambient past the
+    reading the spheres off the norm table, which refuses an ambient past the
     enumeration limit.  The indicator is real, so |S_t_hat(-m)| = |S_t_hat(m)|,
     and every nonzero m is +- a frequency with m_1 <= q/2: only those rows are computed.
+    One workspace, allocated here, serves every radius, and each radius's
+    coefficients are bit-identical to _real_half_transform of its indicator.
     """
     q = field.q
     bound = _sphere_sup(q, d, 1)
     max_ratio = 0.0
     worst_t = 0
     worst_m: tuple[int, ...] = (0,) * d
+    kernel = _kernel(q)
+    h = q // 2 + 1
+    # x is on S_t iff x_1^2 = t - |x_rest|^2, x_rest = (x_2, ..., x_d), so the
+    # first-axis transform of S_t's indicator at x_rest is row t - |x_rest|^2
+    # of `roots`, whose row s transforms the indicator of {x_1 : x_1^2 = s}.
+    # Each entry is a sum of at most two kernel entries, the same in any order,
+    # so the gathered table is the one _real_half_transform builds from S_t,
+    # and the d - 1 products after it are the same calls on the same values.
+    squares = np.arange(q) ** 2 % q
+    roots = _real_half_transform(squares[:, None] == np.arange(q), q, 1).reshape(q, h)
+    rest_norms = all_norms(q, d)[: q ** (d - 1)]  # the norms of (0, x_rest)
+    arr = np.empty((rest_norms.size, h), dtype=np.complex128)
+    product = np.empty((q, arr.size // q), dtype=np.complex128)
+    moduli = np.empty(arr.size)
     for t in range(1, q):
-        values = (all_norms(q, d) == t).astype(np.float64)
-        coeffs = _real_half_transform(values, q, d) * (float(q) ** -d)
-        moduli = np.abs(coeffs)
+        np.take(roots, t - rest_norms, axis=0, out=arr, mode="wrap")  # rows mod q
+        coeffs = _contract_axes(arr, q, kernel, d - 1, product)
+        np.multiply(coeffs, float(q) ** -d, out=coeffs)
+        np.abs(coeffs, out=moduli)
         moduli[0] = 0.0  # the zero frequency carries the sphere's mass, not decay
         m_idx = int(np.argmax(moduli))
         ratio = float(moduli[m_idx]) / bound

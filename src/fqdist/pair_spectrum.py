@@ -156,7 +156,7 @@ def distance_set(ps: PointSet, other: PointSet | None = None) -> set[int]:
     chunk = _pair_chunk(len(other), q)
     for start in range(0, len(ps), chunk):
         norms = _pairwise_norms(coords[start : start + chunk], other_coords, q)
-        seen[np.unique(norms)] = True
+        seen[norms] = True
     return {int(t) for t in np.nonzero(seen)[0]}
 
 

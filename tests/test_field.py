@@ -12,13 +12,11 @@ from fqdist.field import (
     enumerate_so2,
     is_prime,
     make_field,
-    quadratic_character,
-    rotation_apply,
     rotation_code_permutation,
-    rotation_compose,
     rotation_inverse,
     so2_orbit_check,
 )
+from field_oracles import quadratic_character, rotation_apply, rotation_compose
 
 
 def test_is_prime_small_values():

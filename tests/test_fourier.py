@@ -21,7 +21,14 @@ from fqdist.fourier import (
     sphere_decay_check,
 )
 from fqdist.fourier import _real_half_transform, _sphere_characters, _sphere_sup
-from fqdist.geometry import PointSet, encode_vectors, enumerate_sphere, norm_fiber_sizes
+from fqdist.geometry import (
+    PointSet,
+    all_norms,
+    decode_codes,
+    encode_vectors,
+    enumerate_sphere,
+    norm_fiber_sizes,
+)
 
 
 def _random_table(q, d, seed):
@@ -154,6 +161,37 @@ def test_sphere_decay_half_scan_matches_full_scan(q, d):
     assert rep.max_ratio == pytest.approx(full_max / (2.0 * q ** (-(d + 1) / 2.0)), rel=1e-12)
     assert rep.worst_t == full_t
     assert moduli_at_worst[int(encode_vectors(q, rep.worst_m))] == pytest.approx(full_max, rel=1e-12)
+
+
+def _fresh_decay_scan(q, d):
+    """The decay scan as one fresh _real_half_transform of each sphere's indicator."""
+    bound = 2.0 * float(q) ** (-(d + 1) / 2.0)
+    max_ratio, worst_t, worst_m = 0.0, 0, (0,) * d
+    for t in range(1, q):
+        values = (all_norms(q, d) == t).astype(np.float64)
+        moduli = np.abs(_real_half_transform(values, q, d) * (float(q) ** -d))
+        moduli[0] = 0.0
+        m_idx = int(np.argmax(moduli))
+        ratio = float(moduli[m_idx]) / bound
+        if ratio > max_ratio:
+            max_ratio, worst_t = ratio, t
+            worst_m = tuple(int(x) for x in decode_codes(q, d, m_idx))
+    return bound, max_ratio, worst_t, worst_m
+
+
+@pytest.mark.parametrize("q, d", [*((2, d) for d in (1, 2, 3, 4)),
+                                  *((q, d) for q in (3, 5, 7, 11, 13) for d in (2, 3)),
+                                  (7, 4), (23, 4)])
+def test_sphere_decay_scan_matches_a_fresh_transform_per_radius(q, d):
+    # One workspace for every radius, and the first axis gathered from one
+    # table, leave every float bit of the report as the per-radius route has it.
+    rep = sphere_decay_check(make_field(q), d)
+    bound, max_ratio, worst_t, worst_m = _fresh_decay_scan(q, d)
+    assert rep.bound == bound
+    assert rep.max_ratio == max_ratio
+    assert rep.worst_t == worst_t
+    assert rep.worst_m == worst_m
+    assert rep.passed == (max_ratio <= 1.0 + 1e-9)
 
 
 def test_sphere_decay_frozen_extremum():

@@ -80,7 +80,7 @@ def test_sphere_size_frozen_731():
 
 def test_exact_three_dim_sphere_sizes():
     # In three dimensions nonzero spheres have q^2 + q*eta(-t) points exactly.
-    from fqdist.field import quadratic_character
+    from field_oracles import quadratic_character
 
     for q in (3, 7, 11):
         f = make_field(q)

@@ -124,6 +124,17 @@ def _literal_distances(a, b):
     return {int(t) for t in np.unique((diffs * diffs).sum(axis=2) % q)}
 
 
+@pytest.mark.parametrize("q, d, sizes", [(7, 2, (3, 2)), (13, 2, (5, 3)), (29, 2, (6, 4)),
+                                         (23, 3, (5, 4)), (31, 2, (9, 7)), (41, 1, (5, 4))])
+def test_distance_set_matches_a_literal_scan_on_seeded_pairs(q, d, sizes):
+    # Small sets, so most of these distance sets miss some of the q norms.
+    field = make_field(q)
+    rng = np.random.default_rng(q * 10 + d)
+    a, b = (PointSet(field, d, rng.choice(q**d, size=n, replace=False)) for n in sizes)
+    assert distance_set(a, b) == distance_set(b, a) == _literal_distances(a, b)
+    assert distance_set(a) == _literal_distances(a, a)
+
+
 def test_distance_set_of_a_full_space_reads_the_norm_table(monkeypatch):
     for q in (3, 5, 7):
         field = make_field(q)

@@ -15,7 +15,6 @@ from fqdist.field import (
     Rotation,
     enumerate_so2,
     make_field,
-    rotation_apply,
     rotation_code_permutation,
 )
 from fqdist.fourier import forward_transform, indicator_table
@@ -37,6 +36,7 @@ from fqdist.rotation_energy import (
     rotation_correlation,
     sphere_restricted_mass,
 )
+from field_oracles import rotation_apply
 
 
 def _chain(e, f):
