@@ -34,6 +34,8 @@ ENERGY_LITERAL = _ENERGY + "test_energy_chain_rhs_matches_literal_correlations"
 SPLIT = _ENERGY + "test_energy_chain_flags_a_wrong_frequency_split"
 NONCANONICAL = "tests/test_geometry.py::test_load_rejects_noncanonical_points"
 LOAD_FUZZ = "tests/test_geometry.py::test_load_matches_reference_parser"
+ENERGY_MEMORY_FLAT = _EXPERIMENTS + "test_suite_peak_memory_is_flat_in_instances[energy-11]"
+ENERGY_REFUSAL = _EXPERIMENTS + "test_cli_energy_refuses_an_e_above_the_scan_limit_before_any_work"
 
 BUDGET_LINE = ("    budget = term_k * rho_k[:, None] + term_l * rho_l[None, :]"
                " + term_cross * np.outer(rho_k, rho_l)")
@@ -190,6 +192,13 @@ MUTANTS = (
            "    rest_norms = all_norms(q, d)[-q ** (d - 1):]", (DECAY_FRESH,)),
     Mutant("decay-scan-unscaled", "fourier.py",
            "        np.multiply(coeffs, float(q) ** -d, out=coeffs)", "        pass", (DECAY_FRESH,)),
+    # The energy suite draws each pair on demand and checks the scan limit before any work.
+    Mutant("energy-pairs-kept-alive", "experiments.py",
+           "        pairs = (_energy_pair(cfg, field, i, cap) for i in range(n_instances))",
+           "        pairs = [_energy_pair(cfg, field, i, cap) for i in range(n_instances)]",
+           (ENERGY_MEMORY_FLAT,)),
+    Mutant("energy-scan-limit-unchecked", "experiments.py", "    _require_scannable(n_e, n_e)",
+           "    pass", (ENERGY_REFUSAL,)),
     # Literal pair scans work in cache-sized chunks.
     Mutant("pair-chunk-4e6-cells", "pair_spectrum.py",
            "_BLOCK_CELLS = 2**16", "_BLOCK_CELLS = 4 * 10**6",

@@ -7,12 +7,7 @@ configuration errors.  The JSON report goes to stdout unless the run exits 2;
 
 from __future__ import annotations
 
-import argparse
-import csv
-import os
-import sys
-from dataclasses import replace
-
+# numpy, through fqdist, loads before argparse and csv: that order leaves a smaller process.
 from .errors import SizeGuardError
 from .experiments import (
     GENERATORS,
@@ -23,6 +18,12 @@ from .experiments import (
     run_suite,
 )
 from .pair_spectrum import SplitPointSet, load_split_point_set
+
+import argparse
+import csv
+import os
+import sys
+from dataclasses import replace
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -649,39 +649,39 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
 # ----------------------------------------------------------------- energy ---
 
 
+def _energy_pair(cfg: ExperimentConfig, field: PrimeField, i: int, cap: int) -> SetPair:
+    """Instance i's drawn (E, F): two sizes from _T_SIZE, then E before F from one sampler."""
+    gen = substream(cfg.seed, _T_SIZE, i)
+    sizes = [int(gen.integers(max(1, cap // 10), cap + 1)) for _ in range(2)]
+    sampler = substream(cfg.seed, _T_SAMPLE, i)
+    return tuple(SplitPointSet(field, 2, 2, sampler.choice(field.q**4, size=n, replace=False))
+                 for n in sizes)
+
+
 def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | None
                    ) -> tuple[list[CheckResult], list]:
-    q = field.q
-    checks: list[CheckResult] = []
     if field.q_mod_4 != 3 or (cfg.k, cfg.l) != (2, 2):
         raise ValueError("energy suite needs q = 3 mod 4 and k = l = 2")
 
-    cap = min(2000, q**4)
-    if sets is not None:
-        pairs = [sets]
+    # Drawn pairs come one at a time, so one pair and its two cached transforms live at once.
+    cap = min(2000, field.q**4)
+    if sets is None:
+        n_instances, n_e = cfg.instances, cap  # cap bounds every drawn |E|
+        pairs = (_energy_pair(cfg, field, i, cap) for i in range(n_instances))
     else:
-        pairs = []
-        for i in range(cfg.instances):
-            gen = substream(cfg.seed, _T_SIZE, i)
-            ne = int(gen.integers(max(1, cap // 10), cap + 1))
-            nf = int(gen.integers(max(1, cap // 10), cap + 1))
-            sampler = substream(cfg.seed, _T_SAMPLE, i)
-            e = SplitPointSet(field, 2, 2, sampler.choice(q**4, size=ne, replace=False))
-            f = SplitPointSet(field, 2, 2, sampler.choice(q**4, size=nf, replace=False))
-            pairs.append((e, f))
+        n_instances, n_e, pairs = 1, len(sets[0]), (sets,)
     # rotation_correlation scans |E|^2 pairs; refuse an E above the limit before any work.
-    for e, _ in pairs:
-        _require_scannable(len(e), len(e))
+    _require_scannable(n_e, n_e)
 
     # Single-point identity: lhs = 1, rhs = |SO2|^2 exactly.
     point = SplitPointSet(field, 2, 2, [0])
     rep = energy_chain_check(point, point, pair_spectrum(point, point))
     so2_size = rep.so2_size
-    checks.append(CheckResult(
+    checks = [CheckResult(
         "single-point-identity", "energy_chain_check",
         rep.lhs == 1 and rep.rhs == so2_size**2 and rep.holds,
         {"lhs": rep.lhs, "rhs": rep.rhs, "so2_size": so2_size},
-    ))
+    )]
 
     rotations = enumerate_so2(field)
 
@@ -690,9 +690,7 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
         "energy-chain", "zero-frequency-term", "frequency-split", "orbit-weight-identity"))
     correlation = _Check(cfg, "correlation-transform", "correlation_transform_check")
     min_bound = _Check(cfg, "coverage-min-bound", "coverage_min_bound")
-    max_split = 0.0
-    max_dev = 0.0
-    max_emp_c = 0.0
+    max_split = max_dev = max_emp_c = 0.0
     for i, (e, f) in enumerate(pairs):
         spectrum = pair_spectrum(e, f)
         if i == 0:
@@ -713,7 +711,6 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
         max_dev = max(max_dev, worst.max_deviation)
         max_emp_c = max(max_emp_c, bound.empirical_c)
 
-    n_instances = len(pairs)
     checks += [
         energy_chain.result({"instances": n_instances, "size_cap": cap}),
         zero.result({"instances": n_instances, "formula": "|SO2|^2 |E|^2 |F|^2 / q^4",

@@ -75,7 +75,9 @@ class SplitPointSet(PointSet):
 
     @cached_property
     def transform(self) -> np.ndarray:
-        """Coefficients of the indicator's forward transform, computed once (read-only)."""
+        """Coefficients of the indicator's forward transform, computed once (read-only).
+
+        Cached for the set's life: a caller that keeps a set keeps its q^(k+l) complex transform."""
         coeffs = forward_transform(indicator_table(self)).coeffs
         coeffs.setflags(write=False)
         return coeffs

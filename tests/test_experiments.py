@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1052,6 +1053,25 @@ def test_cli_energy_refuses_an_e_above_the_scan_limit_before_any_work(tmp_path, 
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert "60 x 60 pairs exceed the scan limit 3599" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("suite, q", [("coverage", 7), ("lemmas", 7), ("energy", 11),
+                                      ("sharpness", 7)])
+def test_suite_peak_memory_is_flat_in_instances(suite, q):
+    # Each instance's sets, and the q^4-cell transforms they cache, die with the instance:
+    # from 2 to 6 instances the traced peak of a run grows by less than one such table.
+    run_suite(ExperimentConfig(q=q, suite=suite, instances=2))  # warm the per-field caches
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (2, 6):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run_suite(ExperimentConfig(q=q, suite=suite, instances=n))
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * q**4
 
 
 def test_cli_empty_f_file_path_exits_2(tmp_path, capsys):
