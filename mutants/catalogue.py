@@ -54,6 +54,7 @@ CHAIN_ZERO_LINE = "        zero_term=zero_formula, zero_agrees=zero_agrees, mixe
 DECAY_TAKE_LINE = '        np.take(roots, t - rest_norms, axis=0, out=arr, mode="wrap")  # rows mod q'
 DECAY_ROOTS_LINE = ("    roots = _real_half_transform(squares[:, None] == np.arange(q), q, 1)"
                     ".reshape(q, h)")
+SO2_ROW_LINE = "        row[:] = (a * v1 - b * v2) % q * q + (b * v1 + a * v2) % q"
 FROMSTRING_LINE = '        values = np.fromstring(flat, dtype=np.int64, sep=",").reshape(rows, d)'
 
 MUTANTS = (
@@ -176,9 +177,17 @@ MUTANTS = (
     Mutant("energy-swapped-theta-phi", "rotation_energy.py",
            "    return energies", "    return energies.T", (ENERGY_LITERAL,)),
     Mutant("correlation-forward-phi", "rotation_energy.py",
-           "    perm_p = rotation_code_permutation(e.field, rotation_inverse(e.field, phi))",
-           "    perm_p = rotation_code_permutation(e.field, phi)",
+           "    perm_p = np.argsort(phi)", "    perm_p = phi",
            (_ENERGY + "test_correlation_transform_identity",)),
+    Mutant("correlation-forward-theta", "rotation_energy.py",
+           "    perm_t = np.argsort(theta)", "    perm_t = theta",
+           (_ENERGY + "test_correlation_transform_identity",)),
+    # The rotation group is one table; row i with b negated is the inverse of
+    # rotation i, so the rows stay a group and only the pointwise oracle sees it.
+    Mutant("so2-table-reflection", "field.py", SO2_ROW_LINE,
+           SO2_ROW_LINE.replace("(a * v1 - b * v2)", "(a * v1 + b * v2)")
+           .replace("(b * v1 + a * v2)", "(-b * v1 + a * v2)"),
+           ("tests/test_field.py::test_so2_rows_match_rotation_apply",)),
     # The sphere decay scan: one workspace for every radius, first axis gathered from one table.
     Mutant("decay-scan-gathers-only-at-t1", "fourier.py", DECAY_TAKE_LINE,
            "        if t == 1: " + DECAY_TAKE_LINE.lstrip(), (DECAY_FRESH,)),

@@ -371,8 +371,14 @@ class _Check:
         if not ok and self.first_failure is None:
             self.first_failure = {"instance": instance, "seed": self.cfg.seed, "cell": cell}
 
-    def result(self, payload: dict, ok: bool = True) -> CheckResult:
-        """Pass iff no instance failed and ok holds; the payload gains first_failure if one did."""
+    def result(self, payload: dict, ok: bool = True, checked: bool = True) -> CheckResult:
+        """Pass iff no instance failed and ok holds; the payload gains first_failure if one did.
+
+        A run whose every drawn set was empty checked nothing (checked False)
+        and is reported as skipped, not as passed.
+        """
+        if not checked:
+            return _skip(self.name, self.operation, "every drawn set was empty")
         if self.first_failure is not None:
             payload["first_failure"] = self.first_failure
         return CheckResult(self.name, self.operation, ok and self.first_failure is None, payload)
@@ -425,6 +431,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
     for d in dims:
         check = _Check(cfg, f"plancherel d={d}", "plancherel_gap")
         worst_rel = 0.0
+        checked = False
         for i in range(cfg.instances):
             gen = substream(cfg.seed, _T_PLANCHEREL, d, i)
             density = 0.1 + 0.8 * float(gen.random())
@@ -437,8 +444,9 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
             rel = plancherel_gap(table) / scale
             check.record(rel <= 1e-9, i)
             worst_rel = max(worst_rel, rel)
+            checked = True
         checks.append(check.result(
-            {"d": d, "instances": cfg.instances, "max_relative_gap": worst_rel}))
+            {"d": d, "instances": cfg.instances, "max_relative_gap": worst_rel}, checked=checked))
 
     # Round-trip and the defining-sum route, on the largest ambient that the
     # quadratic route still allows.
@@ -463,6 +471,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
     # Exact phase histograms against the float coefficients.
     check = _Check(cfg, "phase-histogram-agreement", "exact_phase_histogram")
     phase_worst = 0.0
+    checked = False
     for i in range(min(cfg.instances, 20)):
         gen = substream(cfg.seed, _T_PHASE, i)
         d = int(gen.integers(2, 1 + max(2, dims[-1])))
@@ -476,7 +485,8 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         gap = float(abs(hist.coefficient() - spec.coeffs[encode_vectors(q, m)]))
         check.record(gap <= 1e-10, i, m)
         phase_worst = max(phase_worst, gap)
-    checks.append(check.result({"max_abs_disagreement": phase_worst}))
+        checked = True
+    checks.append(check.result({"max_abs_disagreement": phase_worst}, checked=checked))
 
     if field.q_mod_4 == 3:
         rep = so2_orbit_check(field)
@@ -531,6 +541,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
     else:
         check = _Check(cfg, "sphere-restricted-mass", "sphere_restricted_mass")
         sm_worst = 0.0
+        checked = False
         for i in range(cfg.instances):
             gen = substream(cfg.seed, _T_MASS, 1000 + i)
             density = 0.05 + 0.9 * float(gen.random())
@@ -542,7 +553,9 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
             a = 1 + int(np.argmin(rep.holds[1:]))  # the least failing radius, if one fails
             check.record(rep.holds[a], i, a)
             sm_worst = max(sm_worst, float(np.max(rep.values[1:] / rep.bound)))
-        checks.append(check.result({"instances": cfg.instances, "max_value_over_bound": sm_worst}))
+            checked = True
+        checks.append(check.result({"instances": cfg.instances, "max_value_over_bound": sm_worst},
+                                   checked=checked))
 
     return checks, circle_table
 
@@ -591,8 +604,8 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
         max_ratio = max(max_ratio, rep.max_ratio)
         consistency.record(surjectivity_check(spectrum).consistent, i)
     checks.append(disc.result({"instances": cfg.instances, "generator": cfg.generator,
-                               "max_error_over_budget": max_ratio}))
-    checks.append(consistency.result({"instances": cfg.instances}))
+                               "max_error_over_budget": max_ratio}, checked=bool(spectra)))
+    checks.append(consistency.result({"instances": cfg.instances}, checked=bool(spectra)))
 
     # Full space and seeded near-full deletions, where the threshold is live.
     ambient = q ** (k + l)

@@ -2,7 +2,9 @@
 
 Scalars are canonical residues in [0, q).  All arithmetic here is exact
 integer arithmetic mod q; the only floats are the precomputed values of the
-additive character chi(t) = exp(2*pi*i*t/q).
+additive character chi(t) = exp(2*pi*i*t/q).  The rotation group SO2 of the
+plane F_q^2 is used only through how it moves plane codes (v1 q + v2), so
+enumerate_so2 returns it as one table of code permutations, a row per rotation.
 """
 
 from __future__ import annotations
@@ -70,37 +72,26 @@ def make_field(q: int) -> PrimeField:
     return PrimeField(q)
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """Plane rotation with matrix rows (a, -b), (b, a); needs a^2 + b^2 = 1."""
+def enumerate_so2(field: PrimeField) -> np.ndarray:
+    """The plane rotation group SO2 as a table of code permutations, one row per rotation.
 
-    a: int
-    b: int
-
-
-def enumerate_so2(field: PrimeField) -> list[Rotation]:
-    """All rotations (a, b) with a^2 + b^2 = 1 mod q, in lexicographic order."""
+    Row i is perm[c] = code of R v for the plane vector v with code c, where R
+    has matrix rows (a, -b), (b, a) and (a, b) is the i-th solution of
+    a^2 + b^2 = 1 mod q in lexicographic order.  The inverse of a row is
+    np.argsort(row).  The table is a fresh int32 array of shape (|SO2|, q^2),
+    filled one row at a time; q^2 (q+2) > 5e7 is refused, which bounds it
+    and keeps every code below 2^31.
+    """
     q = field.q
-    roots: list[list[int]] = [[] for _ in range(q)]  # roots[t]: square roots of t, ascending
-    for x in range(q):
-        roots[x * x % q].append(x)
-    return [Rotation(a, b) for a in range(q) for b in roots[(1 - a * a) % q]]
-
-
-def rotation_inverse(field: PrimeField, rot: Rotation) -> Rotation:
-    """Inverse rotation (a, -b); equals the transpose of the matrix."""
-    return Rotation(rot.a, (-rot.b) % field.q)
-
-
-def rotation_code_permutation(field: PrimeField, rot: Rotation) -> np.ndarray:
-    """perm[c] = code of the rotation applied to the plane vector with code c."""
-    q = field.q
-    codes = np.arange(q * q, dtype=np.int64)
-    v1 = codes // q
-    v2 = codes % q
-    w1 = (rot.a * v1 - rot.b * v2) % q
-    w2 = (rot.b * v1 + rot.a * v2) % q
-    return w1 * q + w2
+    if q * q * (q + 2) > 5 * 10**7:
+        raise SizeGuardError(f"the SO2 table holds q^2 (q+1) codes; q = {q} is too large")
+    squares = np.arange(q) ** 2 % q
+    rotations = np.argwhere((squares[:, None] + squares[None, :]) % q == 1)  # lexicographic (a, b)
+    v1, v2 = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    perms = np.empty((len(rotations), q * q), dtype=np.int32)
+    for row, (a, b) in zip(perms, rotations):
+        row[:] = (a * v1 - b * v2) % q * q + (b * v1 + a * v2) % q
+    return perms
 
 
 @dataclass(frozen=True)
@@ -123,20 +114,14 @@ def so2_orbit_check(field: PrimeField) -> OrbitReport:
     if field.q_mod_4 != 3:
         raise ValueError(f"orbit structure requires q = 3 mod 4, got q = {field.q}")
     q = field.q
-    if q * q * (q + 2) > 5 * 10**7:
-        raise SizeGuardError(f"orbit check enumerates q^2 (q+1) images; q = {q} is too large")
-    rotations = enumerate_so2(field)
-    m = len(rotations)
+    # Column c, sorted: the codes of every rotation applied to the vector with code c.
+    orbits = enumerate_so2(field)
+    orbits.sort(axis=0)
+    m = len(orbits)
     v1, v2 = np.divmod(np.arange(q * q, dtype=np.int64), q)
     norms = (v1 * v1 + v2 * v2) % q
-    # Column c, sorted: the codes of every rotation applied to the vector with code c.
-    # Codes are below q^2 < 2^31 and norms below q < 2^15 under the guard, so
-    # the stack is int32 and its norm gather int16.
-    orbits = np.empty((m, q * q), dtype=np.int32)
-    for row, rot in zip(orbits, rotations):
-        row[:] = rotation_code_permutation(field, rot)
-    orbits.sort(axis=0)
-    # Column c is its circle when its m codes are distinct and of its norm, and |circle| = m.
+    # Column c is its circle when its m codes are distinct and of its norm, and
+    # |circle| = m.  Norms are below q < 2^15 under the table's guard, so the gather is int16.
     is_circle = (np.all(orbits[1:] != orbits[:-1], axis=0)
                  & np.all(norms.astype(np.int16)[orbits] == norms, axis=0)
                  & (np.bincount(norms, minlength=q)[norms] == m))

@@ -1,7 +1,9 @@
 """Rotation-averaged pair energies for the plane-pair split k = l = 2.
 
-Everything here lives in F_q^4 with q = 3 mod 4, viewed as two planes.  The
-central object is the chain
+Everything here lives in F_q^4 with q = 3 mod 4, viewed as two planes.  A
+rotation is a row of field.enumerate_so2's table, the code permutation it
+makes of a plane, and its inverse is that row's argsort.  The central object
+is the chain
     sum_{a,b} s(a,b)^2  <=  sum over (theta, phi) in SO2^2 of
                             sum_u r_E(u) r_F(u),
 where r_{theta,phi}^E(u', u'') counts pairs (x, z) in E^2 with x' - theta z'
@@ -42,13 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeGuardError
-from .field import (
-    PrimeField,
-    Rotation,
-    enumerate_so2,
-    rotation_code_permutation,
-    rotation_inverse,
-)
+from .field import PrimeField, enumerate_so2
 from .fourier import DensityTable, forward_transform
 from .geometry import _require_enumerable, all_norms, enumerate_sphere
 from .pair_spectrum import (
@@ -71,11 +67,12 @@ def _require_plane_pair(e: SplitPointSet) -> None:
         raise ValueError(f"requires the plane-pair split k = l = 2, got ({e.k}, {e.l})")
 
 
-def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> np.ndarray:
+def rotation_correlation(e: SplitPointSet, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """r[u', u''] = #{(x, z) in E^2 : x' - theta z' = u', x'' - phi z'' = u''} by plane codes.
 
-    Every one of the |E|^2 pairs is visited, with no transform: each half of
-    a pair is one gather from the plane-difference table
+    theta and phi are rows of enumerate_so2's table.  Every one of the
+    |E|^2 pairs is visited, with no transform: each half of a pair is one
+    gather from the plane-difference table
     pdiff[c_x, c_z] = code(x - z), which has q^2 x q^2 cells.  Within a chunk
     of x, the first half pdiff[c, theta z'] q^2 is gathered once per distinct
     first plane code c, at most min(chunk, q^2) rows of n cells, and then
@@ -97,8 +94,8 @@ def rotation_correlation(e: SplitPointSet, theta: Rotation, phi: Rotation) -> np
     diff = ((axis[:, None] - axis[None, :]) % q).astype(np.int32)
     pdiff = (diff[:, None, :, None] * q + diff[None, :, None, :]).reshape(plane, plane)
     first, second = e.first_codes(), e.second_codes()
-    rotated_first = rotation_code_permutation(e.field, theta)[first]
-    rotated_second = rotation_code_permutation(e.field, phi)[second]
+    rotated_first = theta[first]
+    rotated_second = phi[second]
     # The first chunk's counts start the sum (an empty E has one empty
     # chunk), so no q^4-cell array of zeros is written and added.
     flat = None
@@ -126,23 +123,22 @@ class CorrelationTransformReport:
     passed: bool
 
 
-def correlation_transform_check(e: SplitPointSet, theta: Rotation,
-                                phi: Rotation) -> CorrelationTransformReport:
+def correlation_transform_check(e: SplitPointSet, theta: np.ndarray,
+                                phi: np.ndarray) -> CorrelationTransformReport:
     """Check r_hat(m', m'') = q^4 E_hat(m', m'') conj(E_hat(inv theta m', inv phi m'')).
 
-    The frequency argument carries the INVERSE rotations (the matrices are
-    orthogonal, so this is the transpose action that falls out of reindexing
-    the defining sum).
+    theta and phi are rows of enumerate_so2's table.  The frequency argument
+    carries the INVERSE rotations (the matrices are orthogonal, so this is the
+    transpose action that falls out of reindexing the defining sum).
     """
     _require_plane_pair(e)
     q = e.field.q
     counts = rotation_correlation(e, theta, phi).reshape(-1)
     r_hat = forward_transform(DensityTable(e.field, 4, counts.astype(np.complex128))).coeffs
     e_hat = e.transform
-    perm_t = rotation_code_permutation(e.field, rotation_inverse(e.field, theta))
-    perm_p = rotation_code_permutation(e.field, rotation_inverse(e.field, phi))
-    m_first, m_second = np.divmod(np.arange(q**4), q * q)
-    rotated_index = perm_t[m_first] * (q * q) + perm_p[m_second]
+    perm_t = np.argsort(theta)
+    perm_p = np.argsort(phi)
+    rotated_index = (perm_t[:, None] * (q * q) + perm_p[None, :]).reshape(-1)
     rhs = float(q) ** 4 * e_hat * np.conj(e_hat[rotated_index])
     dev = float(np.max(np.abs(r_hat - rhs)))
     return CorrelationTransformReport(dev, dev <= CORRELATION_TOLERANCE)
@@ -169,10 +165,11 @@ def _spectral_split(e: SplitPointSet, f: SplitPointSet,
 
 
 def _rotation_pair_energies(e: SplitPointSet, f: SplitPointSet,
-                            rotations: list[Rotation]) -> np.ndarray:
-    """m[i, j] = sum_u r_E(u) r_F(u) at (theta, phi) = (rotations[i], rotations[j]).
+                            perms: np.ndarray) -> np.ndarray:
+    """m[i, j] = sum_u r_E(u) r_F(u) at (theta, phi) = (perms[i], perms[j]).
 
-    The sum counts quadruples (x, z, y, w) in E^2 x F^2 with
+    perms is enumerate_so2's table, one code permutation per rotation.  The
+    sum counts quadruples (x, z, y, w) in E^2 x F^2 with
     x - y = R(z - w), R = (theta, phi).  With the difference histogram
     D(v) = #{(x, y) in E x F : x - y = v}, viewed as a q^2 x q^2 matrix over
     the plane codes (v', v''), each entry is therefore
@@ -205,13 +202,12 @@ def _rotation_pair_energies(e: SplitPointSet, f: SplitPointSet,
     slot = np.empty(plane, dtype=np.int64)  # a code's position in its circle
     slot[circles] = np.arange(size)
     d = difference_histogram(e, f).astype(np.float64).reshape(plane, plane)
-    perms = np.stack([rotation_code_permutation(e.field, rot) for rot in rotations])
     # Row j: the flat cells (c, s, slot of phi_j circles[c, s]) of the stacked blocks.
     diagonals = np.arange((q - 1) * size) * size + slot[perms[:, circles.reshape(-1)]]
     by_circle = d[:, circles]  # by_circle[v', c, s] = D(v', circles[c, s])
     blocks = by_circle.transpose(1, 2, 0)
     zero = d[:, 0]
-    energies = np.empty((len(rotations), len(rotations)), dtype=np.int64)
+    energies = np.empty((len(perms), len(perms)), dtype=np.int64)
     for i, perm_t in enumerate(perms):
         h = blocks @ by_circle[perm_t].transpose(1, 0, 2)
         energies[i] = h.take(diagonals).sum(axis=1) + zero @ zero[perm_t]
@@ -259,9 +255,9 @@ def energy_chain_check(e: SplitPointSet, f: SplitPointSet,
         raise ValueError("energy comparison needs nonempty sets")
     q = e.field.q
     lhs = spectrum_energy(spectrum)
-    rotations = enumerate_so2(e.field)
-    so2_size = len(rotations)
-    rhs = sum(int(v) for v in _rotation_pair_energies(e, f, rotations).flat)
+    perms = enumerate_so2(e.field)
+    so2_size = len(perms)
+    rhs = sum(int(v) for v in _rotation_pair_energies(e, f, perms).flat)
 
     # w_a w_b - 1 vanishes off row 0 and column 0, since w_t = 1 for t != 0.
     s = spectrum.s

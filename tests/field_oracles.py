@@ -1,10 +1,11 @@
 """Pointwise oracles on F_q and the plane rotation group, used only by the tests.
 
 Each is the textbook rule written one scalar at a time, to check the table
-and array routes of fqdist against.
+and array routes of fqdist against.  A rotation is a pair (a, b) with
+a^2 + b^2 = 1, the matrix with rows (a, -b), (b, a).
 """
 
-from fqdist.field import PrimeField, Rotation
+from fqdist.field import PrimeField
 
 
 def quadratic_character(field: PrimeField, t: int) -> int:
@@ -20,24 +21,34 @@ def quadratic_character(field: PrimeField, t: int) -> int:
     return 1 if pow(t, (field.q - 1) // 2, field.q) == 1 else -1
 
 
-def rotation_apply(field: PrimeField, rot: Rotation, v) -> tuple[int, int]:
-    """Apply the rotation matrix to a 2-vector, returning canonical residues.
+def so2_pairs(field: PrimeField) -> list[tuple[int, int]]:
+    """Every (a, b) with a^2 + b^2 = 1 mod q, by brute force, in lexicographic order.
 
-    The pointwise oracle for rotation_code_permutation, which
-    test_rotation_code_permutation_matches_pointwise compares with it.
+    The row order of enumerate_so2's table, which test_so2_rows_match_rotation_apply
+    checks row by row.
     """
+    q = field.q
+    return [(a, b) for a in range(q) for b in range(q) if (a * a + b * b) % q == 1]
+
+
+def rotation_apply(field: PrimeField, rot: tuple[int, int], v) -> tuple[int, int]:
+    """Apply the rotation (a, b) to a 2-vector, returning canonical residues.
+
+    The pointwise oracle for the rows of enumerate_so2, which
+    test_so2_rows_match_rotation_apply compares with it.
+    """
+    a, b = rot
     v1, v2 = (int(v[0]), int(v[1]))
     q = field.q
-    return ((rot.a * v1 - rot.b * v2) % q, (rot.b * v1 + rot.a * v2) % q)
+    return ((a * v1 - b * v2) % q, (b * v1 + a * v2) % q)
 
 
-def rotation_compose(field: PrimeField, first: Rotation, second: Rotation) -> Rotation:
+def rotation_compose(field: PrimeField, first: tuple[int, int],
+                     second: tuple[int, int]) -> tuple[int, int]:
     """Matrix product first*second; same rule as multiplying a+ib by complex a'+ib'.
 
-    test_rotation_group_laws_q7 checks the group law of enumerate_so2 and rotation_inverse with it.
+    test_rotation_compose_matches_matrix_product checks it against rotation_apply.
     """
+    (a, b), (c, d) = first, second
     q = field.q
-    return Rotation(
-        (first.a * second.a - first.b * second.b) % q,
-        (first.a * second.b + first.b * second.a) % q,
-    )
+    return ((a * c - b * d) % q, (a * d + b * c) % q)

@@ -522,9 +522,12 @@ def test_energy_failures_name_instance_seed_and_cell(monkeypatch):
     rotations = enumerate_so2(make_field(7))
     sampled = []
 
+    def row_index(row):
+        return int(np.flatnonzero((rotations == row).all(axis=1))[0])
+
     def deviation(value):
         def fail(report, e, theta, phi):
-            sampled.append([rotations.index(theta), rotations.index(phi)])
+            sampled.append([row_index(theta), row_index(phi)])
             return dataclasses.replace(report, max_deviation=value, passed=False)
         return fail
 
@@ -969,6 +972,34 @@ def test_cli_exit_contract_fuzz(drawn):
             return
     assert code in (0, 1), flags
     assert json.loads(stdout.getvalue())["all_pass"] == (code == 0), flags
+
+
+def _cli_checks(capsys, *flags):
+    assert cli_main(list(flags)) == 0
+    return {c["name"]: c["payload"] for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
+EMPTY_DRAWS = {"skipped": True, "reason": "every drawn set was empty"}
+
+
+def test_cli_coverage_run_that_draws_only_empty_sets_skips_its_seeded_checks(capsys):
+    # At density 0.001 every one of the three drawn pairs over F_3^4 has an empty set.
+    flags = ["--q", "3", "--suite", "coverage", "--generator", "bernoulli", "--density",
+             "0.001", "--instances", "3"]
+    cfg = ExperimentConfig(q=3, suite="coverage", density=0.001, instances=3)
+    assert all(0 in map(len, generate_set(cfg, i)) for i in range(3))
+    checks = _cli_checks(capsys, *flags)
+    assert checks["discrepancy"] == checks["threshold-consistency"] == EMPTY_DRAWS
+    # The oracle checks draw their own nonempty sets and run as asked.
+    assert checks["route-agreement"] == {"instances": 20}
+
+
+def test_cli_lemmas_run_whose_only_draw_is_empty_skips_that_check(capsys):
+    # Seed 14's one Plancherel draw over F_3^2 is empty; its draws at d = 3 and 4 are not.
+    checks = _cli_checks(capsys, "--q", "3", "--suite", "lemmas", "--instances", "1",
+                         "--seed", "14")
+    assert checks["plancherel d=2"] == EMPTY_DRAWS
+    assert checks["plancherel d=3"]["instances"] == checks["plancherel d=4"]["instances"] == 1
 
 
 def test_cli_csv_requires_out():

@@ -1,22 +1,15 @@
 """Prime-field arithmetic, characters, and the rotation group."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqdist.errors import SizeGuardError
-from fqdist.field import (
-    MAX_MODULUS,
-    Rotation,
-    enumerate_so2,
-    is_prime,
-    make_field,
-    rotation_code_permutation,
-    rotation_inverse,
-    so2_orbit_check,
-)
-from field_oracles import quadratic_character, rotation_apply, rotation_compose
+from fqdist.field import MAX_MODULUS, enumerate_so2, is_prime, make_field, so2_orbit_check
+from field_oracles import quadratic_character, rotation_apply, rotation_compose, so2_pairs
 
 
 def test_is_prime_small_values():
@@ -74,50 +67,81 @@ def test_quadratic_character_q7():
 
 
 def test_so2_q3_frozen():
-    rots = enumerate_so2(make_field(3))
-    assert sorted((r.a, r.b) for r in rots) == [(0, 1), (0, 2), (1, 0), (2, 0)]
+    f = make_field(3)
+    assert so2_pairs(f) == [(0, 1), (0, 2), (1, 0), (2, 0)]
+    perms = enumerate_so2(f)
+    assert perms.dtype == np.int32 and perms.shape == (4, 9)
+    # Row 0 is (0, 1), the quarter turn (v1, v2) -> (-v2, v1) on the codes 3 v1 + v2.
+    assert perms[0].tolist() == [0, 6, 3, 1, 7, 4, 2, 8, 5]
 
 
 def test_so2_sizes():
     # q = 3 mod 4 gives q + 1 rotations; q = 1 mod 4 gives q - 1.
     for q, expected in [(3, 4), (7, 8), (11, 12), (19, 20), (23, 24), (5, 4), (13, 12)]:
         assert len(enumerate_so2(make_field(q))) == expected
-    # The field is immutable: the rotation layer caches nothing on it.
+    # The field is immutable: the rotation layer caches nothing on it, and
+    # each call returns a fresh table that its caller may sort in place.
     f = make_field(11)
     before = dict(vars(f))
-    enumerate_so2(f)
+    perms = enumerate_so2(f)
     so2_orbit_check(f)
     assert vars(f).keys() == before.keys()
     assert all(vars(f)[name] is value for name, value in before.items())
+    assert perms.flags.writeable and not np.shares_memory(perms, enumerate_so2(f))
+
+
+def test_so2_rows_match_rotation_apply():
+    # Row i is the code permutation of the i-th (a, b), at every plane vector.
+    for q in (3, 7, 11):
+        f = make_field(q)
+        perms = enumerate_so2(f)
+        assert len(perms) == len(so2_pairs(f))
+        for row, rot in zip(perms.tolist(), so2_pairs(f)):
+            images = (rotation_apply(f, rot, divmod(c, q)) for c in range(q * q))
+            assert row == [w1 * q + w2 for w1, w2 in images]
+
+
+def test_so2_table_peak_is_one_int32_table_at_q131():
+    # Rows are filled one at a time; an (|SO2|, q^2) int64 broadcast peaks at
+    # twice the table or more.
+    f = make_field(131)
+    tracemalloc.start()
+    try:
+        perms = enumerate_so2(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert perms.shape == (132, 131 * 131) and perms.dtype == np.int32
+    assert peak < 1.5 * perms.nbytes
 
 
 def test_rotation_apply_frozen():
     f = make_field(3)
-    r = Rotation(0, 1)
-    assert rotation_apply(f, r, (1, 0)) == (0, 1)
-    assert rotation_apply(f, r, (1, 2)) == (1, 1)
+    assert rotation_apply(f, (0, 1), (1, 0)) == (0, 1)
+    assert rotation_apply(f, (0, 1), (1, 2)) == (1, 1)
     # Identity fixes everything.
-    ident = Rotation(1, 0)
-    assert rotation_apply(f, ident, (2, 1)) == (2, 1)
+    assert rotation_apply(f, (1, 0), (2, 1)) == (2, 1)
 
 
 def test_rotation_group_laws_q7():
+    # The rows are a group under r[s] (s, then r): an identity row, closure,
+    # the inverse np.argsort(r) of each row, all rows distinct, and r[s] is
+    # the row of the oracle's product of their (a, b).
     f = make_field(7)
-    rots = enumerate_so2(f)
-    members = {(r.a, r.b) for r in rots}
-    ident = Rotation(1, 0)
-    for r in rots:
-        inv = rotation_inverse(f, r)
-        assert (inv.a, inv.b) in members
-        assert rotation_compose(f, r, inv) == ident
-        for s in rots:
-            comp = rotation_compose(f, r, s)
-            assert (comp.a, comp.b) in members
+    perms = enumerate_so2(f)
+    pairs = so2_pairs(f)
+    rows = {tuple(r): i for i, r in enumerate(perms.tolist())}
+    assert len(rows) == len(perms)
+    assert tuple(range(49)) in rows
+    for i, r in enumerate(perms):
+        assert tuple(np.argsort(r).tolist()) in rows
+        for j, s in enumerate(perms):
+            assert rows[tuple(r[s].tolist())] == pairs.index(rotation_compose(f, pairs[i], pairs[j]))
 
 
 def test_rotation_compose_matches_matrix_product():
     f = make_field(11)
-    rots = enumerate_so2(f)
+    rots = so2_pairs(f)
     rng = np.random.default_rng(0)
     for _ in range(20):
         r = rots[rng.integers(len(rots))]
@@ -137,18 +161,16 @@ def test_orbit_check_passes_for_3_mod_4():
 
 
 def test_orbit_check_names_the_first_failing_vector(monkeypatch):
-    # One rotation sends code 20 = (2, 6), of norm 5, where it sends code
-    # 21 = (3, 0), of norm 2; codes 1 .. 19 keep their circles.
+    # Row 3 of the table sends code 20 = (2, 6), of norm 5, where it sends
+    # code 21 = (3, 0), of norm 2; codes 1 .. 19 keep their circles.
     f = make_field(7)
-    broken = enumerate_so2(f)[3]
 
-    def patched(field, rot):
-        perm = rotation_code_permutation(field, rot)  # this module's name is not patched
-        if rot == broken:
-            perm[20] = perm[21]
-        return perm
+    def patched(field):
+        perms = enumerate_so2(field)  # this module's name is not patched
+        perms[3, 20] = perms[3, 21]
+        return perms
 
-    monkeypatch.setattr("fqdist.field.rotation_code_permutation", patched)
+    monkeypatch.setattr("fqdist.field.enumerate_so2", patched)
     rep = so2_orbit_check(f)
     assert (rep.passed, rep.vectors_checked, rep.counterexample) == (False, 19, (2, 6, "orbit"))
     assert rep.so2_size == 8
@@ -157,13 +179,16 @@ def test_orbit_check_names_the_first_failing_vector(monkeypatch):
 def test_orbit_check_gates():
     with pytest.raises(ValueError):
         so2_orbit_check(make_field(5))
+    # The size rule is enumerate_so2's, so the table refuses before any row is built.
     with pytest.raises(SizeGuardError):
         so2_orbit_check(make_field(991))
+    with pytest.raises(SizeGuardError):
+        enumerate_so2(make_field(991))
 
 
 def test_rotation_preserves_norm():
     f = make_field(7)
-    for r in enumerate_so2(f):
+    for r in so2_pairs(f):
         for v in [(1, 0), (2, 5), (6, 6)]:
             w = rotation_apply(f, r, v)
             assert (w[0] ** 2 + w[1] ** 2) % 7 == (v[0] ** 2 + v[1] ** 2) % 7

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 import fqdist.pair_spectrum as spectrum_module
 from fqdist.errors import PrecisionError, SizeGuardError
-from fqdist.field import (
-    Rotation,
-    enumerate_so2,
-    make_field,
-    rotation_code_permutation,
-)
+from fqdist.field import enumerate_so2, make_field
 from fqdist.fourier import forward_transform, indicator_table
 from fqdist.geometry import PointSet, all_norms
 from fqdist.pair_spectrum import (
@@ -36,7 +31,7 @@ from fqdist.rotation_energy import (
     rotation_correlation,
     sphere_restricted_mass,
 )
-from field_oracles import rotation_apply
+from field_oracles import rotation_apply, so2_pairs
 
 
 def _chain(e, f):
@@ -50,16 +45,6 @@ def _random_plane_pair_set(q, size, seed):
     return SplitPointSet(field, 2, 2, codes)
 
 
-def test_rotation_code_permutation_matches_pointwise():
-    f = make_field(7)
-    for rot in enumerate_so2(f)[:4]:
-        perm = rotation_code_permutation(f, rot)
-        for code in (0, 1, 13, 48):
-            v = (code // 7, code % 7)
-            w = rotation_apply(f, rot, v)
-            assert perm[code] == w[0] * 7 + w[1]
-
-
 def test_correlation_total_is_pair_count():
     e = _random_plane_pair_set(3, 20, 1)
     rots = enumerate_so2(e.field)
@@ -70,31 +55,32 @@ def test_correlation_total_is_pair_count():
 
 def test_correlation_identity_rotation_counts_differences():
     # r(u) counts the differences (x' - theta z', x'' - phi z''), recomputed
-    # here pair by pair through rotation_apply; the identity counts x - z.
-    ident = Rotation(1, 0)
+    # here pair by pair through rotation_apply on the rows' (a, b); the
+    # identity counts x - z.
     for q, size, seed in [(3, 15, 2), (3, 20, 21), (7, 40, 22)]:
         e = _random_plane_pair_set(q, size, seed)
-        rots = enumerate_so2(e.field)
+        perms, rots = enumerate_so2(e.field), so2_pairs(e.field)
+        ident = rots.index((1, 0))
         first = [(c // q, c % q) for c in e.first_codes().tolist()]
         second = [(c // q, c % q) for c in e.second_codes().tolist()]
-        for theta, phi in [(ident, ident), (rots[0], rots[-1]), (rots[1], ident)]:
+        for theta, phi in [(ident, ident), (0, len(rots) - 1), (1, ident)]:
             manual = np.zeros((q * q, q * q), dtype=np.int64)
             for x1, x2 in zip(first, second):
                 for z1, z2 in zip(first, second):
-                    r1 = rotation_apply(e.field, theta, z1)
-                    r2 = rotation_apply(e.field, phi, z2)
+                    r1 = rotation_apply(e.field, rots[theta], z1)
+                    r2 = rotation_apply(e.field, rots[phi], z2)
                     u1 = (x1[0] - r1[0]) % q * q + (x1[1] - r1[1]) % q
                     u2 = (x2[0] - r2[0]) % q * q + (x2[1] - r2[1]) % q
                     manual[u1, u2] += 1
-            assert np.array_equal(rotation_correlation(e, theta, phi), manual)
+            assert np.array_equal(rotation_correlation(e, perms[theta], perms[phi]), manual)
 
 
 def _coordinate_correlation(e, theta, phi):
     # r counted from int64 coordinate differences x - R z, pair by pair in one array.
     q = e.field.q
     x = e.coords().astype(np.int64)
-    rotated_codes = (rotation_code_permutation(e.field, theta)[e.first_codes()] * q * q
-                     + rotation_code_permutation(e.field, phi)[e.second_codes()])
+    rotated_codes = (theta[e.first_codes()].astype(np.int64) * q * q
+                     + phi[e.second_codes()])
     rotated = np.stack([rotated_codes // q ** p % q for p in (3, 2, 1, 0)], axis=1)
     codes = np.zeros((len(e), len(e)), dtype=np.int64)
     for i in range(4):
@@ -105,8 +91,8 @@ def _coordinate_correlation(e, theta, phi):
 def test_correlation_counts_match_int64_coordinate_count():
     # At the size of the energy benchmark's sets, the int32 table gathers
     # count the same pairs as int64 coordinate differences.  The rotated
-    # points come from rotation_code_permutation, which the test above pins
-    # to rotation_apply.
+    # points come from the rows of enumerate_so2, which
+    # test_so2_rows_match_rotation_apply pins to rotation_apply.
     e = _random_plane_pair_set(11, 1200, 23)
     rots = enumerate_so2(e.field)
     counts = rotation_correlation(e, rots[1], rots[3])
