@@ -36,6 +36,9 @@ NONCANONICAL = "tests/test_geometry.py::test_load_rejects_noncanonical_points"
 LOAD_FUZZ = "tests/test_geometry.py::test_load_matches_reference_parser"
 ENERGY_MEMORY_FLAT = _EXPERIMENTS + "test_suite_peak_memory_is_flat_in_instances[energy-11]"
 ENERGY_REFUSAL = _EXPERIMENTS + "test_cli_energy_refuses_an_e_above_the_scan_limit_before_any_work"
+EMPTY_COVERAGE = (_EXPERIMENTS
+                  + "test_cli_coverage_run_that_draws_only_empty_sets_skips_its_seeded_checks")
+EMPTY_LEMMAS = _EXPERIMENTS + "test_cli_lemmas_run_whose_only_draw_is_empty_skips_that_check"
 
 BUDGET_LINE = ("    budget = term_k * rho_k[:, None] + term_l * rho_l[None, :]"
                " + term_cross * np.outer(rho_k, rho_l)")
@@ -208,6 +211,13 @@ MUTANTS = (
            (ENERGY_MEMORY_FLAT,)),
     Mutant("energy-scan-limit-unchecked", "experiments.py", "    _require_scannable(n_e, n_e)",
            "    pass", (ENERGY_REFUSAL,)),
+    # One recorder decides every seeded check: its running worst and its skip.
+    Mutant("recorder-worst-is-last", "experiments.py",
+           "        self.worst = max(self.worst, value)", "        self.worst = value",
+           (_EXPERIMENTS + "test_coverage_worst_ratio_is_the_largest_over_every_instance",)),
+    Mutant("recorder-never-skips", "experiments.py",
+           "        if not self.checked:", "        if False:",
+           (EMPTY_COVERAGE, EMPTY_LEMMAS)),
     # Literal pair scans work in cache-sized chunks.
     Mutant("pair-chunk-4e6-cells", "pair_spectrum.py",
            "_BLOCK_CELLS = 2**16", "_BLOCK_CELLS = 4 * 10**6",

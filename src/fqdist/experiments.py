@@ -104,7 +104,7 @@ def substream(seed: int, *tags: int) -> np.random.Generator:
     mixed = 0
     for t in tags:
         mixed = (mixed * 1000003 + int(t) + 1) & _MASK
-    key = np.array([seed & _MASK, mixed], dtype=np.uint64)
+    key = np.array([seed, mixed], dtype=np.uint64)  # a seed outside [0, 2^64) raises
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown generator {self.generator!r}; choose from {GENERATORS}")
         if self.density is not None and not 0.0 < self.density <= 1.0:
             raise ValueError("density must be in (0, 1]")
+        if not 0 <= self.seed <= _MASK:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.instances < 1 or self.oracle_instances < 0:
             raise ValueError("instances must be >= 1 and oracle instances >= 0")
         if not 1 <= self.budget <= MAX_SEARCH_SPACE:
@@ -356,29 +358,31 @@ def _skip(name: str, operation: str, reason: str) -> CheckResult:
 
 
 class _Check:
-    """A seeded check that keeps where it first failed: instance, seed and cell.
+    """The one recorder of a seeded check: what it checked, its worst value and first failure.
 
-    The same flags with --instances instance+1 rerun that failure (--oracle-instances
-    instance+1 for the oracle checks route-agreement and quadruple-count).
+    Every checked instance is recorded, passing or failing.  A check that
+    checked no instance is skipped, not passed.  The first failure keeps its
+    instance, seed and cell: the same flags with --instances instance+1 rerun
+    it (--oracle-instances instance+1 for route-agreement and quadruple-count).
     """
 
     def __init__(self, cfg: ExperimentConfig, name: str, operation: str):
         self.cfg, self.name, self.operation = cfg, name, operation
+        self.checked = 0
+        self.worst = 0.0  # the largest value recorded
         self.first_failure: dict | None = None
 
-    def record(self, ok: bool, instance: int, cell=None) -> None:
-        """Note one instance's outcome; only the first failure is kept."""
+    def record(self, ok: bool, instance: int, cell=None, value: float = 0.0) -> None:
+        """Note one checked instance's outcome and value; only the first failure is kept."""
+        self.checked += 1
+        self.worst = max(self.worst, value)
         if not ok and self.first_failure is None:
             self.first_failure = {"instance": instance, "seed": self.cfg.seed, "cell": cell}
 
-    def result(self, payload: dict, ok: bool = True, checked: bool = True) -> CheckResult:
-        """Pass iff no instance failed and ok holds; the payload gains first_failure if one did.
-
-        A run whose every drawn set was empty checked nothing (checked False)
-        and is reported as skipped, not as passed.
-        """
-        if not checked:
-            return _skip(self.name, self.operation, "every drawn set was empty")
+    def result(self, payload: dict, ok: bool = True) -> CheckResult:
+        """Pass iff no instance failed and ok holds; the payload gains first_failure if one did."""
+        if not self.checked:
+            return _skip(self.name, self.operation, "no instance was checked")
         if self.first_failure is not None:
             payload["first_failure"] = self.first_failure
         return CheckResult(self.name, self.operation, ok and self.first_failure is None, payload)
@@ -430,8 +434,6 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
 
     for d in dims:
         check = _Check(cfg, f"plancherel d={d}", "plancherel_gap")
-        worst_rel = 0.0
-        checked = False
         for i in range(cfg.instances):
             gen = substream(cfg.seed, _T_PLANCHEREL, d, i)
             density = 0.1 + 0.8 * float(gen.random())
@@ -442,11 +444,9 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
                 continue
             scale = support / q**d
             rel = plancherel_gap(table) / scale
-            check.record(rel <= 1e-9, i)
-            worst_rel = max(worst_rel, rel)
-            checked = True
+            check.record(rel <= 1e-9, i, value=rel)
         checks.append(check.result(
-            {"d": d, "instances": cfg.instances, "max_relative_gap": worst_rel}, checked=checked))
+            {"d": d, "instances": cfg.instances, "max_relative_gap": check.worst}))
 
     # Round-trip and the defining-sum route, on the largest ambient that the
     # quadratic route still allows.
@@ -470,8 +470,6 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
 
     # Exact phase histograms against the float coefficients.
     check = _Check(cfg, "phase-histogram-agreement", "exact_phase_histogram")
-    phase_worst = 0.0
-    checked = False
     for i in range(min(cfg.instances, 20)):
         gen = substream(cfg.seed, _T_PHASE, i)
         d = int(gen.integers(2, 1 + max(2, dims[-1])))
@@ -483,10 +481,8 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
         hist = exact_phase_histogram(ps, m)
         spec = forward_transform(indicator_table(ps))
         gap = float(abs(hist.coefficient() - spec.coeffs[encode_vectors(q, m)]))
-        check.record(gap <= 1e-10, i, m)
-        phase_worst = max(phase_worst, gap)
-        checked = True
-    checks.append(check.result({"max_abs_disagreement": phase_worst}, checked=checked))
+        check.record(gap <= 1e-10, i, m, gap)
+    checks.append(check.result({"max_abs_disagreement": check.worst}))
 
     if field.q_mod_4 == 3:
         rep = so2_orbit_check(field)
@@ -515,20 +511,19 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
     # Marginal mass lemma: random sets plus the saturating single fiber.
     k, l = cfg.k, cfg.l
     check = _Check(cfg, "marginal-mass", "marginal_spectral_mass")
-    mm_float_worst = 0.0
     for i in range(cfg.instances):
         gen = substream(cfg.seed, _T_MASS, i)
         density = 0.05 + 0.9 * float(gen.random())
         codes = np.nonzero(gen.random(q ** (k + l)) < density)[0]
         e = SplitPointSet(field, k, l, codes)
         rep = marginal_spectral_mass(e)
-        check.record(rep.holds and rep.float_agrees, i)
-        mm_float_worst = max(mm_float_worst, abs(rep.float_value - float(rep.exact)))
+        check.record(rep.holds and rep.float_agrees, i,
+                     value=abs(rep.float_value - float(rep.exact)))
     fiber = SplitPointSet.product(
         PointSet(field, k, [min(1, q**k - 1)]), PointSet.full(field, l))
     sat = marginal_spectral_mass(fiber)
     checks.append(check.result(
-        {"instances": cfg.instances, "max_float_gap": mm_float_worst,
+        {"instances": cfg.instances, "max_float_gap": check.worst,
          "saturating_fiber_exact": str(sat.exact), "saturated": sat.saturated},
         ok=sat.holds and sat.saturated and sat.float_agrees))
 
@@ -540,8 +535,6 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
                             f"q^4 = {q**4} exceeds the enumeration limit"))
     else:
         check = _Check(cfg, "sphere-restricted-mass", "sphere_restricted_mass")
-        sm_worst = 0.0
-        checked = False
         for i in range(cfg.instances):
             gen = substream(cfg.seed, _T_MASS, 1000 + i)
             density = 0.05 + 0.9 * float(gen.random())
@@ -551,11 +544,9 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
                 continue
             rep = sphere_restricted_mass(e)
             a = 1 + int(np.argmin(rep.holds[1:]))  # the least failing radius, if one fails
-            check.record(rep.holds[a], i, a)
-            sm_worst = max(sm_worst, float(np.max(rep.values[1:] / rep.bound)))
-            checked = True
-        checks.append(check.result({"instances": cfg.instances, "max_value_over_bound": sm_worst},
-                                   checked=checked))
+            check.record(rep.holds[a], i, a, float(np.max(rep.values[1:] / rep.bound)))
+        checks.append(check.result({"instances": cfg.instances,
+                                    "max_value_over_bound": check.worst}))
 
     return checks, circle_table
 
@@ -589,7 +580,6 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
     # Discrepancy certificate on seeded instances.
     disc = _Check(cfg, "discrepancy", "discrepancy_report")
     consistency = _Check(cfg, "threshold-consistency", "surjectivity_check")
-    max_ratio = 0.0
     spectra = {}  # instance -> its pair spectrum
     for i in range(cfg.instances):
         e, f = generate_set(cfg, i)
@@ -599,13 +589,12 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
         if i == 0:
             table = spectrum.s.tolist()
         rep = discrepancy_report(spectrum)
-        if not rep.all_ok:
-            disc.record(False, i, np.argwhere(~rep.cell_ok)[0].tolist())
-        max_ratio = max(max_ratio, rep.max_ratio)
+        disc.record(rep.all_ok, i, None if rep.all_ok else np.argwhere(~rep.cell_ok)[0].tolist(),
+                    rep.max_ratio)
         consistency.record(surjectivity_check(spectrum).consistent, i)
     checks.append(disc.result({"instances": cfg.instances, "generator": cfg.generator,
-                               "max_error_over_budget": max_ratio}, checked=bool(spectra)))
-    checks.append(consistency.result({"instances": cfg.instances}, checked=bool(spectra)))
+                               "max_error_over_budget": disc.worst}))
+    checks.append(consistency.result({"instances": cfg.instances}))
 
     # Full space and seeded near-full deletions, where the threshold is live.
     ambient = q ** (k + l)
@@ -638,7 +627,6 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
     small_cap = min(300, ambient)
     agree = _Check(cfg, "route-agreement", "pair_spectrum_fast")
     quadruple = _Check(cfg, "quadruple-count", "spectrum_energy")
-    energy_checked = 0
     for i in range(cfg.oracle_instances):
         gen = substream(cfg.seed, _T_ORACLE, i)
         tiny = i % 2 == 1
@@ -649,13 +637,12 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
         f = SplitPointSet(field, k, l, gen.choice(ambient, size=nf, replace=False))
         fast = pair_spectrum_fast(e, f)
         naive = pair_spectrum_naive(e, f)
-        if not np.array_equal(fast.s, naive.s):
-            agree.record(False, i, np.argwhere(fast.s != naive.s)[0].tolist())
+        same = np.array_equal(fast.s, naive.s)
+        agree.record(same, i, None if same else np.argwhere(fast.s != naive.s)[0].tolist())
         if len(e) <= 40 and len(f) <= 40:
-            energy_checked += 1
             quadruple.record(spectrum_energy(fast) == spectrum_energy_bruteforce(e, f), i)
     checks.append(agree.result({"instances": cfg.oracle_instances}))
-    checks.append(quadruple.result({"instances": energy_checked}))
+    checks.append(quadruple.result({"instances": quadruple.checked}))
     return checks, table
 
 
@@ -703,7 +690,6 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
         "energy-chain", "zero-frequency-term", "frequency-split", "orbit-weight-identity"))
     correlation = _Check(cfg, "correlation-transform", "correlation_transform_check")
     min_bound = _Check(cfg, "coverage-min-bound", "coverage_min_bound")
-    max_split = max_dev = max_emp_c = 0.0
     for i, (e, f) in enumerate(pairs):
         spectrum = pair_spectrum(e, f)
         if i == 0:
@@ -716,23 +702,20 @@ def _energy_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | Non
         bound = coverage_min_bound(chain, spectrum, cfg.constant_c)
         energy_chain.record(chain.holds, i)
         zero.record(chain.zero_agrees, i)
-        split.record(chain.split_ok, i)
+        split.record(chain.split_ok, i, value=chain.split_residual)
         orbit.record(chain.overcount_matches, i)
-        correlation.record(all(rep.passed for rep in reps), i, worst_cell)
-        min_bound.record(bound.holds or not bound.c_dominates, i)
-        max_split = max(max_split, chain.split_residual)
-        max_dev = max(max_dev, worst.max_deviation)
-        max_emp_c = max(max_emp_c, bound.empirical_c)
+        correlation.record(all(rep.passed for rep in reps), i, worst_cell, worst.max_deviation)
+        min_bound.record(bound.holds or not bound.c_dominates, i, value=bound.empirical_c)
 
     checks += [
         energy_chain.result({"instances": n_instances, "size_cap": cap}),
         zero.result({"instances": n_instances, "formula": "|SO2|^2 |E|^2 |F|^2 / q^4",
                      "so2_size": so2_size}),
-        split.result({"instances": n_instances, "max_relative_residual": max_split}),
+        split.result({"instances": n_instances, "max_relative_residual": split.worst}),
         orbit.result({"instances": n_instances}),
-        correlation.result({"instances": n_instances, "max_deviation": max_dev}),
+        correlation.result({"instances": n_instances, "max_deviation": correlation.worst}),
         min_bound.result({"instances": n_instances, "constant_c": cfg.constant_c,
-                          "max_empirical_c": max_emp_c}),
+                          "max_empirical_c": min_bound.worst}),
     ]
     return checks, table
 
@@ -796,8 +779,7 @@ def _sharpness_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Ch
             e, f = _product_pair(*factors)
             pairs = achieved_pairs(pair_spectrum(e, f))
             law = {(s, t) for s in distance_set(a, c) for t in distance_set(b, d)}
-            if pairs != law:
-                check.record(False, parameter, list(min(pairs ^ law)))
+            check.record(pairs == law, parameter, None if pairs == law else list(min(pairs ^ law)))
             runs.append((parameter, a, len(e), len(f), pairs))
 
         parameter, a, size_e, size_f, pairs = runs[0]

@@ -84,7 +84,8 @@ def enumerate_so2(field: PrimeField) -> np.ndarray:
     """
     q = field.q
     if q * q * (q + 2) > 5 * 10**7:
-        raise SizeGuardError(f"the SO2 table holds q^2 (q+1) codes; q = {q} is too large")
+        raise SizeGuardError(f"the SO2 table is refused where q^2 (q+2) > 5e7; "
+                             f"q = {q} gives {q * q * (q + 2)}")
     squares = np.arange(q) ** 2 % q
     rotations = np.argwhere((squares[:, None] + squares[None, :]) % q == 1)  # lexicographic (a, b)
     v1, v2 = np.divmod(np.arange(q * q, dtype=np.int64), q)

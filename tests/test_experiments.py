@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from fqdist.cli import main as cli_main
 from fqdist.errors import SizeGuardError
 from fqdist.experiments import (
+    _T_ORACLE,
     GENERATORS,
     MAX_SEARCH_SPACE,
     SUITES,
@@ -35,7 +36,13 @@ from fqdist.experiments import (
 )
 from fqdist.field import enumerate_so2, make_field
 from fqdist.geometry import PointSet, save_point_set
-from fqdist.pair_spectrum import SplitPointSet, achieved_pairs, distance_set, pair_spectrum
+from fqdist.pair_spectrum import (
+    SplitPointSet,
+    achieved_pairs,
+    discrepancy_report,
+    distance_set,
+    pair_spectrum,
+)
 
 
 def _cli(*args):
@@ -979,7 +986,7 @@ def _cli_checks(capsys, *flags):
     return {c["name"]: c["payload"] for c in json.loads(capsys.readouterr().out)["checks"]}
 
 
-EMPTY_DRAWS = {"skipped": True, "reason": "every drawn set was empty"}
+NOTHING_CHECKED = {"skipped": True, "reason": "no instance was checked"}
 
 
 def test_cli_coverage_run_that_draws_only_empty_sets_skips_its_seeded_checks(capsys):
@@ -989,7 +996,7 @@ def test_cli_coverage_run_that_draws_only_empty_sets_skips_its_seeded_checks(cap
     cfg = ExperimentConfig(q=3, suite="coverage", density=0.001, instances=3)
     assert all(0 in map(len, generate_set(cfg, i)) for i in range(3))
     checks = _cli_checks(capsys, *flags)
-    assert checks["discrepancy"] == checks["threshold-consistency"] == EMPTY_DRAWS
+    assert checks["discrepancy"] == checks["threshold-consistency"] == NOTHING_CHECKED
     # The oracle checks draw their own nonempty sets and run as asked.
     assert checks["route-agreement"] == {"instances": 20}
 
@@ -998,8 +1005,44 @@ def test_cli_lemmas_run_whose_only_draw_is_empty_skips_that_check(capsys):
     # Seed 14's one Plancherel draw over F_3^2 is empty; its draws at d = 3 and 4 are not.
     checks = _cli_checks(capsys, "--q", "3", "--suite", "lemmas", "--instances", "1",
                          "--seed", "14")
-    assert checks["plancherel d=2"] == EMPTY_DRAWS
+    assert checks["plancherel d=2"] == NOTHING_CHECKED
     assert checks["plancherel d=3"]["instances"] == checks["plancherel d=4"]["instances"] == 1
+
+
+def test_cli_quadruple_count_that_checked_no_instance_skips(capsys):
+    # Seed 0's only oracle draw at q = 7 has a set above the quadruple count's 40 points.
+    gen = substream(0, _T_ORACLE, 0)
+    assert max(int(gen.integers(1, 301)), int(gen.integers(1, 301))) > 40
+    checks = _cli_checks(capsys, "--q", "7", "--suite", "coverage", "--instances", "1",
+                         "--oracle-instances", "1", "--seed", "0")
+    assert checks["quadruple-count"] == NOTHING_CHECKED
+    assert checks["route-agreement"] == {"instances": 1}
+
+
+def test_cli_no_oracle_instances_skips_both_oracle_checks(capsys):
+    checks = _cli_checks(capsys, "--q", "7", "--suite", "coverage", "--instances", "1",
+                         "--oracle-instances", "0")
+    assert checks["route-agreement"] == checks["quadruple-count"] == NOTHING_CHECKED
+
+
+def test_coverage_worst_ratio_is_the_largest_over_every_instance():
+    # Instance 0 is the worst of four at q = 5, seed 0, so the last one is not.
+    cfg = ExperimentConfig(q=5, suite="coverage", instances=4, oracle_instances=0)
+    ratios = [discrepancy_report(pair_spectrum(*generate_set(cfg, i))).max_ratio
+              for i in range(cfg.instances)]
+    assert ratios[-1] < max(ratios)
+    disc = next(c for c in run_suite(cfg).checks if c.name == "discrepancy")
+    assert disc.payload["max_error_over_budget"] == max(ratios)
+
+
+@pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (2**64 - 1, 0)])
+def test_cli_takes_a_seed_only_below_2_64(seed, code):
+    # substream keys Philox with the seed as a uint64; reduced mod 2^64, it would alias another.
+    p = _cli("--q", "7", "--suite", "coverage", "--instances", "1", "--oracle-instances", "1",
+             "--seed", str(seed))
+    assert p.returncode == code
+    assert (p.stdout == "") == (code == 2)
+    assert ("seed must be in [0, 2^64)" in p.stderr) == (code == 2)
 
 
 def test_cli_csv_requires_out():
