@@ -39,6 +39,8 @@ ENERGY_REFUSAL = _EXPERIMENTS + "test_cli_energy_refuses_an_e_above_the_scan_lim
 EMPTY_COVERAGE = (_EXPERIMENTS
                   + "test_cli_coverage_run_that_draws_only_empty_sets_skips_its_seeded_checks")
 EMPTY_LEMMAS = _EXPERIMENTS + "test_cli_lemmas_run_whose_only_draw_is_empty_skips_that_check"
+BLANK_LINES_PLAIN = "tests/test_geometry.py::test_load_reads_blank_lines_between_points_in_one_pass"
+REAL_ROUTE = _PAIR + "test_class_route_equals_literal_scan"
 
 BUDGET_LINE = ("    budget = term_k * rho_k[:, None] + term_l * rho_l[None, :]"
                " + term_cross * np.outer(rho_k, rho_l)")
@@ -57,6 +59,8 @@ CHAIN_ZERO_LINE = "        zero_term=zero_formula, zero_agrees=zero_agrees, mixe
 DECAY_TAKE_LINE = '        np.take(roots, t - rest_norms, axis=0, out=arr, mode="wrap")  # rows mod q'
 DECAY_ROOTS_LINE = ("    roots = _real_half_transform(squares[:, None] == np.arange(q), q, 1)"
                     ".reshape(q, h)")
+REAL_WEIGHT_LINE = ("    weight = np.where(frequencies == 0, 1.0, 2.0)"
+                    "  # a nonzero frequency stands for -m too")
 SO2_ROW_LINE = "        row[:] = (a * v1 - b * v2) % q * q + (b * v1 + a * v2) % q"
 FROMSTRING_LINE = '        values = np.fromstring(flat, dtype=np.int64, sep=",").reshape(rows, d)'
 
@@ -204,6 +208,14 @@ MUTANTS = (
            "    rest_norms = all_norms(q, d)[-q ** (d - 1):]", (DECAY_FRESH,)),
     Mutant("decay-scan-unscaled", "fourier.py",
            "        np.multiply(coeffs, float(q) ** -d, out=coeffs)", "        pass", (DECAY_FRESH,)),
+    # The pair spectrum's real cos/sin basis: its kernel rows and the class table's weights.
+    Mutant("real-basis-nonzero-weight-1", "fourier.py", REAL_WEIGHT_LINE,
+           REAL_WEIGHT_LINE.replace("1.0, 2.0", "1.0, 1.0"), (REAL_ROUTE,)),
+    Mutant("real-basis-zero-weight-2", "fourier.py", REAL_WEIGHT_LINE,
+           REAL_WEIGHT_LINE.replace("1.0, 2.0", "2.0, 2.0"), (REAL_ROUTE,)),
+    Mutant("real-basis-sin-rows-as-cos", "fourier.py",
+           "    kernel = np.concatenate([np.cos(phases), np.sin(phases[1:])])",
+           "    kernel = np.concatenate([np.cos(phases), np.cos(phases[1:])])", (REAL_ROUTE,)),
     # The energy suite draws each pair on demand and checks the scan limit before any work.
     Mutant("energy-pairs-kept-alive", "experiments.py",
            "        pairs = (_energy_pair(cfg, field, i, cap) for i in range(n_instances))",
@@ -229,8 +241,11 @@ MUTANTS = (
     Mutant("plain-read-blank-runs-kept", "geometry.py",
            '        while b"  " in marks:', "        while False:", (NONCANONICAL, LOAD_FUZZ)),
     Mutant("plain-read-any-comma-count", "geometry.py",
-           '    if skeleton != b"\\n" + (b"," * (d - 1) + b"\\n") * rows:  # d - 1 commas on every line',
-           "    if False:", (NONCANONICAL, LOAD_FUZZ)),
+           '    return rows if skeleton == b"\\n" + (b"," * (d - 1) + b"\\n") * rows else None',
+           "    return rows", (NONCANONICAL, LOAD_FUZZ)),
+    Mutant("plain-read-d1-empty-lines-kept", "geometry.py",
+           '    if (rows is None or d == 1) and b"\\n\\n" in data:',
+           '    if rows is None and b"\\n\\n" in data:', (BLANK_LINES_PLAIN,)),
     Mutant("plain-read-lone-minus", "geometry.py",
            '    if b"-" in flat and b"-," in flat:  # a token that ends in -, such as a lone -',
            "    if False:", (NONCANONICAL, LOAD_FUZZ)),

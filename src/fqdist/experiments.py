@@ -446,7 +446,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
             rel = plancherel_gap(table) / scale
             check.record(rel <= 1e-9, i, value=rel)
         checks.append(check.result(
-            {"d": d, "instances": cfg.instances, "max_relative_gap": check.worst}))
+            {"d": d, "instances": check.checked, "max_relative_gap": check.worst}))
 
     # Round-trip and the defining-sum route, on the largest ambient that the
     # quadratic route still allows.
@@ -545,7 +545,7 @@ def _lemmas_checks(cfg: ExperimentConfig, field: PrimeField) -> tuple[list[Check
             rep = sphere_restricted_mass(e)
             a = 1 + int(np.argmin(rep.holds[1:]))  # the least failing radius, if one fails
             check.record(rep.holds[a], i, a, float(np.max(rep.values[1:] / rep.bound)))
-        checks.append(check.result({"instances": cfg.instances,
+        checks.append(check.result({"instances": check.checked,
                                     "max_value_over_bound": check.worst}))
 
     return checks, circle_table
@@ -592,9 +592,9 @@ def _coverage_checks(cfg: ExperimentConfig, field: PrimeField, sets: SetPair | N
         disc.record(rep.all_ok, i, None if rep.all_ok else np.argwhere(~rep.cell_ok)[0].tolist(),
                     rep.max_ratio)
         consistency.record(surjectivity_check(spectrum).consistent, i)
-    checks.append(disc.result({"instances": cfg.instances, "generator": cfg.generator,
+    checks.append(disc.result({"instances": disc.checked, "generator": cfg.generator,
                                "max_error_over_budget": disc.worst}))
-    checks.append(consistency.result({"instances": cfg.instances}))
+    checks.append(consistency.result({"instances": consistency.checked}))
 
     # Full space and seeded near-full deletions, where the threshold is live.
     ambient = q ** (k + l)

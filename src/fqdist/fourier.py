@@ -6,11 +6,15 @@ and inversion carries no normalization:
     f(x) = sum_m chi(x.m) f_hat(m).
 Plancherel then reads sum_m |f_hat(m)|^2 = q^-d * sum_x |f(x)|^2.
 
-The workhorse is a separable axis-at-a-time transform: d passes, each one
-matrix product of the q x q character kernel with the table's leading axis and
-one copy that moves that axis last, so after d passes the axes are back in
-order.  A defining-sum implementation is kept alongside as an independent
-route for self-tests; it is quadratic in q^d and guarded.
+One engine, two kernels.  The engine is a separable axis-at-a-time
+transform (_contract_axes): d passes, each one matrix product of a q x q
+kernel with the table's leading axis and one copy that moves that axis last,
+so after d passes the axes are back in order.  The complex character kernel
+(_kernel) gives the transforms below; the real cos/sin kernel (_real_kernel)
+gives a real table's transform in float64 (_real_transform), which the pair
+spectrum reads through the class table weighted by the real basis
+(_real_sphere_characters).  A defining-sum implementation is kept alongside
+as an independent route for self-tests; it is quadratic in q^d and guarded.
 
 The sphere decay certificate transforms real indicators, whose spectra obey
 f_hat(-m) = conj(f_hat(m)).  Every nonzero m is +- a frequency with
@@ -23,7 +27,8 @@ are bit-identical to a fresh _real_half_transform of each sphere's
 indicator.  forward_transform and inverse_transform give the full spectrum.
 
 The sphere transforms' other facts live here too: the per-radius sup
-sigma_d(t) (_sphere_sup) and the table by norm class (_sphere_characters).
+sigma_d(t) (_sphere_sup), the table by norm class (_sphere_characters) and
+its real-basis form (_real_sphere_characters).
 """
 
 from __future__ import annotations
@@ -54,14 +59,31 @@ def _kernel(q: int) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=32)
+def _real_kernel(q: int) -> np.ndarray:
+    """R[r, x] at odd q: cos(2 pi r x / q) for r <= q // 2, then sin(2 pi m x / q)
+    for m = 1, ..., q // 2 in rows q // 2 + 1, ... (read-only).
+
+    A real table's transform in this basis holds the same facts as its
+    complex spectrum: with C and S its cos and sin rows, f_hat(+-m) =
+    C(m) -+ i S(m) unnormalised.
+    """
+    h = q // 2 + 1
+    phases = 2.0 * np.pi * np.outer(np.arange(h), np.arange(q)) / q
+    kernel = np.concatenate([np.cos(phases), np.sin(phases[1:])])
+    kernel.setflags(write=False)
+    return kernel
+
+
 def _contract_axes(arr: np.ndarray, q: int, kernel: np.ndarray, axes: int,
                    product: np.ndarray | None = None) -> np.ndarray:
-    """Contract the leading axis of a C-ordered complex table with kernel and
-    move it last, `axes` times: one matrix product into a buffer and one copy
-    back per axis.  arr is overwritten and returned flat.  product is the
-    caller's (q, arr.size // q) complex buffer, or a fresh one when None."""
+    """Contract the leading axis of a C-ordered table with kernel and move it
+    last, `axes` times: one matrix product into a buffer and one copy back per
+    axis.  arr is overwritten and returned flat.  product is the caller's
+    (q, arr.size // q) buffer, or a fresh one of arr's dtype when None: a
+    complex table with the complex kernel, a float64 one with the real kernel."""
     if product is None:
-        product = np.empty((q, arr.size // q), dtype=np.complex128)
+        product = np.empty((q, arr.size // q), dtype=arr.dtype)
     for _ in range(axes):
         np.matmul(kernel, arr.reshape(q, -1), out=product)
         arr.reshape(-1, q)[...] = product.T
@@ -87,6 +109,14 @@ def _real_half_transform(values: np.ndarray, q: int, d: int) -> np.ndarray:
     arr.real = (kernel.real[:h] @ flat).T
     arr.imag = (kernel.imag[:h] @ flat).T
     return _contract_axes(arr, q, kernel, d - 1)
+
+
+def _real_transform(ps: PointSet) -> np.ndarray:
+    """Unnormalised transform of the set's indicator in the basis of
+    _real_kernel, at odd q: a float64 table indexed like codes, from d passes
+    of _contract_axes."""
+    q = ps.field.q
+    return _contract_axes(indicator_table(ps).values, q, _real_kernel(q), ps.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +327,29 @@ def _sphere_characters(q: int, d: int) -> np.ndarray:
         for m_j in rep:
             phases = ((phases[:, None] + m_j * axis[None, :]) % q).reshape(-1)
         table[:, c] = np.bincount(norms, weights=cosines[phases], minlength=q)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=32)
+def _real_sphere_characters(q: int, d: int) -> np.ndarray:
+    """B[a, r] = w(r) G[a, cls(m_r)] over the codes r of the real basis of F_q^d (read-only).
+
+    m_r is the frequency vector of r's rows of _real_kernel, and w(r) is 2 to
+    the number of m_r's nonzero coordinates: flipping their signs gives w(r)
+    frequencies of one class, and the sum of P = E_hat conj(F_hat), both
+    unnormalised, over them is w(r) times the sum of T_E T_F over the codes
+    with that m_r, as the mixed cos/sin terms cancel.  So sum_m P(m) G[a,
+    cls(m)] = sum_r B[a, r] T_E(r) T_F(r), with T from _real_transform.
+    """
+    h = q // 2 + 1
+    frequencies = np.concatenate([np.arange(h), np.arange(1, h)])  # of _real_kernel's rows
+    weight = np.where(frequencies == 0, 1.0, 2.0)  # a nonzero frequency stands for -m too
+    codes, weights = np.zeros(1, dtype=np.int64), np.ones(1)  # the codes of m_r, and w(r)
+    for _ in range(d):
+        codes = (codes[:, None] * q + frequencies[None, :]).reshape(-1)
+        weights = (weights[:, None] * weight[None, :]).reshape(-1)
+    table = _sphere_characters(q, d)[:, _norm_classes(q, d)[codes]] * weights
     table.setflags(write=False)
     return table
 

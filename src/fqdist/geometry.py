@@ -194,6 +194,13 @@ _MARKS = bytes.maketrans(_NUMBER + b"\t", b"d" * len(_NUMBER) + b" ")
 _CONTENT = bytes(int(b not in b" \t\r\v\f\n") for b in range(256))
 
 
+def _skeleton_rows(data: bytes, d: int) -> int | None:
+    """The number of lines of data, which starts with \n, if each holds d - 1 commas, else None."""
+    skeleton = data.translate(None, _NUMBER)
+    rows = (len(skeleton) - 1) // d
+    return rows if skeleton == b"\n" + (b"," * (d - 1) + b"\n") * rows else None
+
+
 def _read_plain(data: bytes, q: int, d: int) -> np.ndarray | None:
     """The (n, d) points of plain data, one row per line that is not all blanks,
     or None unless the grammar reads the same points, each in [0, q)^d.
@@ -212,11 +219,14 @@ def _read_plain(data: bytes, q: int, d: int) -> np.ndarray | None:
         if b"d d" in marks:  # blanks inside a token, as in 3 3 or - 0
             return None
         data = data.translate(None, b" \t")
-    while b"\n\n" in data:  # a line that was empty or all blanks
-        data = data.replace(b"\n\n", b"\n")
-    skeleton = data.translate(None, _NUMBER)
-    rows = (len(skeleton) - 1) // d
-    if skeleton != b"\n" + (b"," * (d - 1) + b"\n") * rows:  # d - 1 commas on every line
+    rows = _skeleton_rows(data, d)
+    # At d > 1 every line of a matching skeleton holds a comma, so only a
+    # skeleton that fails, or d = 1, can hide a line that was empty or all blanks.
+    if (rows is None or d == 1) and b"\n\n" in data:
+        while b"\n\n" in data:
+            data = data.replace(b"\n\n", b"\n")
+        rows = _skeleton_rows(data, d)
+    if rows is None:
         return None
     flat = data[1:].replace(b"\n", b",")
     if b"-" in flat and b"-," in flat:  # a token that ends in -, such as a lone -

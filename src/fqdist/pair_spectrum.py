@@ -7,9 +7,10 @@ matrix
 where |.| is the sum-of-squares norm.  Everything downstream (coverage sets,
 discrepancy certificates, energy identities) reads off this matrix, so two
 independent routes compute it: a literal pair scan and, at odd q, a transform
-route that sums the cross spectrum q^d E_hat conj(F_hat) by the norm classes
-of its two frequency blocks and maps the class sums to s through the sphere
-transforms (pair_spectrum_fast), snapped to integers with a hard-checked
+route (pair_spectrum_fast).  The transform route takes one real cos/sin
+transform of each set's indicator and maps the product of the two through
+each block's sphere transforms, weighted by the sign orbits of the real
+basis: two small matrix products, snapped to integers with a hard-checked
 rounding.  The certificates take the PairSpectrum they read as their input
 and never compute one; pair_spectrum picks the route for the suites.
 
@@ -18,8 +19,8 @@ the split: PointSet validates and stores the codes, and the subclass adds
 each half's codes and computes its full indicator transform at most once
 (SplitPointSet.transform), for the checks that read all of it: the
 difference histogram of the energy chain, the marginal mass and the
-rotation-energy checks.  The pair spectrum
-reads only half of each set's real spectrum and leaves that cache alone.
+rotation-energy checks.  The pair spectrum's real transform is not cached
+and leaves that cache alone.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .errors import PrecisionError, SizeGuardError
 from .field import PrimeField
 from .fourier import (
     SpectralTable,
-    _norm_classes,
-    _real_half_transform,
-    _sphere_characters,
+    _real_sphere_characters,
+    _real_transform,
     _sphere_sup,
     forward_transform,
     indicator_table,
@@ -224,37 +224,28 @@ def _snap(values: np.ndarray, what: str) -> np.ndarray:
     return snapped.astype(np.int64)
 
 
-def _half_spectrum(e: SplitPointSet) -> np.ndarray:
-    """sum_x chi(-x.m) 1_E(x) at the frequencies with m_1 <= q/2 (fourier._real_half_transform)."""
-    return _real_half_transform(indicator_table(e).values, e.field.q, e.d)
-
-
 def pair_spectrum_fast(e: SplitPointSet, f: SplitPointSet) -> PairSpectrum:
-    """Transform route at odd q: s = q^-d G_k M G_l^T over norm classes.
+    """Transform route at odd q: s = q^-d B_k (T_E T_F) B_l^T in the real basis.
 
-    With P = q^d E_hat conj(F_hat), the transform of the difference histogram,
-    s(a, b) = sum_m P(m) G_k[a, cls(m')] G_l[b, cls(m'')] (see
-    _sphere_characters), so s needs only M[c1, c2], the sum of P over the
-    frequencies whose blocks fall in classes (c1, c2): no inversion.  P(-m) =
-    conj(P(m)) and cls(-m) = cls(m), so M is real and is a bincount of
-    Re(P) over the half spectrum m_1 <= q/2 of each set, with weight 2 on the
-    rows m_1 != 0, which stand for their mirrors too.  Each distinct set is
-    half-transformed once per call (F is E: once).  The result is snapped
-    to integers; a residue above CONVOLUTION_RESIDUE raises PrecisionError.
+    With P = E_hat conj(F_hat), both unnormalised, P is q^d times the
+    transform of the difference histogram, so s(a, b) = q^-d sum_m P(m)
+    G_k[a, cls(m')] G_l[b, cls(m'')] (see _sphere_characters): no inversion.
+    Each block's classes are unchanged by a sign flip of any coordinate, so
+    the sum runs over the real cos/sin basis of fourier._real_kernel, with T
+    each set's real transform reshaped to (q^k, q^l) and B_d its weighted
+    class table (fourier._real_sphere_characters).  Each distinct set is
+    transformed once per call (F is E: once).  The result is snapped to
+    integers; a residue above CONVOLUTION_RESIDUE raises PrecisionError.
     At q = 2 the norm is linear and the class identity fails: ValueError.
     """
     _check_compatible(e, f)
     q, k, l = e.field.q, e.k, e.l
     if q % 2 == 0:
         raise ValueError(f"the transform route needs odd q, got q = {q}")
-    half_e = _half_spectrum(e)
-    half_f = half_e if f is e else _half_spectrum(f)
-    cross = (half_e.real * half_f.real + half_e.imag * half_f.imag).reshape(q // 2 + 1, -1)
-    cross[1:] *= 2.0
-    rows = _norm_classes(q, k)[: (q // 2 + 1) * q ** (k - 1)]
-    joint = rows[:, None] * (q + 1) + _norm_classes(q, l)[None, :]
-    m = np.bincount(joint.reshape(-1), weights=cross.reshape(-1), minlength=(q + 1) ** 2)
-    s = _sphere_characters(q, k) @ m.reshape(q + 1, q + 1) @ _sphere_characters(q, l).T
+    product = _real_transform(e)
+    product *= product if f is e else _real_transform(f)
+    s = (_real_sphere_characters(q, k) @ product.reshape(q**k, q**l)
+         @ _real_sphere_characters(q, l).T)
     s *= float(q) ** -(k + l)
     spectrum = PairSpectrum(e.field, k, l, len(e), len(f), _snap(s, "pair spectrum"))
     _check_mass(spectrum)

@@ -618,11 +618,11 @@ def test_surjectivity_failures_name_full_space_or_deletion(monkeypatch):
 
 
 def test_near_full_coverage_transforms_each_set_once(monkeypatch):
-    # One half transform for the full space and for each distinct set, and no
+    # One real transform for the full space and for each distinct set, and no
     # full transform or inversion: a near-full instance is one set (F is E),
     # and the surjectivity check rereads the spectrum the discrepancy check built.
     module = importlib.import_module("fqdist.pair_spectrum")
-    calls = {"_real_half_transform": 0, "forward_transform": 0, "inverse_transform": 0}
+    calls = {"_real_transform": 0, "forward_transform": 0, "inverse_transform": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
@@ -631,7 +631,7 @@ def test_near_full_coverage_transforms_each_set_once(monkeypatch):
     cfg = ExperimentConfig(q=17, suite="coverage", generator="near-full", instances=2,
                            oracle_instances=0)
     assert run_suite(cfg).all_pass
-    assert calls == {"_real_half_transform": 3, "forward_transform": 0, "inverse_transform": 0}
+    assert calls == {"_real_transform": 3, "forward_transform": 0, "inverse_transform": 0}
 
 
 def test_loaded_sets_override_generation():
@@ -1009,6 +1009,18 @@ def test_cli_lemmas_run_whose_only_draw_is_empty_skips_that_check(capsys):
     assert checks["plancherel d=3"]["instances"] == checks["plancherel d=4"]["instances"] == 1
 
 
+def test_cli_instances_counts_the_checked_draws_not_the_requested_ones(capsys):
+    # Seed 14's first Plancherel draw over F_3^2 is empty, and at density 0.02
+    # the first two of three coverage pairs over F_3^4 hold an empty set.
+    checks = _cli_checks(capsys, "--q", "3", "--suite", "lemmas", "--instances", "2",
+                         "--seed", "14")
+    assert [checks[f"plancherel d={d}"]["instances"] for d in (2, 3, 4)] == [1, 2, 2]
+    checks = _cli_checks(capsys, "--q", "3", "--suite", "coverage", "--generator", "bernoulli",
+                         "--density", "0.02", "--instances", "3")
+    assert checks["discrepancy"]["instances"] == 1
+    assert checks["threshold-consistency"] == {"instances": 1}
+
+
 def test_cli_quadruple_count_that_checked_no_instance_skips(capsys):
     # Seed 0's only oracle draw at q = 7 has a set above the quadruple count's 40 points.
     gen = substream(0, _T_ORACLE, 0)
@@ -1065,18 +1077,18 @@ def test_cli_loaded_sets(tmp_path):
 
 def test_cli_f_file_naming_the_e_file_loads_and_transforms_once(tmp_path, monkeypatch, capsys):
     # F is E when --f-file names the --e-file's file, here through a symlink:
-    # one half transform, and the report of the --e-file-only run.
+    # one real transform, and the report of the --e-file-only run.
     path = tmp_path / "e.txt"
     _save_random_set(path, 7, 500, 2)
     (tmp_path / "f.txt").symlink_to(path)
     module = importlib.import_module("fqdist.pair_spectrum")
     calls = []
 
-    def counted(*args, _real=module._real_half_transform):
+    def counted(*args, _real=module._real_transform):
         calls.append(args)
         return _real(*args)
 
-    monkeypatch.setattr(module, "_real_half_transform", counted)
+    monkeypatch.setattr(module, "_real_transform", counted)
     reports = []
     for f_file in ([], ["--f-file", str(tmp_path / "f.txt")]):
         calls.clear()

@@ -471,6 +471,31 @@ def test_load_reads_plain_data_without_the_line_reader(tmp_path, monkeypatch, te
     assert calls == ["plain"] * plain_reads + ["lines"] * reads_lines
 
 
+@pytest.mark.parametrize("dims", [1, 4])
+def test_load_reads_blank_lines_between_points_in_one_pass(tmp_path, monkeypatch, dims):
+    # Empty and blank-only lines between points leave the points as they are,
+    # and the plain read takes them at once, at d = 1 too, where a line's
+    # skeleton holds no comma and so cannot tell an empty line from a point.
+    geometry = importlib.import_module("fqdist.geometry")
+    rng = np.random.default_rng(dims)
+    points = [",".join(map(str, row)) for row in rng.integers(0, 5, (6, dims))]
+    calls = []
+
+    def read_plain(*args, _real=geometry._read_plain):
+        calls.append("plain")
+        return _real(*args)
+
+    monkeypatch.setattr(geometry, "_read_plain", read_plain)
+    dense, sparse = tmp_path / "dense.txt", tmp_path / "sparse.txt"
+    dense.write_text(f"q=5 dims={dims}\n" + "".join(p + "\n" for p in sorted(set(points))))
+    sparse.write_text(f"q=5 dims={dims}\n\n" + "\n \t\n\n".join(sorted(set(points))) + "\n\n")
+    expected, _ = load_point_set(dense)
+    calls.clear()
+    loaded, _ = load_point_set(sparse)
+    assert calls == ["plain"]
+    assert loaded.codes.tolist() == expected.codes.tolist()
+
+
 def test_load_refuses_rows_a_fromstring_that_stops_early_leaves_short(tmp_path, monkeypatch):
     # A numpy that only warns on unmatched data has np.fromstring stop at the
     # first token it cannot read, where numpy 2.4 raises.  Here it stops after

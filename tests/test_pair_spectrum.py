@@ -66,16 +66,16 @@ def test_split_set_transform_cached_and_bit_identical(monkeypatch):
     e = _random_split(7, 2, 2, 300, 11)
     f = _random_split(7, 2, 2, 200, 12)
     fresh = forward_transform(indicator_table(e)).coeffs
-    calls, halves = [], []
+    calls, reals = [], []
     real = spectrum_module.forward_transform
-    real_half = spectrum_module._real_half_transform
+    real_transform = spectrum_module._real_transform
     monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
-    monkeypatch.setattr(spectrum_module, "_real_half_transform",
-                        lambda *args: halves.append(args) or real_half(*args))
+    monkeypatch.setattr(spectrum_module, "_real_transform",
+                        lambda *args: reals.append(args) or real_transform(*args))
     pair_spectrum_fast(e, f)
     pair_spectrum_fast(f, e)
     pair_spectrum_fast(e, e)
-    assert len(halves) == 5  # once per distinct set per call
+    assert len(reals) == 5  # once per distinct set per call
     assert calls == []
     assert "transform" not in vars(e) and "transform" not in vars(f)  # left uncomputed
     assert np.array_equal(e.transform, fresh)
@@ -282,7 +282,7 @@ def test_fast_equals_naive_property(codes_e, codes_f):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])  # 5 and 13 are 1 mod 4, the others 3 mod 4
-@pytest.mark.parametrize("k, l", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("k, l", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (2, 4)])
 def test_class_route_equals_literal_scan(q, k, l):
     ambient = q ** (k + l)
     e = _random_split(q, k, l, min(150, ambient // 2), q + 10 * k + l)
