@@ -230,6 +230,11 @@ MUTANTS = (
     Mutant("recorder-never-skips", "experiments.py",
            "        if not self.checked:", "        if False:",
            (EMPTY_COVERAGE, EMPTY_LEMMAS)),
+    # The public transforms copy their input once and transform the copy in place.
+    Mutant("forward-transform-writes-its-input", "fourier.py",
+           "    coeffs = _transform_in_place(np.array(f.values, dtype=np.complex128), f.field.q, f.d)",
+           "    coeffs = _transform_in_place(np.asarray(f.values, dtype=np.complex128), f.field.q, f.d)",
+           ("tests/test_fourier.py::test_public_transforms_leave_their_input_unchanged",)),
     # Literal pair scans work in cache-sized chunks.
     Mutant("pair-chunk-4e6-cells", "pair_spectrum.py",
            "_BLOCK_CELLS = 2**16", "_BLOCK_CELLS = 4 * 10**6",

@@ -26,6 +26,13 @@ all q - 1 radii through one workspace allocated per call; the coefficients
 are bit-identical to a fresh _real_half_transform of each sphere's
 indicator.  forward_transform and inverse_transform give the full spectrum.
 
+A complex transform holds its table and one workspace: _transform_in_place
+overwrites the caller's complex128 table through _contract_axes' one
+product buffer, so it holds two q^d complex tables.  Callers that build a
+table only to transform it (a set's cached transform, the difference
+histogram) hand it over; forward_transform and inverse_transform copy their
+input once into it and never modify the input.
+
 The sphere transforms' other facts live here too: the per-radius sup
 sigma_d(t) (_sphere_sup), the table by norm class (_sphere_characters) and
 its real-basis form (_real_sphere_characters).
@@ -142,25 +149,38 @@ class SpectralTable:
     coeffs: np.ndarray
 
 
-def indicator_table(ps: PointSet) -> DensityTable:
-    """0/1 table of a point set, a SplitPointSet included, as float64."""
-    values = np.zeros(_require_enumerable(ps.field.q, ps.d))
+def indicator_table(ps: PointSet, dtype=np.float64) -> DensityTable:
+    """0/1 table of a point set, a SplitPointSet included, in dtype (float64 by default)."""
+    values = np.zeros(_require_enumerable(ps.field.q, ps.d), dtype=dtype)
     values[ps.codes] = 1.0
     return DensityTable(ps.field, ps.d, values)
 
 
-def forward_transform(f: DensityTable) -> SpectralTable:
-    """f_hat(m) = q^-d sum_x chi(-x.m) f(x), via the separable kernel."""
-    q, d = f.field.q, f.d
-    coeffs = _contract_axes(np.array(f.values, dtype=np.complex128), q, _kernel(q), d)
+def _transform_in_place(table: np.ndarray, q: int, d: int, inverse: bool = False) -> np.ndarray:
+    """Transform the caller's complex128 table of q^d cells in place and return it flat.
+
+    The forward transform carries the q^-d normalisation; with inverse the
+    conjugate kernel inverts it, unnormalised.  The table is overwritten, and
+    the one workspace is _contract_axes' product buffer, so a transform holds
+    two q^d complex tables.
+    """
+    if inverse:
+        return _contract_axes(table, q, np.conj(_kernel(q)), d)
+    coeffs = _contract_axes(table, q, _kernel(q), d)
     coeffs *= float(q) ** -d
+    return coeffs
+
+
+def forward_transform(f: DensityTable) -> SpectralTable:
+    """f_hat(m) = q^-d sum_x chi(-x.m) f(x), via the separable kernel; f is left as it is."""
+    coeffs = _transform_in_place(np.array(f.values, dtype=np.complex128), f.field.q, f.d)
     return SpectralTable(f.field, f.d, coeffs)
 
 
 def inverse_transform(spec: SpectralTable) -> DensityTable:
-    """f(x) = sum_m chi(x.m) f_hat(m); exact inverse of forward_transform."""
-    q, d = spec.field.q, spec.d
-    values = _contract_axes(np.array(spec.coeffs, dtype=np.complex128), q, np.conj(_kernel(q)), d)
+    """f(x) = sum_m chi(x.m) f_hat(m); exact inverse of forward_transform, spec left as it is."""
+    values = _transform_in_place(np.array(spec.coeffs, dtype=np.complex128), spec.field.q,
+                                 spec.d, inverse=True)
     return DensityTable(spec.field, spec.d, values)
 
 

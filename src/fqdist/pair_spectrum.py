@@ -35,13 +35,11 @@ from . import geometry
 from .errors import PrecisionError, SizeGuardError
 from .field import PrimeField
 from .fourier import (
-    SpectralTable,
     _real_sphere_characters,
     _real_transform,
     _sphere_sup,
-    forward_transform,
+    _transform_in_place,
     indicator_table,
-    inverse_transform,
 )
 from .geometry import PointSet, _require_enumerable, load_point_set, norm_fiber_sizes
 
@@ -77,8 +75,11 @@ class SplitPointSet(PointSet):
     def transform(self) -> np.ndarray:
         """Coefficients of the indicator's forward transform, computed once (read-only).
 
-        Cached for the set's life: a caller that keeps a set keeps its q^(k+l) complex transform."""
-        coeffs = forward_transform(indicator_table(self)).coeffs
+        Cached for the set's life: a caller that keeps a set keeps its q^(k+l) complex transform.
+        The complex indicator is built here and transformed in place, so the
+        transform holds that table and one workspace."""
+        table = indicator_table(self, np.complex128).values
+        coeffs = _transform_in_place(table, self.field.q, self.d)
         coeffs.setflags(write=False)
         return coeffs
 
@@ -210,8 +211,12 @@ def difference_histogram(e: SplitPointSet, f: SplitPointSet) -> np.ndarray:
     _check_compatible(e, f)
     q, d = e.field.q, e.d
     _require_enumerable(q, d)  # a cached transform never reaches indicator_table's guard
-    product = e.transform * np.conj(f.transform) * float(q) ** d
-    h = inverse_transform(SpectralTable(e.field, d, product)).values
+    # The product stays one expression: from 256 KiB up numpy writes it into the
+    # conj temporary as conj(F_hat) E_hat, which is not bit for bit E_hat conj(F_hat).
+    # The scale and the inversion then run in place in that buffer.
+    product = e.transform * np.conj(f.transform)
+    product *= float(q) ** d
+    h = _transform_in_place(product, q, d, inverse=True)
     return _snap(h, "difference histogram")
 
 

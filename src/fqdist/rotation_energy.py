@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .field import PrimeField, enumerate_so2
-from .fourier import DensityTable, forward_transform
+from .fourier import DensityTable, _transform_in_place, forward_transform
 from .geometry import _require_enumerable, all_norms, enumerate_sphere
 from .pair_spectrum import (
     PairSpectrum,
@@ -134,7 +134,7 @@ def correlation_transform_check(e: SplitPointSet, theta: np.ndarray,
     _require_plane_pair(e)
     q = e.field.q
     counts = rotation_correlation(e, theta, phi).reshape(-1)
-    r_hat = forward_transform(DensityTable(e.field, 4, counts.astype(np.complex128))).coeffs
+    r_hat = _transform_in_place(counts.astype(np.complex128), q, 4)
     e_hat = e.transform
     perm_t = np.argsort(theta)
     perm_p = np.argsort(phi)

@@ -619,10 +619,10 @@ def test_surjectivity_failures_name_full_space_or_deletion(monkeypatch):
 
 def test_near_full_coverage_transforms_each_set_once(monkeypatch):
     # One real transform for the full space and for each distinct set, and no
-    # full transform or inversion: a near-full instance is one set (F is E),
+    # complex transform or inversion: a near-full instance is one set (F is E),
     # and the surjectivity check rereads the spectrum the discrepancy check built.
     module = importlib.import_module("fqdist.pair_spectrum")
-    calls = {"_real_transform": 0, "forward_transform": 0, "inverse_transform": 0}
+    calls = {"_real_transform": 0, "_transform_in_place": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
@@ -631,7 +631,7 @@ def test_near_full_coverage_transforms_each_set_once(monkeypatch):
     cfg = ExperimentConfig(q=17, suite="coverage", generator="near-full", instances=2,
                            oracle_instances=0)
     assert run_suite(cfg).all_pass
-    assert calls == {"_real_transform": 3, "forward_transform": 0, "inverse_transform": 0}
+    assert calls == {"_real_transform": 3, "_transform_in_place": 0}
 
 
 def test_loaded_sets_override_generation():

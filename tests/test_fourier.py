@@ -11,6 +11,7 @@ from fqdist.errors import SizeGuardError
 from fqdist.field import make_field
 from fqdist.fourier import (
     DensityTable,
+    SpectralTable,
     exact_phase_histogram,
     forward_transform,
     forward_transform_direct,
@@ -49,6 +50,23 @@ def test_roundtrip_identity():
         table = _random_table(q, d, q + d)
         back = inverse_transform(forward_transform(table)).values
         assert np.max(np.abs(back - table.values)) < 1e-10
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_public_transforms_leave_their_input_unchanged(q, d, dtype):
+    # Each public entry point copies its input once and transforms the copy in place.
+    table = _random_table(q, d, 10 * q + d)
+    values = table.values.real.copy() if dtype is np.float64 else table.values
+    field = make_field(q)
+    before = values.tobytes()
+    forward_transform(DensityTable(field, d, values))
+    assert values.tobytes() == before
+    inverse_transform(SpectralTable(field, d, values))
+    assert values.tobytes() == before
+    plancherel_gap(DensityTable(field, d, values))
+    assert values.tobytes() == before
 
 
 def test_full_space_transform_is_delta_at_zero():

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -62,14 +63,12 @@ def test_split_set_rejects_bad_dims():
         SplitPointSet(f, 2, 0, [0])
 
 
-def test_split_set_transform_cached_and_bit_identical(monkeypatch):
+def test_split_set_transform_cached_and_bit_identical(monkeypatch, forward_transforms):
     e = _random_split(7, 2, 2, 300, 11)
     f = _random_split(7, 2, 2, 200, 12)
     fresh = forward_transform(indicator_table(e)).coeffs
-    calls, reals = [], []
-    real = spectrum_module.forward_transform
+    calls, reals = forward_transforms, []
     real_transform = spectrum_module._real_transform
-    monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
     monkeypatch.setattr(spectrum_module, "_real_transform",
                         lambda *args: reals.append(args) or real_transform(*args))
     pair_spectrum_fast(e, f)
@@ -83,6 +82,22 @@ def test_split_set_transform_cached_and_bit_identical(monkeypatch):
     marginal_spectral_mass(e)
     difference_histogram(e, f)
     assert len(calls) == 2  # once for e, once for f
+
+
+def test_split_set_transform_holds_its_table_and_one_workspace():
+    # The complex indicator is transformed in place: two q^4 complex tables at the
+    # peak, where a float indicator and a complex copy of it would hold 2.5.
+    e = _random_split(13, 2, 2, 9000, 14)
+    fresh = forward_transform(indicator_table(e)).coeffs  # also warms the kernel cache
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        coeffs = e.transform
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * 13**4
+    assert np.array_equal(coeffs, fresh)
 
 
 @pytest.mark.parametrize("q, k, l, size_e, size_f, seed", [(3, 1, 2, 12, 17, 31),

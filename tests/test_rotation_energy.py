@@ -412,13 +412,12 @@ def test_sphere_restricted_mass_bound():
                                    rtol=1e-9)
 
 
-def test_sphere_restricted_mass_transforms_once(monkeypatch):
+def test_sphere_restricted_mass_transforms_once(monkeypatch, forward_transforms):
     # Oracle: the literal restriction of E's full (q, 4) transform to (m', 0), circle by circle.
-    points = []
-    for module in (importlib.import_module("fqdist.rotation_energy"), spectrum_module):
-        real = module.forward_transform
-        monkeypatch.setattr(module, "forward_transform",
-                            lambda t, real=real: points.append(len(t.values)) or real(t))
+    points = forward_transforms
+    module = importlib.import_module("fqdist.rotation_energy")
+    real = module.forward_transform
+    monkeypatch.setattr(module, "forward_transform", lambda t: points.append(len(t.values)) or real(t))
     for q in (3, 7, 11):
         field = make_field(q)
         norms = all_norms(q, 2)
@@ -438,10 +437,8 @@ def test_sphere_restricted_mass_transforms_once(monkeypatch):
             np.testing.assert_allclose(rep.values, expected, rtol=1e-12, atol=1e-12 * sum(expected))
 
 
-def test_energy_checks_transform_each_set_once(monkeypatch):
-    calls = []
-    real = spectrum_module.forward_transform
-    monkeypatch.setattr(spectrum_module, "forward_transform", lambda t: calls.append(t) or real(t))
+def test_energy_checks_transform_each_set_once(forward_transforms):
+    calls = forward_transforms
     e = _random_plane_pair_set(7, 300, 10)
     f = _random_plane_pair_set(7, 200, 11)
     theta, phi = enumerate_so2(e.field)[1:3]
