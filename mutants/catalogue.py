@@ -30,6 +30,8 @@ DECAY_FROZEN = "tests/test_fourier.py::test_sphere_decay_frozen_extremum"
 DECAY_HALF_SCAN = "tests/test_fourier.py::test_sphere_decay_half_scan_matches_full_scan"
 SPHERE_SUP_SCAN = "tests/test_fourier.py::test_sphere_sup_against_a_full_scan"
 DECAY_FRESH = "tests/test_fourier.py::test_sphere_decay_scan_matches_a_fresh_transform_per_radius"
+DECAY_SPLIT = "tests/test_fourier.py::test_sphere_decay_split_matches_a_fresh_transform_per_radius"
+DECAY_SHARE_ERROR = "tests/test_fourier.py::test_sphere_decay_share_error_is_raised_after_every_join"
 ENERGY_LITERAL = _ENERGY + "test_energy_chain_rhs_matches_literal_correlations"
 SPLIT = _ENERGY + "test_energy_chain_flags_a_wrong_frequency_split"
 NONCANONICAL = "tests/test_geometry.py::test_load_rejects_noncanonical_points"
@@ -56,9 +58,10 @@ SURJECTIVITY_LINE = ("    return SurjectivityCheck(threshold, met, coverage, sur
                      " (not met) or surjective)")
 CHAIN_HOLDS_LINE = "        so2_size=so2_size, lhs=lhs, rhs=rhs, holds=lhs <= rhs,"
 CHAIN_ZERO_LINE = "        zero_term=zero_formula, zero_agrees=zero_agrees, mixed_term=mixed,"
-DECAY_TAKE_LINE = '        np.take(roots, t - rest_norms, axis=0, out=arr, mode="wrap")  # rows mod q'
+DECAY_TAKE_LINE = '        np.take(roots, rows, axis=0, out=arr, mode="wrap")  # rows mod q'
 DECAY_ROOTS_LINE = ("    roots = _real_half_transform(squares[:, None] == np.arange(q), q, 1)"
                     ".reshape(q, h)")
+DECAY_SHARES_LINE = "    shares = [(roots, rest_norms, kernel, q, d, range(1 + i, q, w), workspace(), records)"
 REAL_WEIGHT_LINE = ("    weight = np.where(frequencies == 0, 1.0, 2.0)"
                     "  # a nonzero frequency stands for -m too")
 SO2_ROW_LINE = "        row[:] = (a * v1 - b * v2) % q * q + (b * v1 + a * v2) % q"
@@ -195,7 +198,7 @@ MUTANTS = (
            SO2_ROW_LINE.replace("(a * v1 - b * v2)", "(a * v1 + b * v2)")
            .replace("(b * v1 + a * v2)", "(-b * v1 + a * v2)"),
            ("tests/test_field.py::test_so2_rows_match_rotation_apply",)),
-    # The sphere decay scan: one workspace for every radius, first axis gathered from one table.
+    # The sphere decay scan: one workspace per share of radii, first axis gathered from one table.
     Mutant("decay-scan-gathers-only-at-t1", "fourier.py", DECAY_TAKE_LINE,
            "        if t == 1: " + DECAY_TAKE_LINE.lstrip(), (DECAY_FRESH,)),
     Mutant("decay-scan-rows-clipped", "fourier.py", DECAY_TAKE_LINE,
@@ -208,6 +211,15 @@ MUTANTS = (
            "    rest_norms = all_norms(q, d)[-q ** (d - 1):]", (DECAY_FRESH,)),
     Mutant("decay-scan-unscaled", "fourier.py",
            "        np.multiply(coeffs, float(q) ** -d, out=coeffs)", "        pass", (DECAY_FRESH,)),
+    # The decay scan's radii split over threads: share i holds 1 + i, 1 + i + w, ...
+    Mutant("decay-split-share-skipped", "fourier.py", "        for i in range(1, w):",
+           "        for i in range(2, w):", (DECAY_SPLIT,)),
+    Mutant("decay-split-wrong-stride", "fourier.py", DECAY_SHARES_LINE,
+           DECAY_SHARES_LINE.replace("range(1 + i, q, w)", "range(1 + i, q, w + 1)"), (DECAY_SPLIT,)),
+    Mutant("decay-split-error-dropped", "fourier.py", "        raise errors[0]", "        pass",
+           (DECAY_SHARE_ERROR,)),
+    Mutant("decay-split-threads-not-joined", "fourier.py", "            thread.join()",
+           "            pass", (DECAY_SHARE_ERROR,)),
     # The pair spectrum's real cos/sin basis: its kernel rows and the class table's weights.
     Mutant("real-basis-nonzero-weight-1", "fourier.py", REAL_WEIGHT_LINE,
            REAL_WEIGHT_LINE.replace("1.0, 2.0", "1.0, 1.0"), (REAL_ROUTE,)),

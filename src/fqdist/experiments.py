@@ -317,6 +317,59 @@ class CheckResult:
     payload: dict
 
 
+# The JSON text of each scalar type, as json.dumps writes it.
+_KEY_TEXT = json.encoder.encode_basestring_ascii
+_SCALAR_TEXT = {
+    str: _KEY_TEXT,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    type(None): lambda _: "null",
+}
+
+
+def _records_texts(rows: list, indent: str) -> list[str] | None:
+    """The texts of a list of flat dicts with one set of str keys, each key's
+    values of one scalar type, from one template (indent is the items' own);
+    None for any other list."""
+    first = rows[0]
+    if (type(first) is not dict or not first or not all(type(k) is str for k in first)
+            or any(type(row) is not dict or row.keys() != first.keys() for row in rows)):
+        return None
+    keys = sorted(first)
+    columns = []
+    for key in keys:
+        column = [row[key] for row in rows]
+        types = set(map(type, column))
+        if len(types) != 1 or not types <= _SCALAR_TEXT.keys():
+            return None
+        columns.append(map(_SCALAR_TEXT[types.pop()], column))
+    inner = "\n" + indent + "  "
+    template = ("{" + inner + ("," + inner).join(_KEY_TEXT(k).replace("%", "%%") + ": %s"
+                                                 for k in keys) + "\n" + indent + "}")
+    return [template % values for values in zip(*columns)]
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) byte for byte, indent being the
+    line's own, without the pure-Python encoder's per-value calls on record lists.
+
+    Anything but a scalar, a dict with str keys or a list is left to
+    json.dumps and re-indented: its text holds no raw newline inside a string.
+    """
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = indent + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = [_KEY_TEXT(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if type(obj) in (list, tuple) and obj:
+        items = _records_texts(obj, inner) or [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 @dataclass
 class RunReport:
     """Everything one suite run produced, deterministic and printed as it stands.
@@ -350,7 +403,8 @@ class RunReport:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\\n", byte for byte."""
+        return _json_text(self.to_json_dict()) + "\n"
 
 
 def _skip(name: str, operation: str, reason: str) -> CheckResult:

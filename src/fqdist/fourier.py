@@ -21,10 +21,12 @@ f_hat(-m) = conj(f_hat(m)).  Every nonzero m is +- a frequency with
 m_1 <= q/2 of the same modulus (m_1 = -m_1 at q = 2, so there every m_1 is
 kept), so the certificate computes only those q//2 + 1 leading rows
 (_real_half_transform) and its scan stays exhaustive.  It reads every
-sphere's first axis off one q x q table and runs the other d - 1 axes of
-all q - 1 radii through one workspace allocated per call; the coefficients
-are bit-identical to a fresh _real_half_transform of each sphere's
-indicator.  forward_transform and inverse_transform give the full spectrum.
+sphere's first axis off one q x q table and splits the q - 1 radii over
+the usable CPUs that the BLAS leaves free (_decay_workers), each thread
+running the other d - 1 axes of its radii through its own workspace.  No
+product is split, so the coefficients are bit-identical to a fresh
+_real_half_transform of each sphere's indicator.  forward_transform and
+inverse_transform give the full spectrum.
 
 A complex transform holds its table and one workspace: _transform_in_place
 overwrites the caller's complex128 table through _contract_axes' one
@@ -40,6 +42,8 @@ its real-basis form (_real_sphere_characters).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -272,6 +276,56 @@ class SphereDecayReport:
     passed: bool
 
 
+def _decay_workers(q: int) -> int:
+    """How many threads scan the q - 1 radii: the CPUs this process may use over
+    the threads each BLAS call takes, at most q - 1.
+
+    numpy's OpenBLAS takes the first positive count of the variables below,
+    at most the CPUs, and else one thread per CPU.  Scan threads on top of a
+    threaded BLAS oversubscribe the CPUs and slow the scan, so a BLAS thread
+    per CPU leaves one scan thread.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = min(int(value), cpus)
+            break
+    return min(cpus // blas, q - 1)
+
+
+def _decay_share(roots, rest_norms, kernel, q, d, radii, workspace, records) -> None:
+    """Scan the radii of one share through its own workspace: records[t] = (modulus, m_idx).
+
+    modulus is the largest |S_t_hat(m)| over the computed rows m != 0, and
+    m_idx its first code.  Each radius runs the same calls on the same
+    operand shapes whichever share it falls in, so its record is bit for
+    bit the same.
+    """
+    rows, arr, product, moduli = workspace
+    for t in radii:
+        np.subtract(t, rest_norms, out=rows)
+        np.take(roots, rows, axis=0, out=arr, mode="wrap")  # rows mod q
+        coeffs = _contract_axes(arr, q, kernel, d - 1, product)
+        np.multiply(coeffs, float(q) ** -d, out=coeffs)
+        np.abs(coeffs, out=moduli)
+        moduli[0] = 0.0  # the zero frequency carries the sphere's mass, not decay
+        m_idx = int(np.argmax(moduli))
+        records[t] = (float(moduli[m_idx]), m_idx)
+
+
+def _run_decay_share(errors: list, *args) -> None:
+    """_decay_share on a worker thread; its exception is kept for the caller."""
+    try:
+        _decay_share(*args)
+    except BaseException as exc:  # re-raised by the caller after every join
+        errors.append(exc)
+
+
 def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     """Certify the Kloosterman-type sphere decay |S_t_hat(m)| <= 2 q^-(d+1)/2.
 
@@ -279,8 +333,11 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     reading the spheres off the norm table, which refuses an ambient past the
     enumeration limit.  The indicator is real, so |S_t_hat(-m)| = |S_t_hat(m)|,
     and every nonzero m is +- a frequency with m_1 <= q/2: only those rows are computed.
-    One workspace, allocated here, serves every radius, and each radius's
-    coefficients are bit-identical to _real_half_transform of its indicator.
+    The radii are split over w = _decay_workers(q) threads: share i holds the
+    radii 1 + i, 1 + i + w, ..., the calling thread runs share 0, and each
+    share has one workspace, allocated here.  Each radius's coefficients are
+    bit-identical to _real_half_transform of its indicator, and the records
+    are folded in increasing t, so the report does not depend on w.
     """
     q = field.q
     bound = _sphere_sup(q, d, 1)
@@ -298,17 +355,32 @@ def sphere_decay_check(field: PrimeField, d: int) -> SphereDecayReport:
     squares = np.arange(q) ** 2 % q
     roots = _real_half_transform(squares[:, None] == np.arange(q), q, 1).reshape(q, h)
     rest_norms = all_norms(q, d)[: q ** (d - 1)]  # the norms of (0, x_rest)
-    arr = np.empty((rest_norms.size, h), dtype=np.complex128)
-    product = np.empty((q, arr.size // q), dtype=np.complex128)
-    moduli = np.empty(arr.size)
+    w = _decay_workers(q)
+    records: list = [None] * q
+
+    def workspace() -> tuple:  # rows, arr, product, moduli
+        arr = np.empty((rest_norms.size, h), dtype=np.complex128)
+        return (np.empty_like(rest_norms), arr,
+                np.empty((q, arr.size // q), dtype=np.complex128), np.empty(arr.size))
+
+    shares = [(roots, rest_norms, kernel, q, d, range(1 + i, q, w), workspace(), records)
+              for i in range(w)]
+    errors: list = []
+    threads = []
+    try:
+        for i in range(1, w):
+            thread = threading.Thread(target=_run_decay_share, args=(errors, *shares[i]))
+            thread.start()
+            threads.append(thread)
+        _decay_share(*shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     for t in range(1, q):
-        np.take(roots, t - rest_norms, axis=0, out=arr, mode="wrap")  # rows mod q
-        coeffs = _contract_axes(arr, q, kernel, d - 1, product)
-        np.multiply(coeffs, float(q) ** -d, out=coeffs)
-        np.abs(coeffs, out=moduli)
-        moduli[0] = 0.0  # the zero frequency carries the sphere's mass, not decay
-        m_idx = int(np.argmax(moduli))
-        ratio = float(moduli[m_idx]) / bound
+        modulus, m_idx = records[t]
+        ratio = modulus / bound
         if ratio > max_ratio:
             max_ratio = ratio
             worst_t = t

@@ -28,6 +28,7 @@ from fqdist.experiments import (
     ExperimentConfig,
     SearchResult,
     _factors,
+    _json_text,
     generate_set,
     knobs_read,
     run_suite,
@@ -349,6 +350,36 @@ def test_reports_hold_only_native_json_types():
         report = run_suite(cfg, sets)
         assert _native_json_types(report.to_json_dict()) == [], cfg
         assert all(type(v) in (int, str) for row in report.table for v in row), cfg
+
+
+def test_report_text_is_json_dumps_byte_for_byte():
+    # One report per suite, and loaded coverage sets, whose discrepancy
+    # detail lists its q^2 cells as flat records with one key set.
+    runs = [(ExperimentConfig(q=7, suite=suite, instances=2, oracle_instances=2), None)
+            for suite in SUITES]
+    field = make_field(7)
+    rng = np.random.default_rng(5)
+    e, f = (SplitPointSet(field, 2, 2, rng.choice(7**4, n, replace=False)) for n in (300, 200))
+    runs.append((ExperimentConfig(q=7, suite="coverage", instances=1), (e, f)))
+    for cfg, sets in runs:
+        report = run_suite(cfg, sets)
+        payloads = [c.payload for c in report.checks]
+        assert any(p.get("detail", {}).get("cells") for p in payloads) == (sets is not None)
+        assert report.to_json_text() == json.dumps(report.to_json_dict(), sort_keys=True,
+                                                   indent=2) + "\n", cfg
+
+
+@pytest.mark.parametrize("value", [
+    [{"x": float("nan"), "y": "\u00e9\n\"", "z": None}, {"x": -float("inf"), "y": "", "z": True}],
+    [{"a%s": 1, "b": 0.1}, {"a%s": -2, "b": -0.0}],
+    [{"k": 1}, {"k": 2.0}], [{"k": True}, {"k": 1}], [{"k": 1}, {"j": 2}], [{}, {}],
+    [{"k": [1]}, {"k": 2}], [{"k": 1}, 3], [[1, 2], (3, 4.5)], [], {}, {1: 2, 3: "x"},
+    {"z": {"y": [{"k": "%s"}]}, "a": 1e300}, "x%sy", 7,
+])
+def test_report_text_renderer_matches_json_dumps_on_edge_values(value):
+    # Record lists of mixed types or keys, non-str keys and tuples go the general way.
+    assert _json_text({"v": value, "w": [value, value]}) == json.dumps(
+        {"v": value, "w": [value, value]}, sort_keys=True, indent=2)
 
 
 def test_skipped_checks_count_as_passing():

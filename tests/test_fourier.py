@@ -1,12 +1,18 @@
 """Transform correctness: round trips, energy conservation, decay certificates."""
 
 import dataclasses
+import functools
+import os
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqdist import fourier
 from fqdist.errors import SizeGuardError
 from fqdist.field import make_field
 from fqdist.fourier import (
@@ -181,6 +187,7 @@ def test_sphere_decay_half_scan_matches_full_scan(q, d):
     assert moduli_at_worst[int(encode_vectors(q, rep.worst_m))] == pytest.approx(full_max, rel=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
 def _fresh_decay_scan(q, d):
     """The decay scan as one fresh _real_half_transform of each sphere's indicator."""
     bound = 2.0 * float(q) ** (-(d + 1) / 2.0)
@@ -210,6 +217,68 @@ def test_sphere_decay_scan_matches_a_fresh_transform_per_radius(q, d):
     assert rep.worst_t == worst_t
     assert rep.worst_m == worst_m
     assert rep.passed == (max_ratio <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("q, d, workers", [
+    (q, d, w) for q, d in (*((2, d) for d in (1, 2, 3, 4)), (3, 2), (7, 3), (11, 4), (23, 4))
+    for w in sorted({1, 2, 3, q - 1})])
+def test_sphere_decay_split_matches_a_fresh_transform_per_radius(monkeypatch, q, d, workers):
+    # However the radii are split over threads, each radius runs the same
+    # calls in its own workspace and the records fold in increasing t, so the
+    # report keeps every bit.  At q = 2 a forced 2 or 3 leaves shares empty.
+    monkeypatch.setattr(fourier, "_decay_workers", lambda q: workers)
+    rep = sphere_decay_check(make_field(q), d)
+    assert (rep.bound, rep.max_ratio, rep.worst_t, rep.worst_m) == _fresh_decay_scan(q, d)
+
+
+@pytest.mark.parametrize("env, q, workers", [
+    ({}, 23, 1),  # OpenBLAS's default: a BLAS thread per CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 23, 4), ({"OPENBLAS_NUM_THREADS": "1"}, 3, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 23, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 23, 1), ({"OPENBLAS_NUM_THREADS": "9"}, 23, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 23, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 23, 2),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 23, 4),
+    ({"OMP_NUM_THREADS": "1"}, 23, 4), ({"OMP_NUM_THREADS": "x"}, 23, 1),
+])
+def test_decay_workers_divide_the_cpus_by_the_blas_threads(monkeypatch, env, q, workers):
+    # Four usable CPUs; the BLAS thread count is read as numpy's OpenBLAS reads it.
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert fourier._decay_workers(q) == workers
+
+
+def test_sphere_decay_with_one_worker_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(fourier, "_decay_workers", lambda q: 1)
+    monkeypatch.setattr(fourier, "threading", types.SimpleNamespace(Thread=no_thread))
+    rep = sphere_decay_check(make_field(7), 3)
+    assert (rep.bound, rep.max_ratio, rep.worst_t, rep.worst_m) == _fresh_decay_scan(7, 3)
+
+
+@pytest.mark.parametrize("failing_start", [1, 2, 3], ids=["caller", "worker", "last-worker"])
+def test_sphere_decay_share_error_is_raised_after_every_join(monkeypatch, failing_start):
+    # Share i starts at radius 1 + i, and the caller runs share 0.  The other
+    # shares are still busy when one fails, so no thread may outlive the call.
+    scan = fourier._decay_share
+
+    def share(roots, rest_norms, kernel, q, d, radii, workspace, records):
+        if radii.start == failing_start:
+            raise ValueError(f"share from radius {radii.start}")
+        time.sleep(0.05)
+        scan(roots, rest_norms, kernel, q, d, radii, workspace, records)
+
+    monkeypatch.setattr(fourier, "_decay_workers", lambda q: 3)
+    monkeypatch.setattr(fourier, "_decay_share", share)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"share from radius {failing_start}"):
+        sphere_decay_check(make_field(7), 3)
+    assert threading.active_count() == before
 
 
 def test_sphere_decay_frozen_extremum():
