@@ -41,7 +41,10 @@ ENERGY_REFUSAL = _EXPERIMENTS + "test_cli_energy_refuses_an_e_above_the_scan_lim
 EMPTY_COVERAGE = (_EXPERIMENTS
                   + "test_cli_coverage_run_that_draws_only_empty_sets_skips_its_seeded_checks")
 EMPTY_LEMMAS = _EXPERIMENTS + "test_cli_lemmas_run_whose_only_draw_is_empty_skips_that_check"
-BLANK_LINES_PLAIN = "tests/test_geometry.py::test_load_reads_blank_lines_between_points_in_one_pass"
+CANONICAL_REFUSALS = "tests/test_geometry.py::test_load_refuses_canonical_data_as_the_grammar_does"
+WRITTEN_FILES = "tests/test_geometry.py::test_load_reads_every_written_file_without_the_line_reader"
+CANONICAL_REPEAT = ("tests/test_geometry.py::"
+                    "test_load_numbers_a_repeat_without_the_line_reader[canonical]")
 REAL_ROUTE = _PAIR + "test_class_route_equals_literal_scan"
 
 BUDGET_LINE = ("    budget = term_k * rho_k[:, None] + term_l * rho_l[None, :]"
@@ -66,6 +69,7 @@ REAL_WEIGHT_LINE = ("    weight = np.where(frequencies == 0, 1.0, 2.0)"
                     "  # a nonzero frequency stands for -m too")
 SO2_ROW_LINE = "        row[:] = (a * v1 - b * v2) % q * q + (b * v1 + a * v2) % q"
 FROMSTRING_LINE = '        values = np.fromstring(flat, dtype=np.int64, sep=",").reshape(rows, d)'
+SKELETON_LINE = '    skeleton = data.translate(None, b"0123456789")'
 
 MUTANTS = (
     # Bound constants and pass rules of the certificates.
@@ -251,21 +255,24 @@ MUTANTS = (
     Mutant("pair-chunk-4e6-cells", "pair_spectrum.py",
            "_BLOCK_CELLS = 2**16", "_BLOCK_CELLS = 4 * 10**6",
            (_ENERGY + "test_literal_scans_stay_under_4_mib_at_q11",)),
-    # The byte checks that keep np.fromstring from misreading plain point-set data.
-    Mutant("plain-read-blanks-in-a-token", "geometry.py",
-           '        if b"d d" in marks:  # blanks inside a token, as in 3 3 or - 0', "        if False:",
-           (NONCANONICAL, LOAD_FUZZ)),
-    Mutant("plain-read-blank-runs-kept", "geometry.py",
-           '        while b"  " in marks:', "        while False:", (NONCANONICAL, LOAD_FUZZ)),
+    # The checks that keep np.fromstring from misreading canonical point-set data,
+    # and the line numbers of the rows it reads.
+    Mutant("plain-read-blanks-in-a-token", "geometry.py", SKELETON_LINE,
+           SKELETON_LINE.replace('b"0123456789"', 'b"0123456789 "'), (CANONICAL_REFUSALS,)),
+    Mutant("plain-read-lone-minus", "geometry.py", SKELETON_LINE,
+           SKELETON_LINE.replace('b"0123456789"', 'b"0123456789-"'), (CANONICAL_REFUSALS,)),
     Mutant("plain-read-any-comma-count", "geometry.py",
-           '    return rows if skeleton == b"\\n" + (b"," * (d - 1) + b"\\n") * rows else None',
-           "    return rows", (NONCANONICAL, LOAD_FUZZ)),
-    Mutant("plain-read-d1-empty-lines-kept", "geometry.py",
-           '    if (rows is None or d == 1) and b"\\n\\n" in data:',
-           '    if rows is None and b"\\n\\n" in data:', (BLANK_LINES_PLAIN,)),
-    Mutant("plain-read-lone-minus", "geometry.py",
-           '    if b"-" in flat and b"-," in flat:  # a token that ends in -, such as a lone -',
-           "    if False:", (NONCANONICAL, LOAD_FUZZ)),
+           '    if skeleton != b"\\n" + (b"," * (d - 1) + b"\\n") * rows:',
+           '    if skeleton.strip(b",\\n"):', (CANONICAL_REFUSALS,)),
+    Mutant("plain-read-range-admits-q", "geometry.py",
+           "    return values if values.max(initial=0) < q else None",
+           "    return values if values.max(initial=0) <= q else None", (CANONICAL_REFUSALS,)),
+    Mutant("plain-read-crlf-to-lines", "geometry.py",
+           '        data = data.replace(b"\\r\\n", b"\\n")  # drops a blank that ends a line;'
+           ' moves no line', "        pass", (WRITTEN_FILES,)),
+    Mutant("plain-read-repeat-line-off-by-one", "geometry.py",
+           "        numbers = range(header_number + 1, header_number + 1 + len(values))",
+           "        numbers = range(header_number, header_number + len(values))", (CANONICAL_REPEAT,)),
     Mutant("plain-read-any-row-count", "geometry.py", FROMSTRING_LINE,
            FROMSTRING_LINE.replace("reshape(rows, d)", "reshape(-1, d)"),
            ("tests/test_geometry.py::"

@@ -8,9 +8,10 @@ A point set stores its codes once, canonical (sorted, unique, in range) and
 read-only: _canonical_codes checks the order in O(n) and sorts only input that
 fails the check, so building a set from another set's codes copies nothing.
 
-load_point_set reads a file's data lines with one np.fromstring call, behind
-checks on the bytes, when they are plain (digits, commas, minus signs,
-blanks), and otherwise line by line.
+load_point_set reads canonical data, the only kind save_point_set writes
+(digits, commas and newlines, one point per line), with one np.fromstring
+call behind checks on its bytes, and hands any other data to the line-by-line
+grammar reader.
 """
 
 from __future__ import annotations
@@ -148,14 +149,13 @@ class PointSet:
 
     @staticmethod
     def from_vectors(field: PrimeField, d: int, vectors) -> "PointSet":
-        """The plain set of the given vectors, each reduced mod q."""
+        """The plain set of the rows of an (n, d) array, each reduced mod q; [] is the empty set."""
         arr = np.asarray(list(vectors), dtype=np.int64)
-        if arr.size == 0:
-            return PointSet(field, d, np.empty(0, dtype=np.int64))
-        arr = arr % field.q
-        if arr.shape[1] != d:
-            raise ValueError(f"expected {d} coordinates per point, got {arr.shape[1]}")
-        return PointSet(field, d, encode_vectors(field.q, arr))
+        if arr.shape == (0,):
+            arr = arr.reshape(0, d)
+        if arr.ndim != 2 or arr.shape[1] != d:
+            raise ValueError(f"expected an (n, {d}) array of points, got shape {arr.shape}")
+        return PointSet(field, d, encode_vectors(field.q, arr % field.q))
 
     @classmethod
     def full(cls, field: PrimeField, d: int) -> "PointSet":
@@ -165,16 +165,19 @@ class PointSet:
 def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None) -> None:
     """Write a point set as a header line plus one comma-separated point per line.
 
-    Header: ``q=<q> dims=<d>`` with an optional ``split=<k>,<l>`` field, where
-    k, l >= 1 and k + l = d.  load_point_set also skips lines starting with #,
+    Header: ``q=<q> dims=<d>`` with an optional ``split=<k>,<l>`` field for
+    two integers k, l >= 1 with k + l = d; any other split is a ValueError
+    before the file is opened.  load_point_set also skips lines starting with #,
     as comments.  A SplitPointSet is a PointSet, so it is saved as any set is;
     its split is written only when passed.
     """
-    if split is not None and (min(split) < 1 or split[0] + split[1] != ps.d):
+    if split is not None and not (
+            len(split) == 2 and all(isinstance(v, (int, np.integer)) and v >= 1 for v in split)
+            and sum(split) == ps.d):
         raise ValueError(f"split {split} needs k, l >= 1 and k + l = dims {ps.d}")
     header = f"q={ps.field.q} dims={ps.d}"
     if split is not None:
-        header += f" split={split[0]},{split[1]}"
+        header += f" split={int(split[0])},{int(split[1])}"
     lines = [header]
     for row in ps.coords():
         lines.append(",".join(str(int(x)) for x in row))
@@ -185,67 +188,29 @@ def save_point_set(path, ps: PointSet, split: tuple[int, int] | None = None) -> 
 _HEADER = re.compile(rb"^[ \t\r\v\f]*[^ \t\r\v\f\n#].*$", re.M)  # the first line not skipped
 _SKIPPED = re.compile(rb"\n[ \t\r\v\f]*(?:#.*)?(?=\n)")  # newline, blank or comment line
 _TOKEN = re.compile(rb"[ \t\r\v\f]*(-?[0-9]+)[ \t\r\v\f]*")
-# Plain data: lines of only these bytes, which _read_plain reads in one np.fromstring call.
-_PLAIN = b"0123456789,- \t\n"
-# The bytes of a token's number, and a table that marks them d and makes a tab a space.
-_NUMBER = b"0123456789-"
-_MARKS = bytes.maketrans(_NUMBER + b"\t", b"d" * len(_NUMBER) + b" ")
-# 1 for a byte that is a line's content to _read_plain and the grammar, 0 for a blank or \n.
-_CONTENT = bytes(int(b not in b" \t\r\v\f\n") for b in range(256))
 
 
-def _skeleton_rows(data: bytes, d: int) -> int | None:
-    """The number of lines of data, which starts with \n, if each holds d - 1 commas, else None."""
-    skeleton = data.translate(None, _NUMBER)
-    rows = (len(skeleton) - 1) // d
-    return rows if skeleton == b"\n" + (b"," * (d - 1) + b"\n") * rows else None
+def _read_canonical(data: bytes, q: int, d: int) -> np.ndarray | None:
+    """The (n, d) points of canonical data, which starts at a newline, row i from
+    its line i + 1, or None unless the grammar reads the same points, each in [0, q)^d.
 
-
-def _read_plain(data: bytes, q: int, d: int) -> np.ndarray | None:
-    """The (n, d) points of plain data, one row per line that is not all blanks,
-    or None unless the grammar reads the same points, each in [0, q)^d.
-
-    np.fromstring is lenient: it reads a lone - or a blank-only token as 0,
-    takes a trailing comma, and clamps an overflow to the int64 limit.  The
-    byte checks, with the count of commas on each line, refuse the first
-    three before it runs, and the range check refuses the last.
+    Canonical data holds only digits, commas and newlines, with d - 1 commas on
+    each line: with the digits taken out, what is left must be that skeleton.
+    np.fromstring then reads it at once.  It raises on an empty token, which
+    a numpy that only warns on unmatched data stops at instead, so the
+    reshape checks the count, and it clamps an overflow to the int64 limit,
+    which the range check refuses.
     """
-    if data.isspace() or data.translate(None, _PLAIN):
-        return None
-    if b" " in data or b"\t" in data:
-        marks = data.translate(_MARKS)
-        while b"  " in marks:
-            marks = marks.replace(b"  ", b" ")
-        if b"d d" in marks:  # blanks inside a token, as in 3 3 or - 0
-            return None
-        data = data.translate(None, b" \t")
-    rows = _skeleton_rows(data, d)
-    # At d > 1 every line of a matching skeleton holds a comma, so only a
-    # skeleton that fails, or d = 1, can hide a line that was empty or all blanks.
-    if (rows is None or d == 1) and b"\n\n" in data:
-        while b"\n\n" in data:
-            data = data.replace(b"\n\n", b"\n")
-        rows = _skeleton_rows(data, d)
-    if rows is None:
+    skeleton = data.translate(None, b"0123456789")
+    rows = (len(skeleton) - 1) // d
+    if skeleton != b"\n" + (b"," * (d - 1) + b"\n") * rows:
         return None
     flat = data[1:].replace(b"\n", b",")
-    if b"-" in flat and b"-," in flat:  # a token that ends in -, such as a lone -
-        return None
-    # An empty token, or a - after a digit or a -, makes fromstring raise.  A numpy
-    # that only warns on unmatched data stops there, so the reshape checks the count.
     try:
         values = np.fromstring(flat, dtype=np.int64, sep=",").reshape(rows, d)
     except ValueError:
         return None
-    return values if values.min() >= 0 and values.max() < q else None
-
-
-def _row_lines(plain: bytes, first: int) -> np.ndarray:
-    """The line number of each row _read_plain read from plain, which starts at
-    the newline ending line first: the lines that hold a byte other than a blank."""
-    ends = np.frombuffer(plain, dtype=np.uint8) == ord("\n")
-    filled = np.cumsum(np.frombuffer(plain.translate(_CONTENT), dtype=np.uint8))[ends]
-    return first + 1 + np.flatnonzero(np.diff(filled))
+    return values if values.max(initial=0) < q else None
 
 
 def _coordinate(number: bytes, q: int) -> int:
@@ -294,10 +259,11 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
     1-based line.  The first bad line decides, and on it a bad token beats a
     bad count; range and repeat errors come only once every line has parsed.
 
-    Data that holds only digits, commas, minus signs, spaces, tabs and
-    newlines, as it is or with the skipped lines emptied and each \\r\\n made
-    \\n, is read with one np.fromstring call behind checks on its bytes;
-    other data is read line by line as the grammar says.
+    Canonical data, the only kind save_point_set writes, holds only digits,
+    commas and newlines once each \\r\\n is made \\n, and dims - 1 commas on
+    each line.  It is read with one np.fromstring call behind checks on its
+    bytes; any other data is read line by line as the grammar says, some 60
+    times slower per line.  Both give the same points and the same errors.
     """
     raw = Path(path).read_bytes()
     if not raw.endswith(b"\n"):
@@ -342,22 +308,19 @@ def load_point_set(path) -> tuple[PointSet, tuple[int, int] | None]:
         raise bad_line(header_number, "header ", " needs dims >= 1 and q^dims <= 2^63")
 
     data = raw[found.end():]  # from the header's newline on
-    plain, numbers = data, None  # the bytes _read_plain read; line numbers of the rows
-    values = _read_plain(plain, q, d)
-    if values is None:
-        # Emptying skipped lines and dropping \r before \n keeps every line in its place.
-        plain = _SKIPPED.sub(b"\n", data).replace(b"\r\n", b"\n")
-        values = _read_plain(plain, q, d)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")  # drops a blank that ends a line; moves no line
+    values = _read_canonical(data, q, d)
     if values is None:
         values, numbers = _read_lines(data, header_number, q, d, bad_line)
+    else:
+        numbers = range(header_number + 1, header_number + 1 + len(values))
     codes = values @ q ** np.arange(d - 1, -1, -1)  # base q, first coordinate first
     if not np.all(codes[1:] > codes[:-1]):
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
         repeats = np.flatnonzero(codes[1:] == codes[:-1])
         if len(repeats):
-            if numbers is None:
-                numbers = _row_lines(plain, header_number)
             # The sort is stable, so the smallest index is the earliest repeat.
             raise bad_line(numbers[order[repeats + 1].min()], "point ", " is listed twice")
     codes.setflags(write=False)  # nobody else holds it, so the set need not copy it

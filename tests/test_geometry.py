@@ -179,6 +179,23 @@ def test_point_set_from_vectors_reduces_mod_q():
     assert ps.points() == [(1, 2)]
 
 
+@pytest.mark.parametrize("d, vectors, shape", [
+    (1, [1, 2, 3], r"\(3,\)"),
+    (2, [[]], r"\(1, 0\)"),
+    (2, [(1, 2, 3)], r"\(1, 3\)"),
+    (2, np.zeros((2, 2, 2)), r"\(2, 2, 2\)"),
+])
+def test_point_set_from_vectors_refuses_a_shape_other_than_n_by_d(d, vectors, shape):
+    expected = rf"expected an \(n, {d}\) array of points, got shape {shape}"
+    with pytest.raises(ValueError, match=expected):
+        PointSet.from_vectors(make_field(5), d, vectors)
+
+
+def test_point_set_from_vectors_reads_an_empty_list_as_the_empty_set():
+    ps = PointSet.from_vectors(make_field(5), 2, [])
+    assert len(ps) == 0 and ps.d == 2
+
+
 def test_full_point_set():
     f = make_field(3)
     ps = PointSet.full(f, 2)
@@ -259,6 +276,22 @@ def test_save_refuses_a_bad_split(tmp_path, split):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("split", [(1, 1, 5), (2,), (), (1.0, 1.0), ("1", "1")],
+                         ids=["three-values", "one-value", "empty", "floats", "strings"])
+def test_save_refuses_a_split_that_is_not_two_integers(tmp_path, split):
+    path = tmp_path / "p.txt"
+    with pytest.raises(ValueError, match=r"needs k, l >= 1 and k \+ l = dims 2"):
+        save_point_set(path, PointSet(make_field(7), 2, [0]), split=split)
+    assert not path.exists()
+
+
+def test_save_writes_a_split_of_numpy_integers(tmp_path):
+    path = tmp_path / "p.txt"
+    save_point_set(path, PointSet(make_field(7), 3, [0]), split=tuple(np.array([1, 2])))
+    assert path.read_text().startswith("q=7 dims=3 split=1,2\n")
+    assert load_point_set(path)[1] == (1, 2)
+
+
 @pytest.mark.parametrize("point, reason", [
     ("1,2,7", r"not in \[0, 7\)"),
     ("-1,0,0", r"not in \[0, 7\)"),
@@ -297,23 +330,40 @@ def test_load_reports_first_repeated_line(tmp_path):
         load_point_set(path)
 
 
-@pytest.mark.parametrize("text, line", [
-    ("2,2\n\n1,1\n\n0,0\n1,1\n", 8),  # the plain read takes the data as it is
-    ("2,2\n \t\n1, 1\n\t\n0,0\n 1,1\n", 8),
-    ("2,2\n# c\n1,1\n\n \t\n#\n0,0\n1,1\n", 10),  # and these once skipped lines are emptied
-    ("2,2\r\n\r\n1,1\r\n # c\r\n0,0\r\n1,1\r\n", 8),
-], ids=["blank-lines", "blank-only-lines", "comment-lines", "crlf"])
-def test_load_numbers_a_repeat_without_the_line_reader(tmp_path, monkeypatch, text, line):
-    # A repeat in data the plain read took is numbered from the newlines of
-    # the bytes it read; the per-line reader never runs.
-    def read_lines(*args):
-        raise AssertionError("the per-line reader ran on data the plain read takes")
+def _spy_readers(monkeypatch):
+    """The readers load_point_set calls, in order: "canonical" for each
+    _read_canonical call and "lines" for each _read_lines call."""
+    geometry = importlib.import_module("fqdist.geometry")
+    calls = []
+    for name, label in (("_read_canonical", "canonical"), ("_read_lines", "lines")):
+        def spy(*args, _real=getattr(geometry, name), _label=label):
+            calls.append(_label)
+            return _real(*args)
 
-    monkeypatch.setattr(importlib.import_module("fqdist.geometry"), "_read_lines", read_lines)
+        monkeypatch.setattr(geometry, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("text, line, reads_lines", [
+    ("2,2\n\n1,1\n\n0,0\n1,1\n", 8, True),
+    ("2,2\n \t\n1, 1\n\t\n0,0\n 1,1\n", 8, True),
+    ("2,2\n# c\n1,1\n\n \t\n#\n0,0\n1,1\n", 10, True),
+    ("2,2\r\n\r\n1,1\r\n # c\r\n0,0\r\n1,1\r\n", 8, True),
+    ("2,2\n1,1\n0,0\n1,1\n", 6, False),  # canonical: row i is on the header's line + 1 + i
+    ("2,2\r\n1,1\r\n0,0\r\n1,1\r\n", 6, False),
+], ids=["blank-lines", "blank-only-lines", "comment-lines", "crlf", "canonical",
+        "canonical-crlf"])
+def test_load_numbers_a_repeat_without_the_line_reader(tmp_path, monkeypatch, text, line,
+                                                       reads_lines):
+    # A repeat is numbered by its line in the file whichever reader took the
+    # data: the canonical read takes only digits, commas and newlines (once
+    # each \r\n is \n); blank and skipped lines go to the per-line reader.
+    calls = _spy_readers(monkeypatch)
     path = tmp_path / "dup.txt"
     path.write_bytes(("# lead\nq=3 dims=2\n" + text).encode())
     with pytest.raises(ValueError, match=rf"line {line}: point '1,1' is listed twice"):
         load_point_set(path)
+    assert calls == ["canonical"] + ["lines"] * reads_lines
 
 
 @pytest.mark.parametrize("newline, last", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")],
@@ -435,65 +485,109 @@ def test_load_matches_reference_parser(tmp_path_factory, header, before, newline
             assert expected == ("ok", loaded.codes.tolist(), split)
 
 
-@pytest.mark.parametrize("text, plain_reads, reads_lines", [
-    ("6,0,1\n0,0,0\n3,5,2\n", 1, False),
-    ("# comment\n6,0,1\n \t\n0,0,0\n3,5,2\n", 2, False),
-    ("6,0,1\r\n0,0,0\r\n3,5,2\r\n", 2, False),
-    ("6\r,0,1\n0,0,0\n3,5,2\n", 2, True),
-    ("6, 0,1 \n\t0 ,0,\t0\n 3,  5,2\n", 1, False),
-    ("6,-0,1\n-00,0,0\n3,5,0002\n", 1, False),
-    ("\n6,0,1\n\n\n0,0,0\n \t\n3,5,2\n\n", 1, False),
+@pytest.mark.parametrize("text, reads_lines", [
+    ("6,0,1\n0,0,0\n3,5,2\n", False),
+    ("# comment\n6,0,1\n \t\n0,0,0\n3,5,2\n", True),
+    ("6,0,1\r\n0,0,0\r\n3,5,2\r\n", False),
+    ("6\r,0,1\n0,0,0\n3,5,2\n", True),
+    ("6, 0,1 \n\t0 ,0,\t0\n 3,  5,2\n", True),
+    ("6,-0,1\n-00,0,0\n3,5,0002\n", True),
+    ("\n6,0,1\n\n\n0,0,0\n \t\n3,5,2\n\n", True),
 ], ids=["plain", "skipped-lines", "crlf", "carriage-return", "blank-padded", "minus-zero",
         "empty-lines"])
-def test_load_reads_plain_data_without_the_line_reader(tmp_path, monkeypatch, text, plain_reads,
-                                                        reads_lines):
-    # The plain read takes plain data at once, blanks, -0 and empty lines
-    # included, and comment lines or \r\n on its second try; only the lone \r
-    # goes through the per-line reader.  All give the same codes.
-    geometry = importlib.import_module("fqdist.geometry")
-    calls = []
-
-    def read_plain(*args, _real=geometry._read_plain):
-        calls.append("plain")
-        return _real(*args)
-
-    def read_lines(*args, _real=geometry._read_lines):
-        calls.append("lines")
-        assert reads_lines, "the per-line reader ran on data the plain read takes"
-        return _real(*args)
-
-    monkeypatch.setattr(geometry, "_read_plain", read_plain)
-    monkeypatch.setattr(geometry, "_read_lines", read_lines)
+def test_load_reads_plain_data_without_the_line_reader(tmp_path, monkeypatch, text, reads_lines):
+    # The canonical read takes digits, commas and newlines, and \r\n once it
+    # is made \n; blanks, a minus sign, a lone \r and skipped or empty lines
+    # send the data to the per-line reader.  All give the same codes.
+    calls = _spy_readers(monkeypatch)
     path = tmp_path / "p.txt"
     path.write_text("q=7 dims=3\n" + text)
     loaded, _ = load_point_set(path)
     assert loaded.codes.tolist() == sorted(encode_vectors(7, [(6, 0, 1), (0, 0, 0), (3, 5, 2)]))
-    assert calls == ["plain"] * plain_reads + ["lines"] * reads_lines
+    assert calls == ["canonical"] + ["lines"] * reads_lines
 
 
 @pytest.mark.parametrize("dims", [1, 4])
 def test_load_reads_blank_lines_between_points_in_one_pass(tmp_path, monkeypatch, dims):
-    # Empty and blank-only lines between points leave the points as they are,
-    # and the plain read takes them at once, at d = 1 too, where a line's
-    # skeleton holds no comma and so cannot tell an empty line from a point.
-    geometry = importlib.import_module("fqdist.geometry")
+    # Empty and blank-only lines between points leave the points as they are.
+    # The canonical read refuses them, at d = 1 too, where a line's skeleton
+    # holds no comma and an empty line reads as an empty token, and the
+    # per-line reader takes them.
     rng = np.random.default_rng(dims)
     points = [",".join(map(str, row)) for row in rng.integers(0, 5, (6, dims))]
-    calls = []
-
-    def read_plain(*args, _real=geometry._read_plain):
-        calls.append("plain")
-        return _real(*args)
-
-    monkeypatch.setattr(geometry, "_read_plain", read_plain)
+    calls = _spy_readers(monkeypatch)
     dense, sparse = tmp_path / "dense.txt", tmp_path / "sparse.txt"
     dense.write_text(f"q=5 dims={dims}\n" + "".join(p + "\n" for p in sorted(set(points))))
     sparse.write_text(f"q=5 dims={dims}\n\n" + "\n \t\n\n".join(sorted(set(points))) + "\n\n")
     expected, _ = load_point_set(dense)
+    assert calls == ["canonical"]
     calls.clear()
     loaded, _ = load_point_set(sparse)
-    assert calls == ["plain"]
+    assert calls == ["canonical", "lines"]
     assert loaded.codes.tolist() == expected.codes.tolist()
+
+
+def _written_files(tmp_path):
+    """(path, set, split) of point-set files as the writers here make them:
+    save_point_set at d = 1..4 with and without a split, empty sets, a \r\n
+    copy of each, and np.savetxt with fmt="%d" and a comma delimiter."""
+    rng = np.random.default_rng(1)
+    files = []
+    for d in range(1, 5):
+        ps = PointSet(make_field(7), d, rng.choice(7**d, size=min(40, 7**d), replace=False))
+        for split in (None, (1, d - 1)) if d > 1 else (None,):
+            for points in (ps, PointSet(ps.field, d, [])):
+                path = tmp_path / f"d{d}-{split is None}-{len(points)}.txt"
+                save_point_set(path, points, split=split)
+                crlf = path.with_suffix(".crlf")
+                crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+                files += [(path, points, split), (crlf, points, split)]
+    saved = tmp_path / "savetxt.txt"
+    np.savetxt(saved, ps.coords(), fmt="%d", delimiter=",", header="q=7 dims=4", comments="")
+    return [*files, (saved, ps, None)]
+
+
+def test_load_reads_every_written_file_without_the_line_reader(tmp_path, monkeypatch):
+    calls = _spy_readers(monkeypatch)
+    for path, points, split in _written_files(tmp_path):
+        calls.clear()
+        loaded, loaded_split = load_point_set(path)
+        assert calls == ["canonical"], path.name
+        assert loaded.codes.tolist() == points.codes.tolist() and loaded_split == split
+
+
+@pytest.mark.parametrize("point, reason", [
+    ("-1,0,0", r"not in \[0, 7\)"),  # a minus sign is not canonical
+    ("-,0,0", "non-integer"),
+    ("3 3,0,0", "non-integer"),
+    ("0, ,0", "non-integer"),
+    ("0,0,", "non-integer"),
+    (",0,0", "non-integer"),
+    ("0,,0", "non-integer"),
+    ("0,0", "does not have 3 coordinates"),
+    ("0,1,2,3\n3,3", "does not have 3 coordinates"),
+    ("7,0,0", r"not in \[0, 7\)"),
+    ("0,0,10", r"not in \[0, 7\)"),
+    ("99999999999999999999,0,0", r"not in \[0, 7\)"),
+    ("18446744073709551619,0,0", r"not in \[0, 7\)"),  # 2^64 + 3, which wraps to 3
+    ("0,1,2", "listed twice"),
+])
+def test_load_refuses_canonical_data_as_the_grammar_does(tmp_path, point, reason):
+    # The same rejections as test_load_rejects_noncanonical_points, in data
+    # with no skipped line, so that every line but the bad one is canonical.
+    path = tmp_path / "bad.txt"
+    path.write_text(f"q=7 dims=3\n0,1,2\n4,5,6\n{point}\n3,3,3\n")
+    with pytest.raises(ValueError, match=rf"bad\.txt, line 4: .*{reason}"):
+        load_point_set(path)
+
+
+@pytest.mark.parametrize("text", ["5\n\n6\n", "\n5\n6\n", "5\n6\n\n"])
+def test_load_reads_empty_lines_at_d1_as_the_grammar_does(tmp_path, text):
+    # At d = 1 a line's skeleton holds no comma, so an empty line passes the
+    # canonical read's comma count; only its empty token refuses the read.
+    path = tmp_path / "p.txt"
+    path.write_text("q=7 dims=1\n" + text)
+    assert load_point_set(path)[0].points() == [(5,), (6,)]
 
 
 def test_load_refuses_rows_a_fromstring_that_stops_early_leaves_short(tmp_path, monkeypatch):

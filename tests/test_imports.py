@@ -74,3 +74,16 @@ def test_package_root_imports_no_module():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+def test_cli_import_loads_no_random_fft_or_futures():
+    # Every CLI start pays for what `import fqdist.cli` loads on top of numpy.
+    # numpy.random alone adds over 10 ms and several MiB, so these modules are
+    # imported only inside the functions that use them.
+    probe = ("import sys, numpy; before = set(sys.modules); import fqdist.cli; "
+             "print(sorted(m for m in set(sys.modules) - before"
+             " if m.startswith(('numpy.random', 'numpy.fft', 'concurrent.futures'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
